@@ -193,7 +193,11 @@ def _maybe_file(text: str) -> str:
 def parse_poly_arg(text: str) -> LambdaElement:
     text = _maybe_file(text).strip()
     if text.startswith("{"):
-        return LambdaElement.from_json_dict(json.loads(text))
+        obj = json.loads(text)
+        try:
+            return LambdaElement.from_json_dict(obj)
+        except (ValueError, KeyError, TypeError, OverflowError):
+            raise ExpressionError(f"cannot parse polynomial argument {text!r}") from None
     parser = _Parser(_tokenize(text))
     value = parser.expr()
     parser.done()
@@ -210,7 +214,7 @@ def parse_matrix_arg(text: str) -> LambdaMatrix:
     except ExpressionError:
         try:
             return LambdaMatrix.from_json_list(json.loads(text))
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, OverflowError):
             raise ExpressionError(f"cannot parse matrix argument {text!r}") from None
 
 
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", parents=[common], help="seeded randomized verification sweeps")
     sp.add_argument(
         "--suite",
-        choices=("all", "thm-app", "lemma-3.3", "parity", "degrees"),
+        choices=("all",) + SUITE_NAMES,
         default="all",
     )
     sp.add_argument("--scale", type=float, default=1.0, help="multiply every sweep count")

@@ -1,30 +1,33 @@
 """Evaluation at the cyclotomic points eps_m = zeta_{p^m} - 1.
 
 Z_p[zeta_{p^m}] = Z_p[X]/(Phi_m) is totally ramified of degree
-phi(p^m) = deg Phi_m over Z_p, so the valuation normalized by
-ord(eps_m) = 1 satisfies
+phi(p^m) = deg Phi_m over Z_p: Phi_m is Eisenstein in X, so eps_m is a
+uniformizer and v(p) = phi(p^m) in the valuation normalized by
+ord(eps_m) = 1.  Writing r = f mod Phi_m on the power basis,
 
-    ord_{eps_m}(f(eps_m)) = v_p(Norm f(eps_m)) = v_p(Res(Phi_m, f)),
+    ord_{eps_m}(f(eps_m)) = min over r_i != 0 of phi(p^m) v_p(r_i) + i,
 
-computed here exactly as the determinant of the multiplication-by-f
-matrix on the power basis of Z[X]/(Phi_m).  Level 0 uses eps_0 = 0,
-i.e. ord is v_p(f(0)).  The value is infinite exactly when Phi_m | f.
+because the terms r_i eps_m^i have valuations that differ mod
+phi(p^m) and so cannot cancel.  Level 0 uses eps_0 = 0, i.e. ord is
+v_p(f(0)).  The value is infinite exactly when Phi_m | f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 from .errors import DuplicateLevel, InvalidContext
-from .exactlinalg import bareiss_det
 from .lambda_ring import (
+    ONE,
+    ZERO,
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
     cyclotomic_phi,
+    euler_phi_pk,
+    omega_poly,
     vp,
 )
 
@@ -62,27 +65,11 @@ class CyclotomicPoint:
             return INFINITE
         if self.m == 0:
             return vp(self.rep.coeffs[0], ctx.p)
-        return vp(_mult_matrix_det(self.rep, cyclotomic_phi(ctx, self.m)), ctx.p)
+        e = euler_phi_pk(ctx.p, self.m)
+        return min(e * vp(c, ctx.p) + i for i, c in enumerate(self.rep.coeffs) if c)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "rep": self.rep.to_json_dict()}
-
-
-def _mult_matrix_det(r: LambdaElement, phi: LambdaElement) -> int:
-    """det of multiplication by r on Z[X]/(phi) = Res(phi, r), phi monic."""
-    d = phi.degree
-    cur = list(r.coeffs) + [0] * (d - len(r.coeffs))
-    cols = [cur[:]]
-    for _ in range(d - 1):
-        top = cur[-1]
-        nxt = [0] + cur[:-1]
-        if top:
-            for j in range(d):
-                nxt[j] -= top * phi.coeffs[j]
-        cur = nxt
-        cols.append(cur[:])
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return bareiss_det(rows)
 
 
 def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):
@@ -204,122 +191,46 @@ class RationalPoly:
         }
 
 
-def _fp(f: LambdaElement) -> list[Fraction]:
-    return [Fraction(c) for c in f.coeffs]
-
-
-def _fp_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _fp_trim(out)
-
-
-def _fp_add(a, b):
-    out = list(a) if len(a) >= len(b) else list(b)
-    short = b if len(a) >= len(b) else a
-    for i, c in enumerate(short):
-        out[i] += c
-    return _fp_trim(out)
-
-
-def _fp_scale(a, s: Fraction):
-    return _fp_trim([c * s for c in a])
-
-
-def _fp_mod(a, b):
-    # remainder of a by b, b nonzero (any leading coefficient)
-    r = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    while len(r) - 1 >= db and r:
-        q = r[-1] / lead
-        shift = len(r) - 1 - db
-        for j in range(len(b)):
-            r[shift + j] -= q * b[j]
-        _fp_trim(r)
-    return r
-
-
-def _fp_inverse_mod(a, mod):
-    """Inverse of a modulo mod in Q[X] (requires gcd constant)."""
-    old_r, r = list(mod), _fp_trim(list(a))
-    old_t, t = [], [Fraction(1)]
-    while r:
-        # division step: old_r = q*r + rem
-        rem = list(old_r)
-        q = []
-        db = len(r) - 1
-        lead = r[-1]
-        while len(rem) - 1 >= db and rem:
-            c = rem[-1] / lead
-            deg = len(rem) - 1 - db
-            while len(q) < deg + 1:
-                q.append(Fraction(0))
-            q[deg] += c
-            for j in range(len(r)):
-                rem[deg + j] -= c * r[j]
-            _fp_trim(rem)
-        old_r, r = r, rem
-        old_t, t = t, _fp_add(old_t, _fp_scale(_fp_mul(q, t), Fraction(-1)))
-    if len(old_r) != 1:
-        raise ValueError("elements are not coprime")
-    return _fp_scale(old_t, 1 / old_r[0])
-
-
-def _fp_to_rational(a) -> RationalPoly:
-    if not a:
-        return RationalPoly.make(LambdaElement())
-    den = 1
-    for c in a:
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = LambdaElement(int(c * den) for c in a)
-    return RationalPoly.make(num, den)
-
-
 def crt_interpolate(ctx: PrimeContext, points) -> RationalPoly:
     """The unique F in Q[X] of degree < sum deg Phi_{m_i} with
     F = x_i mod Phi_{m_i} at every listed level m_i.
 
-    Pairwise resultants of distinct Phi's are p-powers, so denominators
-    of the output are p-powers.
+    Let t be the top listed level.  Q[X]/omega_t is the product of the
+    fields Q[X]/Phi_j (j <= t), and the idempotent of the levels <= m is
+
+        (omega_t / omega_m) / p^(t-m),   omega_t / omega_m = prod_{m<j<=t} Phi_j,
+
+    because Phi_j(eps_i) = p for i < j.  Differences of consecutive ones
+    give the idempotent e_m of level m, and F is sum x_i e_{m_i} reduced
+    mod prod Phi_{m_i}.  All arithmetic is on integer numerators over
+    the one denominator lcm(value denominators) * p^t, which the output's
+    denominator therefore divides.
     """
-    pts = []
-    seen = set()
+    values = {}
     for m, value in points:
-        if m in seen:
+        if m in values:
             raise DuplicateLevel(f"level {m} listed twice")
-        seen.add(m)
         if isinstance(value, RationalPoly):
-            val = _fp_scale(_fp(value.numerator), Fraction(1, value.denominator))
+            values[m] = value
         elif isinstance(value, LambdaElement):
-            val = _fp(value)
+            values[m] = RationalPoly(value, 1)
         else:
-            val = _fp(LambdaElement.const(int(value)))
-        pts.append((m, val))
-    if not pts:
+            values[m] = RationalPoly(LambdaElement.const(int(value)), 1)
+    if not values:
         raise InvalidContext("need at least one interpolation point")
-    phis = {m: _fp(cyclotomic_phi(ctx, m)) for m, _ in pts}
-    total = [Fraction(1)]
-    for m, _ in pts:
-        total = _fp_mul(total, phis[m])
-    acc: list[Fraction] = []
-    for m, val in pts:
-        others = [Fraction(1)]
-        for m2, _ in pts:
-            if m2 != m:
-                others = _fp_mul(others, phis[m2])
-        inv = _fp_inverse_mod(_fp_mod(others, phis[m]), phis[m])
-        idem = _fp_mul(others, inv)  # = 1 mod Phi_m, = 0 mod the others
-        acc = _fp_add(acc, _fp_mul(val, idem))
-    return _fp_to_rational(_fp_mod(acc, total))
+    p = ctx.p
+    t = max(values)
+    omega_t = omega_poly(ctx, t)
+
+    def lower(m: int) -> LambdaElement:
+        # p^t times the idempotent of the levels <= m
+        return omega_t.exact_div(omega_poly(ctx, m)) * p**m if m >= 0 else ZERO
+
+    den = lcm(*(v.denominator for v in values.values()))
+    acc = ZERO
+    modulus = ONE
+    for m, v in values.items():
+        idem = lower(m) - lower(m - 1)
+        acc = acc + v.numerator * (den // v.denominator) * idem
+        modulus = modulus * cyclotomic_phi(ctx, m)
+    return RationalPoly.make(acc.reduced_mod(modulus), den * p**t)

@@ -1,39 +1,10 @@
 """Fraction-free exact linear algebra over Z (Bareiss elimination).
 
-Used for the two places where truncated p-adic data must never be
-trusted: resultant-style determinants and Q-ranks of relation matrices.
+Used where truncated p-adic data must never be trusted: the Q-ranks of
+relation matrices.
 """
 
 from __future__ import annotations
-
-
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, exactly."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:

@@ -4,7 +4,7 @@ integer-coefficient polynomials.
 Everything a finite-level computation touches lives in some quotient
 Lambda/(omega_n), and integer polynomials represent every class there
 exactly.  Keeping coefficients in Z (instead of truncated p-adics) is
-what makes ranks and resultants exact; reduction mod p^N happens only
+what makes ranks and valuations exact; reduction mod p^N happens only
 inside the finite-quotient machinery of zp_modules.
 
 The signed products split omega_n = (1+X)^{p^n} - 1 into its cyclotomic

@@ -49,7 +49,12 @@ from .lambda_ring import (
     omega_poly,
     omega_tower,
 )
-from .zp_modules import _snf, intersect_spans_mod, lambda_column_span
+from .zp_modules import (
+    SpanPresentation,
+    finite_valuations,
+    intersect_spans_mod,
+    lambda_column_span,
+)
 
 
 @dataclass(frozen=True)
@@ -313,19 +318,12 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     span_wb = lambda_column_span(
         ctx, [(omega_n * col[0], omega_n * col[1]) for col in b.columns], t
     )
-
-    def _finite_vals(cols, e):
-        pe = p**e
-        rows = [[col[i] % pe for col in cols] for i in range(ambient)]
-        vals, _, _ = _snf(rows, p, e)
-        return [a for a in vals if a < e]
-
     readings = {}
     for e in (ctx.precision, ctx.high_precision):
         inter = intersect_spans_mod(p, e, ambient, span_w.columns, span_b.columns)
         readings[e] = (
-            _finite_vals(inter, e),
-            _finite_vals(span_wb.columns, e),
+            finite_valuations(SpanPresentation(ambient, tuple(inter)), p, e),
+            finite_valuations(span_wb, p, e),
         )
     lo_i, lo_w = readings[ctx.precision]
     hi_i, hi_w = readings[ctx.high_precision]

@@ -170,6 +170,13 @@ def snf_local(ctx: PrimeContext, matrix) -> list[int]:
     return vals
 
 
+def finite_valuations(span: SpanPresentation, p: int, e: int) -> list[int]:
+    """The finite SNF valuations of a span over Z/p^e: those below e,
+    nondecreasing, one per elementary divisor that p^e does not kill."""
+    vals, _, _ = _snf(span.rows_mod(p**e), p, e)
+    return [a for a in vals if a < e]
+
+
 def _measure(ctx: PrimeContext, span: SpanPresentation):
     """(length at N, stable, finite-divisor count) for a span.
 
@@ -177,10 +184,8 @@ def _measure(ctx: PrimeContext, span: SpanPresentation):
     identical — any true elementary divisor landing in [N, N + margin)
     shows up at the high precision only and flags the reading.
     """
-    lo_vals, _, _ = _snf(span.rows_mod(ctx.modulus), ctx.p, ctx.precision)
-    hi_vals, _, _ = _snf(span.rows_mod(ctx.high_modulus), ctx.p, ctx.high_precision)
-    fin_lo = [a for a in lo_vals if a < ctx.precision]
-    fin_hi = [a for a in hi_vals if a < ctx.high_precision]
+    fin_lo = finite_valuations(span, ctx.p, ctx.precision)
+    fin_hi = finite_valuations(span, ctx.p, ctx.high_precision)
     stable = fin_lo == fin_hi
     length = sum(ctx.precision - a for a in fin_lo)
     return length, stable, len(fin_lo)
@@ -201,10 +206,8 @@ def quotient_invariants(ctx: PrimeContext, relations: SpanPresentation):
     valuations.  Raises PrecisionUnstable if the torsion readings at N
     and N + margin disagree, or if a finite divisor escaped both.
     """
-    lo_vals, _, _ = _snf(relations.rows_mod(ctx.modulus), ctx.p, ctx.precision)
-    hi_vals, _, _ = _snf(relations.rows_mod(ctx.high_modulus), ctx.p, ctx.high_precision)
-    fin_lo = [a for a in lo_vals if a < ctx.precision]
-    fin_hi = [a for a in hi_vals if a < ctx.high_precision]
+    fin_lo = finite_valuations(relations, ctx.p, ctx.precision)
+    fin_hi = finite_valuations(relations, ctx.p, ctx.high_precision)
     if fin_lo != fin_hi:
         raise PrecisionUnstable(
             f"torsion reading differs between N={ctx.precision} and "

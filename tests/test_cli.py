@@ -132,6 +132,20 @@ class TestPayloadGrammar:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ['{"foo": 1}', '{"coeffs": ["x"]}', '{"coeffs": [1e400]}'])
+    def test_malformed_json_poly_is_exit2(self, capsys, bad):
+        code, _, err = run(capsys, "invariants", "-p", "3", "--poly", bad)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_overflowing_json_matrix_is_exit2(self, capsys):
+        code, _, err = run(
+            capsys, "special-check", "-p", "3", "-n", "0", "--matrix",
+            '[[{"coeffs": [1e400]}, 1], [1, 1]]',
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("bad", ["X +", "diag(X", "[[X]]", "X & Y", "Y"])
     def test_malformed_payloads(self, capsys, bad):
         code, _, err = run(capsys, "invariants", "-p", "3", "--poly", bad)
@@ -168,6 +182,11 @@ class TestVerifySubcommand:
         assert code == 0
         doc = json.loads(out)
         assert all(r["ok"] for r in doc["result"]["reports"])
+
+    def test_every_suite_selectable(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "growth")
+        assert code == 0
+        assert [r["suite"] for r in json.loads(out)["result"]["reports"]] == ["growth"]
 
     def test_injected_flip_exits_one(self, capsys, monkeypatch):
         # a single perturbed formula must surface as a failed verification

@@ -1,8 +1,9 @@
 """Valuations at eps_m, exact ranks, and CRT interpolation.
 
-The resultant route inside the library is a multiplication-matrix
-determinant; the oracle here builds the Sylvester matrix over Fraction
-and eliminates, so the two computations share no code.
+The library reads ord_eps off the power-basis coefficients of f mod Phi_m
+(Phi_m is Eisenstein, so eps_m is a uniformizer); the oracle here is
+v_p of the resultant Res(Phi_m, f), from the Sylvester matrix over
+Fraction, so the two computations share no code.
 """
 
 from fractions import Fraction
@@ -125,19 +126,20 @@ class TestOrdEps:
         else:
             assert ord_eps(CTX3, m, f * g) == a + b
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
     @settings(max_examples=50, deadline=None)
     @given(f=small_polys)
-    def test_matches_sylvester_resultant(self, m, f):
+    def test_matches_sylvester_resultant(self, p, m, f):
         assume(not f.is_zero)
-        phi = cyclotomic_phi(CTX3, m)
+        ctx = PrimeContext(p)
+        phi = cyclotomic_phi(ctx, m)
         res = sylvester_resultant(phi, f)
-        got = ord_eps(CTX3, m, f)
+        got = ord_eps(ctx, m, f)
         if res == 0:
             assert got == INFINITE
         else:
             assert res.denominator == 1
-            assert got == vp(res.numerator, 3)
+            assert got == vp(res.numerator, p)
 
     @pytest.mark.parametrize("n,sign", [(1, "+"), (3, "+"), (2, "-")])
     def test_signed_factor_at_own_level(self, ctx3, n, sign):
@@ -215,21 +217,35 @@ class TestCrtInterpolate:
         with pytest.raises(DuplicateLevel):
             crt_interpolate(ctx3, [(1, ONE), (1, X)])
 
+    @pytest.mark.parametrize(
+        "p,levels",
+        [
+            (3, (0, 1)),
+            (3, (0, 1, 2)),
+            (3, (1, 2)),
+            (3, (0, 2)),
+            (3, (1, 3)),
+            (5, (1, 2)),
+            (5, (0, 2)),
+        ],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else f"p{v}",
+    )
     @settings(max_examples=30, deadline=None)
     @given(
         vals=st.lists(
             st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=2),
-            min_size=2,
+            min_size=3,
             max_size=3,
         )
     )
-    def test_congruences_exact(self, vals):
-        points = [(m, LambdaElement(v)) for m, v in enumerate(vals)]
-        out = crt_interpolate(CTX3, points)
-        bound = sum(euler_phi_pk(3, m) for m, _ in points)
+    def test_congruences_exact(self, p, levels, vals):
+        ctx = PrimeContext(p)
+        points = [(m, LambdaElement(v)) for m, v in zip(levels, vals)]
+        out = crt_interpolate(ctx, points)
+        bound = sum(euler_phi_pk(p, m) for m, _ in points)
         assert out.numerator.is_zero or out.numerator.degree < bound
         for m, target in points:
-            phi = cyclotomic_phi(CTX3, m)
+            phi = cyclotomic_phi(ctx, m)
             diff = out.numerator - LambdaElement.const(out.denominator) * target
             assert diff.reduced_mod(phi).is_zero
 
