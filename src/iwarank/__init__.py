@@ -2,11 +2,12 @@
 special 2x2 matrices, Coleman-pair closed forms and Sha growth tables.
 
 All arithmetic is exact: polynomials carry integer coefficients,
-finite-level module lengths come from Smith normal forms over Z/p^N
-recomputed at a higher precision, and rational ranks come from
-fraction-free elimination.  Nothing is ever rounded; when a length
-cannot be certified at the working precision the engine raises
-PrecisionUnstable instead of answering.
+finite-level module lengths come from Smith normal forms over Z/p^N,
+and rational ranks come from the cyclotomic rank profile (or
+fraction-free elimination for spans without that structure).  Nothing
+is ever rounded; a length is reported only when its count of finite
+elementary divisors equals the exact rank, and otherwise the engine
+raises PrecisionUnstable instead of answering.
 """
 
 from .cyclo_eval import (

@@ -35,6 +35,7 @@ from .kobayashi_rank import (
     nabla_torsion_tower,
 )
 from .lambda_ring import (
+    MAX_EXPLICIT_LENGTH,
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
@@ -54,6 +55,9 @@ from .special_matrices import (
 from .verify import SUITE_NAMES, run_suites
 
 DEFAULT_PRECISION = 40
+
+# Largest total coefficient size, in bits, that one ``^`` may produce.
+MAX_POWER_BITS = 1 << 20
 
 
 class ExpressionError(ValueError):
@@ -75,6 +79,13 @@ def _tokenize(text: str):
         out.append("^" if m.group(1) == "**" else m.group(1))
         pos = m.end()
     return out
+
+
+def _int_token(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ExpressionError(f"integer literal of {len(tok)} digits is too long") from None
 
 
 class _Parser:
@@ -130,13 +141,20 @@ class _Parser:
 
     def power(self) -> LambdaElement:
         base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if not e.isdigit():
-                raise ExpressionError(f"exponent must be a nonnegative integer, got {e!r}")
-            return base ** int(e)
-        return base
+        if self.peek() != "^":
+            return base
+        self.take()
+        tok = self.take()
+        if not tok.isdigit():
+            raise ExpressionError(f"exponent must be a nonnegative integer, got {tok!r}")
+        e = _int_token(tok)
+        # bound the result before computing it: degree deg(base) * e, each
+        # coefficient below (sum |c|)^e, so at most e * log2(sum |c|) bits
+        degree = max(base.degree, 0) * e
+        bits = (degree + 1) * e * max(sum(map(abs, base.coeffs)) - 1, 0).bit_length()
+        if degree > MAX_EXPLICIT_LENGTH or bits > MAX_POWER_BITS:
+            raise ExpressionError(f"power ^{tok} too large: degree {degree}, about {bits} coefficient bits")
+        return base**e
 
     def atom(self) -> LambdaElement:
         tok = self.peek()
@@ -149,7 +167,7 @@ class _Parser:
             raise ExpressionError("unexpected end of input")
         if tok.isdigit():
             self.take()
-            return LambdaElement.const(int(tok))
+            return LambdaElement.const(_int_token(tok))
         if tok == "X":
             self.take()
             return X
@@ -351,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="p-adic working precision (default 40; IWK_PRECISION env overrides the default)",
     )
-    common.add_argument("--margin", type=int, default=8, help="extra digits for the stability recomputation")
+    common.add_argument("--margin", type=int, default=8, help="extra digits for the rod-check stability recomputation")
     common.add_argument("--seed", type=int, default=0, help="seed recorded in the output and used by verify")
 
     parser = argparse.ArgumentParser(prog="iwarank", description=__doc__)

@@ -84,12 +84,7 @@ def det_ord_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix):
 
 def matrix_rank_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix) -> int:
     """Rank of A(eps_m) over the fraction field of Z_p[zeta_{p^m}]."""
-    phi = cyclotomic_phi(ctx, m)
-    if all(e.reduced_mod(phi).is_zero for e in a.entries):
-        return 0
-    if a.det.reduced_mod(phi).is_zero:
-        return 1
-    return 2
+    return rank_at_eps(ctx, m, a.columns, 2)
 
 
 def _poly_det(rows) -> LambdaElement:
@@ -108,30 +103,34 @@ def _poly_det(rows) -> LambdaElement:
     return acc
 
 
-def full_row_rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> bool:
-    """Whether the k x c polynomial matrix with the given columns has
-    rank k at eps_m (some k x k minor nonvanishing mod Phi_m)."""
+def _minor_rank(columns, k: int, reduce=lambda f: f) -> int:
+    """Size of the largest minor of the k x c polynomial matrix with the
+    given columns whose determinant does not reduce to zero."""
+    for size in range(min(k, len(columns)), 0, -1):
+        for pick in combinations(range(len(columns)), size):
+            for rows in combinations(range(k), size):
+                if reduce(_poly_det([[columns[j][i] for j in pick] for i in rows])):
+                    return size
+    return 0
+
+
+def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:
+    """Rank at eps_m of the k x c polynomial matrix with the given
+    columns: the size of its largest minor not divisible by Phi_m.
+
+    Z_p[X]/Phi_m is a domain, so this is the rank over Q_p(zeta_{p^m});
+    since Lambda_n x Q_p is the product of these fields for m <= n, the
+    Q-rank of the matrix's Lambda_n-span is sum phi(p^m) rank_at_eps(m).
+    """
     phi = cyclotomic_phi(ctx, m)
     red = [tuple(e.reduced_mod(phi) for e in col) for col in columns]
-    if len(red) < k:
-        return False
-    for pick in combinations(range(len(red)), k):
-        rows = [[red[j][i] for j in pick] for i in range(k)]
-        if not _poly_det(rows).reduced_mod(phi).is_zero:
-            return True
-    return False
+    return _minor_rank(red, k, lambda f: f.reduced_mod(phi))
 
 
 def poly_full_row_rank(columns, k: int) -> bool:
     """Whether the k x c polynomial matrix has rank k over Frac(Lambda)
     (some k x k minor nonzero as a polynomial)."""
-    if len(columns) < k:
-        return False
-    for pick in combinations(range(len(columns)), k):
-        rows = [[columns[j][i] for j in pick] for i in range(k)]
-        if not _poly_det(rows).is_zero:
-            return True
-    return False
+    return _minor_rank(columns, k) == k
 
 
 def matrices_proportional_at_eps(

@@ -24,8 +24,10 @@ class DuplicateLevel(IwarankError):
 
 
 class PrecisionUnstable(IwarankError):
-    """A length read off at working precision N changed when recomputed
-    at N + margin; the finite-ring proxy cannot be trusted."""
+    """A length read off at working precision N is not certified: its
+    count of finite elementary divisors falls short of the exact rank (a
+    divisor reached p^N), or, for rod_check, the reading changed at
+    N + margin.  The finite-ring proxy cannot be trusted."""
 
 
 class NotNested(IwarankError):

@@ -16,8 +16,15 @@ cokernel vanishes.  The kernel is the nested-span quotient
     <relations, omega_{n-1} e_1..e_k> / <relations>   inside Lambda_n^k,
 
 finite exactly when the relation columns stay full rank at eps_n;
-otherwise PhiDivides is raised.  The rational dimension downstairs is
-k p^{n-1} minus the exact rank of the relations at level n-1.
+otherwise PhiDivides is raised.
+
+Every rank comes from the cyclotomic rank profile r_m = rank of the
+relations at eps_m: Lambda_n x Q_p is the product of the fields
+Q_p(zeta_{p^m}), m <= n, so both spans have Q-rank sum phi(p^m) r_m
+(omega_{n-1} vanishes at eps_m for m < n and the relations have rank k
+at eps_n), which certifies their single SNF reading at precision N
+(zp_modules.certified_valuations).  The rational dimension downstairs is
+sum over m < n of phi(p^m) (k - r_m).
 
 Closed forms attached per tower kind:
 
@@ -36,16 +43,14 @@ from dataclasses import dataclass, replace
 from .cyclo_eval import (
     INFINITE,
     _poly_det,
-    full_row_rank_at_eps,
     ord_eps,
-    ord_json,
     poly_full_row_rank,
+    rank_at_eps,
 )
 from .errors import (
     InvalidContext,
     NotTorsion,
     PhiDivides,
-    PrecisionUnstable,
     SingularMatrix,
     ZeroElement,
 )
@@ -61,11 +66,7 @@ from .lambda_ring import (
     omega_tower,
 )
 from .special_matrices import ColemanData, assemble_fn, is_special
-from .zp_modules import (
-    lambda_column_span,
-    nested_span_quotient_length,
-    quotient_invariants,
-)
+from .zp_modules import certified_valuations, lambda_column_span
 
 
 @dataclass(frozen=True)
@@ -125,28 +126,26 @@ def direct_sum(left, right) -> TorsionTower:
 
 
 def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
-    if n < 1:
-        raise InvalidContext(f"tower steps start at n = 1, got {n}")
-    if not full_row_rank_at_eps(ctx, n, rel_cols, k):
+    _require_step(n)
+    ranks = [rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
+    if ranks[n] < k:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
+    q_rank = sum(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks))
     inner = lambda_column_span(ctx, rel_cols, n)
     omega_prev = omega_poly(ctx, n - 1)
-    wcols = []
-    for j in range(k):
-        vec = [ZERO] * k
-        vec[j] = omega_prev
-        wcols.append(tuple(vec))
+    wcols = [tuple(omega_prev if i == j else ZERO for i in range(k)) for j in range(k)]
     outer = inner.concat(lambda_column_span(ctx, wcols, n))
-    ker = nested_span_quotient_length(ctx, outer, inner)
-    if not ker.stable:
-        raise PrecisionUnstable(f"kernel length unstable at level {n}")
-    free_rank, _ = quotient_invariants(ctx, lambda_column_span(ctx, rel_cols, n - 1))
+    # equal ranks: len(outer) - len(inner) = sum a(inner) - sum a(outer)
+    ker_length = sum(certified_valuations(ctx, inner, q_rank)) - sum(
+        certified_valuations(ctx, outer, q_rank)
+    )
+    lower_rank = sum(euler_phi_pk(ctx.p, m) * (k - r) for m, r in enumerate(ranks[:n]))
     return NablaResult(
         n=n,
-        ker_length=ker.length,
+        ker_length=ker_length,
         coker_length=0,
-        lower_rank=free_rank,
-        nabla=ker.length + free_rank,
+        lower_rank=lower_rank,
+        nabla=ker_length + lower_rank,
     )
 
 

@@ -58,7 +58,7 @@ def vp(x: int, p: int) -> int:
 class PrimeContext:
     """Computation context: the odd prime p, the working precision N
     (finite quotients are computed over Z/p^N), and the stability margin
-    (every length is recomputed at N + margin and must agree)."""
+    (rod_check recomputes its intersection reading at N + margin)."""
 
     p: int
     precision: int = 40
@@ -264,13 +264,14 @@ ZERO = LambdaElement()
 
 
 class LambdaMatrix:
-    """A 2x2 matrix over the polynomial ring, row-major, det cached.
+    """A 2x2 matrix over the polynomial ring, row-major; det is computed
+    on first access and cached.
 
     All module-theoretic conventions are column-based: the span of the
     matrix is generated by its two columns.
     """
 
-    __slots__ = ("rows", "det")
+    __slots__ = ("rows", "_det")
 
     def __init__(self, rows):
         rs = tuple(
@@ -280,12 +281,17 @@ class LambdaMatrix:
         if len(rs) != 2 or any(len(r) != 2 for r in rs):
             raise ValueError("expected a 2x2 matrix")
         object.__setattr__(self, "rows", rs)
-        a, c = rs[0]
-        b, d = rs[1]
-        object.__setattr__(self, "det", a * d - c * b)
+        object.__setattr__(self, "_det", None)
 
     def __setattr__(self, *a):
         raise AttributeError("LambdaMatrix is immutable")
+
+    @property
+    def det(self) -> LambdaElement:
+        if self._det is None:
+            (a, c), (b, d) = self.rows
+            object.__setattr__(self, "_det", a * d - c * b)
+        return self._det
 
     @classmethod
     def identity(cls) -> "LambdaMatrix":

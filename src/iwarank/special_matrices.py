@@ -318,6 +318,11 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     span_wb = lambda_column_span(
         ctx, [(omega_n * col[0], omega_n * col[1]) for col in b.columns], t
     )
+    # The intersection is computed mod p^e, so it is not the reduction of
+    # an exact integer span and the rank-count certificate of
+    # zp_modules.certified_valuations does not apply: in Z_p^2,
+    # <e1> & <p e1, e1 + p^N e2> = <p e1>, yet mod p^N it reads as <e1>
+    # with the right count.  So the reading is repeated at N + margin.
     readings = {}
     for e in (ctx.precision, ctx.high_precision):
         inter = intersect_spans_mod(p, e, ambient, span_w.columns, span_b.columns)

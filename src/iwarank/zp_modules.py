@@ -5,11 +5,14 @@ diag(p^{a_1}, ..., p^{a_r}, 0) with a_1 <= ... <= a_r; a zero diagonal
 entry is encoded as valuation N.  Lengths of spans and quotients are read
 off these valuations.
 
-Truncation discipline: a valuation >= N is indistinguishable from 0, so
-every measurement is recomputed at precision N + margin from the exact
-integer preimages that SpanPresentation retains, and the two readings
-must agree.  Q-ranks are never taken from mod-p^N data; they come from
-fraction-free elimination on the exact integers.
+Certificate: a span given by exact integer columns has Z_p elementary
+divisors p^{a_i}, one per unit of its Q-rank, and reducing mod p^N reads
+each of them as min(a_i, N).  So the reading at N is exact if and only if
+the count of finite valuations (those below N) equals the exact Q-rank;
+otherwise a divisor reached N and the reading is refused.  Q-ranks are
+never taken from mod-p^N data: callers with cyclotomic structure pass
+the rank profile, general spans use fraction-free elimination on the
+exact integers.
 """
 
 from __future__ import annotations
@@ -177,96 +180,61 @@ def finite_valuations(span: SpanPresentation, p: int, e: int) -> list[int]:
     return [a for a in vals if a < e]
 
 
-def _measure(ctx: PrimeContext, span: SpanPresentation):
-    """(length at N, stable, finite-divisor count) for a span.
+def certified_valuations(ctx: PrimeContext, span: SpanPresentation, rank: int) -> list[int]:
+    """The finite SNF valuations of a span at precision N, certified
+    exact: raises PrecisionUnstable unless there are exactly ``rank`` of
+    them, ``rank`` being the exact Q-rank of the span."""
+    vals = finite_valuations(span, ctx.p, ctx.precision)
+    if len(vals) != rank:
+        raise PrecisionUnstable(
+            f"{len(vals)} finite elementary divisors at N={ctx.precision}, "
+            f"exact rank {rank}: a divisor reaches p^{ctx.precision}"
+        )
+    return vals
 
-    Stability: the finite valuation multisets at N and N + margin must be
-    identical — any true elementary divisor landing in [N, N + margin)
-    shows up at the high precision only and flags the reading.
-    """
-    fin_lo = finite_valuations(span, ctx.p, ctx.precision)
-    fin_hi = finite_valuations(span, ctx.p, ctx.high_precision)
-    stable = fin_lo == fin_hi
-    length = sum(ctx.precision - a for a in fin_lo)
-    return length, stable, len(fin_lo)
+
+def _reading(ctx: PrimeContext, span: SpanPresentation) -> tuple[list[int], int]:
+    """(finite valuations at N, exact Q-rank) of a span without structure."""
+    return finite_valuations(span, ctx.p, ctx.precision), bareiss_rank(span.rows_exact())
 
 
 def span_length(ctx: PrimeContext, span: SpanPresentation) -> LengthReport:
     """Length of the span as a Z/p^N-module (sum of N - a_i over finite
-    valuations), with the two-precision stability verdict."""
-    length, stable, _ = _measure(ctx, span)
-    return LengthReport(length=length, stable=stable)
+    valuations); stable when the reading is certified exact."""
+    vals, rank = _reading(ctx, span)
+    return LengthReport(length=sum(ctx.precision - a for a in vals), stable=len(vals) == rank)
 
 
 def quotient_invariants(ctx: PrimeContext, relations: SpanPresentation):
     """(free_rank, torsion length report) of ambient / <relations>.
 
-    free_rank is computed from the exact integer matrix (never from
-    truncated data); the torsion length is the sum of the finite SNF
-    valuations.  Raises PrecisionUnstable if the torsion readings at N
-    and N + margin disagree, or if a finite divisor escaped both.
+    free_rank is the ambient rank minus the exact rank of the relations;
+    the torsion length is the sum of the certified finite valuations
+    (PrecisionUnstable when the reading is not certified).
     """
-    fin_lo = finite_valuations(relations, ctx.p, ctx.precision)
-    fin_hi = finite_valuations(relations, ctx.p, ctx.high_precision)
-    if fin_lo != fin_hi:
-        raise PrecisionUnstable(
-            f"torsion reading differs between N={ctx.precision} and "
-            f"N+margin={ctx.high_precision}: {fin_lo} vs {fin_hi}"
-        )
     rank = bareiss_rank(relations.rows_exact())
-    if rank != len(fin_lo):
-        raise PrecisionUnstable(
-            f"exact rank {rank} disagrees with {len(fin_lo)} finite divisors; "
-            f"an elementary divisor exceeds precision {ctx.high_precision}"
-        )
-    free_rank = relations.ambient_rank - rank
-    torsion = sum(fin_lo)
-    return free_rank, LengthReport(length=torsion, stable=True)
-
-
-def _membership_ok(ctx: PrimeContext, outer: SpanPresentation, inner: SpanPresentation) -> bool:
-    # fast path: every inner column literally among the outer columns
-    outer_set = set(tuple(c % ctx.modulus for c in col) for col in outer.columns)
-    pending = [
-        col
-        for col in inner.columns
-        if tuple(c % ctx.modulus for c in col) not in outer_set
-    ]
-    if not pending:
-        return True
-    pe = ctx.modulus
-    vals, left, _ = _snf(outer.rows_mod(pe), ctx.p, ctx.precision, want_left=True)
-    nr = outer.ambient_rank
-    mind = len(vals)
-    for col in pending:
-        u = [c % pe for c in col]
-        w = [sum(left[i][j] * u[j] for j in range(nr)) % pe for i in range(nr)]
-        for i in range(nr):
-            need = vals[i] if i < mind else ctx.precision
-            if need and w[i] % (ctx.p ** need):
-                return False
-    return True
+    torsion = sum(certified_valuations(ctx, relations, rank))
+    return relations.ambient_rank - rank, LengthReport(length=torsion, stable=True)
 
 
 def nested_span_quotient_length(
     ctx: PrimeContext, outer: SpanPresentation, inner: SpanPresentation
 ) -> LengthReport:
-    """Length of outer/inner for nested spans (containment is verified;
-    NotNested otherwise).
+    """Length of outer/inner for nested spans (NotNested otherwise).
 
-    The report is stable only when both span readings are stable and the
-    two spans carry the same number of finite divisors — otherwise the
-    quotient is not finite at this precision and the difference of
-    lengths would drift with N.
+    Containment is checked mod p^N: outer <= outer + inner are finite
+    modules, equal exactly when their SNF valuations agree.  The report
+    is stable only when both readings are certified and the two spans
+    have the same rank -- otherwise the quotient is not finite and the
+    difference of lengths would drift with N.
     """
-    if inner.ambient_rank != outer.ambient_rank:
-        raise InvalidContext("ambient ranks differ")
-    if not _membership_ok(ctx, outer, inner):
+    vals_v, rank_v = _reading(ctx, outer)
+    if finite_valuations(outer.concat(inner), ctx.p, ctx.precision) != vals_v:
         raise NotNested("inner span is not contained in outer span")
-    len_v, stable_v, count_v = _measure(ctx, outer)
-    len_u, stable_u, count_u = _measure(ctx, inner)
-    stable = stable_v and stable_u and count_v == count_u
-    return LengthReport(length=len_v - len_u, stable=stable)
+    vals_u, rank_u = _reading(ctx, inner)
+    n = ctx.precision
+    length = sum(n - a for a in vals_v) - sum(n - a for a in vals_u)
+    return LengthReport(length=length, stable=len(vals_v) == rank_v == rank_u == len(vals_u))
 
 
 def intersect_spans_mod(

@@ -146,6 +146,21 @@ class TestPayloadGrammar:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["X^99999999", "99^9999999", "X^200000*X^200000", "(1+X)^2000", "9" * 5000, "X^" + "9" * 5000],
+        ids=["degree", "coefficient-bits", "product-of-powers", "dense-power", "long-literal", "long-exponent"],
+    )
+    def test_unbounded_power_is_exit2(self, capsys, bad):
+        # refused from the size estimate, before any arithmetic
+        code, _, err = run(capsys, "ord-eps", "-p", "3", "-m", "1", "--poly", bad)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_bounded_power_accepted(self, capsys):
+        doc = run_json(capsys, "ord-eps", "-p", "3", "-m", "1", "--poly", "(1+X)^243-1")
+        assert doc["result"]["ord"] == "inf"
+
     @pytest.mark.parametrize("bad", ["X +", "diag(X", "[[X]]", "X & Y", "Y"])
     def test_malformed_payloads(self, capsys, bad):
         code, _, err = run(capsys, "invariants", "-p", "3", "--poly", bad)

@@ -3,9 +3,12 @@
 The library reads ord_eps off the power-basis coefficients of f mod Phi_m
 (Phi_m is Eisenstein, so eps_m is a uniformizer); the oracle here is
 v_p of the resultant Res(Phi_m, f), from the Sylvester matrix over
-Fraction, so the two computations share no code.
+Fraction, so the two computations share no code.  Ranks at eps_m are
+checked through the rank profile: sum_{j<=m} phi(p^j) rank_at_eps(j)
+must equal the Bareiss rank of the explicit Lambda_m-span.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,12 +21,13 @@ from iwarank.cyclo_eval import (
     RationalPoly,
     crt_interpolate,
     det_ord_at_eps,
-    full_row_rank_at_eps,
     matrix_rank_at_eps,
     ord_eps,
     ord_json,
+    rank_at_eps,
 )
 from iwarank.errors import DuplicateLevel, InvalidContext
+from iwarank.exactlinalg import bareiss_rank
 from iwarank.lambda_ring import (
     ONE,
     X,
@@ -36,6 +40,7 @@ from iwarank.lambda_ring import (
     omega_tower,
     vp,
 )
+from iwarank.zp_modules import lambda_column_span
 
 CTX3 = PrimeContext(3)
 
@@ -168,13 +173,59 @@ class TestMatrixAtEps:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @settings(max_examples=40, deadline=None)
-    @given(entries=st.lists(st.integers(min_value=-6, max_value=6), min_size=8, max_size=8))
-    def test_full_row_rank_agrees_with_rank(self, m, entries):
+    @given(
+        entries=st.lists(st.integers(min_value=-6, max_value=6), min_size=8, max_size=8),
+        phi_level=st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_rank_profile_agrees_with_rank(self, m, entries, phi_level):
         polys = [LambdaElement(entries[2 * i : 2 * i + 2]) for i in range(4)]
+        if phi_level is not None:
+            # a Phi factor in the first column drops the rank at that level
+            phi = cyclotomic_phi(CTX3, phi_level)
+            polys[0], polys[2] = polys[0] * phi, polys[2] * phi
         a = LambdaMatrix(((polys[0], polys[1]), (polys[2], polys[3])))
-        assert full_row_rank_at_eps(CTX3, m, a.columns, 2) == (
-            matrix_rank_at_eps(CTX3, m, a) == 2
-        )
+        assert matrix_rank_at_eps(CTX3, m, a) == rank_at_eps(CTX3, m, a.columns, 2)
+        assert rank_profile(CTX3, a.columns, 2, m) == span_rank(CTX3, a.columns, m)
+
+    def test_rank_profile_differential(self):
+        # seeded systems: k x c with c in k-1..k+1, Phi_j factors on rows
+        # and columns, and columns that are combinations of the others
+        rng = random.Random(20261018)
+        levels = {3: (0, 1, 2), 5: (0, 1), 7: (0, 1)}
+        for _ in range(60):
+            p = rng.choice((3, 5, 7))
+            ctx = PrimeContext(p)
+            m = rng.choice(levels[p])
+            k = rng.randint(1, 4)
+            c = rng.randint(max(1, k - 1), k + 1)
+
+            def poly():
+                f = LambdaElement([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+                return f if f else ONE
+
+            cols = [[poly() for _ in range(k)] for _ in range(c)]
+            for _ in range(rng.randint(0, 2)):
+                phi = cyclotomic_phi(ctx, rng.randint(0, m))
+                if rng.random() < 0.5:
+                    j = rng.randrange(c)
+                    cols[j] = [e * phi for e in cols[j]]
+                else:
+                    i = rng.randrange(k)
+                    for col in cols:
+                        col[i] = col[i] * phi
+            if c > 1 and rng.random() < 0.4:
+                s = LambdaElement((rng.randint(-3, 3), rng.randint(-3, 3)))
+                cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
+            cols = [tuple(col) for col in cols]
+            assert rank_profile(ctx, cols, k, m) == span_rank(ctx, cols, m), (p, m, cols)
+
+
+def rank_profile(ctx, columns, k, m) -> int:
+    return sum(euler_phi_pk(ctx.p, j) * rank_at_eps(ctx, j, columns, k) for j in range(m + 1))
+
+
+def span_rank(ctx, columns, m) -> int:
+    return bareiss_rank(lambda_column_span(ctx, columns, m).rows_exact())
 
 
 class TestCyclotomicPointType:

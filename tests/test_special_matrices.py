@@ -9,6 +9,7 @@ from iwarank.errors import (
     InvalidContext,
     NotCoprime,
     NotSpecial,
+    PrecisionUnstable,
 )
 from iwarank.lambda_ring import (
     ONE,
@@ -234,6 +235,11 @@ class TestRodCheck:
     def test_nontrivial_matrix(self, ctx3):
         b = LambdaMatrix(((ONE + X, ONE), (ONE, LambdaElement((2,)))))
         assert rod_check(ctx3, b, 1, 2) is True
+
+    def test_precision_drill(self):
+        # 27 vanishes mod 3^3, so the reading changes at N + margin
+        with pytest.raises(PrecisionUnstable):
+            rod_check(PrimeContext(3, precision=3), diag(LambdaElement((27,)), ONE), 1, 2)
 
 
 class TestReports:

@@ -19,7 +19,7 @@ from iwarank.zp_modules import (
 
 @pytest.fixture
 def ctx() -> PrimeContext:
-    # frozen-example precision: N = 5, recheck at 10
+    # frozen-example precision: N = 5
     return PrimeContext(3, precision=5, margin=5)
 
 
@@ -80,6 +80,11 @@ class TestSpanLength:
     def test_empty_span(self, ctx):
         assert span_length(ctx, SpanPresentation(2, ())).length == 0
 
+    def test_divisor_at_precision_not_certified(self, ctx):
+        # 3^5 reads as zero at N = 5: no finite divisor against rank 1
+        rep = span_length(ctx, SpanPresentation(1, ((3**5,),)))
+        assert rep.stable is False
+
     def test_additive_over_direct_sums(self, ctx, rng):
         for _ in range(15):
             a_cols = tuple(
@@ -110,6 +115,10 @@ class TestQuotientInvariants:
     def test_no_relations(self, ctx):
         free, tors = quotient_invariants(ctx, SpanPresentation(2, ()))
         assert (free, tors.length) == (2, 0)
+
+    def test_divisor_at_precision_raises(self, ctx):
+        with pytest.raises(PrecisionUnstable):
+            quotient_invariants(ctx, SpanPresentation(1, ((3**5,),)))
 
 
 class TestNestedQuotient:
