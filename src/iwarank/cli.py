@@ -491,6 +491,17 @@ def main(argv=None) -> int:
     try:
         ctx = _resolve_context(args, parser)
         result, code = args.handler(ctx, args)
+        if isinstance(result, str):
+            sys.stdout.write(result)
+            return code
+        command = args.command if args.command != "nabla" else f"nabla-{args.tower}"
+        envelope = {
+            "command": command,
+            "context": {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin},
+            "seed": args.seed,
+            "result": result,
+        }
+        text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     except ExpressionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -500,17 +511,12 @@ def main(argv=None) -> int:
     except IwarankError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, str):
-        sys.stdout.write(result)
-        return code
-    command = args.command if args.command != "nabla" else f"nabla-{args.tower}"
-    envelope = {
-        "command": command,
-        "context": {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin},
-        "seed": args.seed,
-        "result": result,
-    }
-    print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+    except ValueError as exc:
+        if not str(exc).startswith("Exceeds the limit"):  # str() past the int digit limit
+            raise
+        print(f"error: a result integer has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+        return 2
+    print(text)
     return code
 
 

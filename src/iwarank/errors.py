@@ -27,7 +27,13 @@ class PrecisionUnstable(IwarankError):
     """A length read off at working precision N is not certified: its
     count of finite elementary divisors falls short of the exact rank (a
     divisor reached p^N), or, for rod_check, the reading changed at
-    N + margin.  The finite-ring proxy cannot be trusted."""
+    N + margin.  The finite-ring proxy cannot be trusted.  The failing
+    reading's ``precision``, ``finite_count`` and ``expected_rank`` are
+    attributes, None where they do not apply."""
+
+    def __init__(self, message: str, *, precision=None, finite_count=None, expected_rank=None):
+        super().__init__(message)
+        self.precision, self.finite_count, self.expected_rank = precision, finite_count, expected_rank
 
 
 class NotNested(IwarankError):

@@ -11,18 +11,17 @@ the step is
     nabla M_n = len ker(pi_n) - len coker(pi_n) + dim_Qp (M_{n-1} x Qp),
 
 and since pi_n is onto (the relations are the same at both levels) the
-cokernel vanishes.  The kernel is the nested-span quotient
-
-    <relations, omega_{n-1} e_1..e_k> / <relations>   inside Lambda_n^k,
-
-finite exactly when the relation columns stay full rank at eps_n;
-otherwise PhiDivides is raised.
+cokernel vanishes.  The kernel is finite exactly when the relation
+columns stay full rank at eps_n (otherwise PhiDivides is raised); then
+any lift of a torsion element is torsion, so tors M_n -> tors M_{n-1} is
+onto with the same kernel, and len ker(pi_n) = len tors M_n -
+len tors M_{n-1}: one SNF reading of the relation span at level n and
+one at level n-1.
 
 Every rank comes from the cyclotomic rank profile r_m = rank of the
 relations at eps_m: Lambda_n x Q_p is the product of the fields
-Q_p(zeta_{p^m}), m <= n, so both spans have Q-rank sum phi(p^m) r_m
-(omega_{n-1} vanishes at eps_m for m < n and the relations have rank k
-at eps_n), which certifies their single SNF reading at precision N
+Q_p(zeta_{p^m}), m <= n, so the level-m span has Q-rank
+sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 (zp_modules.certified_valuations).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
 
@@ -39,6 +38,7 @@ Closed forms attached per tower kind:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .cyclo_eval import (
     INFINITE,
@@ -62,7 +62,6 @@ from .lambda_ring import (
     cyclotomic_phi,
     euler_phi_pk,
     iwasawa_invariants,
-    omega_poly,
     omega_tower,
 )
 from .special_matrices import ColemanData, assemble_fn, is_special
@@ -130,16 +129,14 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
     ranks = [rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
     if ranks[n] < k:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
-    q_rank = sum(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks))
-    inner = lambda_column_span(ctx, rel_cols, n)
-    omega_prev = omega_poly(ctx, n - 1)
-    wcols = [tuple(omega_prev if i == j else ZERO for i in range(k)) for j in range(k)]
-    outer = inner.concat(lambda_column_span(ctx, wcols, n))
-    # equal ranks: len(outer) - len(inner) = sum a(inner) - sum a(outer)
-    ker_length = sum(certified_valuations(ctx, inner, q_rank)) - sum(
-        certified_valuations(ctx, outer, q_rank)
+    # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
+    profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
+    tors_n, tors_prev = (  # len tors M_m at m = n, n - 1
+        sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), profile[m]))
+        for m in (n, n - 1)
     )
-    lower_rank = sum(euler_phi_pk(ctx.p, m) * (k - r) for m, r in enumerate(ranks[:n]))
+    ker_length = tors_n - tors_prev
+    lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
     return NablaResult(
         n=n,
         ker_length=ker_length,

@@ -314,9 +314,12 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     ambient = 2 * p**t
     omega_n = omega_poly(ctx, n)
     span_b = lambda_column_span(ctx, b.columns, t)
-    span_w = lambda_column_span(ctx, [(omega_n, ZERO), (ZERO, omega_n)], t)
+    # omega_n Lambda_t = Lambda_t / (omega_t / omega_n) is Z_p-free on
+    # X^i omega_n, i < p^t - p^n: those shifts span omega_n g Lambda_t
+    shifts = p**t - p**n
+    span_w = lambda_column_span(ctx, [(omega_n, ZERO), (ZERO, omega_n)], t, shifts)
     span_wb = lambda_column_span(
-        ctx, [(omega_n * col[0], omega_n * col[1]) for col in b.columns], t
+        ctx, [(omega_n * col[0], omega_n * col[1]) for col in b.columns], t, shifts
     )
     # The intersection is computed mod p^e, so it is not the reduction of
     # an exact integer span and the rank-count certificate of
@@ -335,6 +338,7 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     if lo_i != hi_i or lo_w != hi_w:
         raise PrecisionUnstable(
             f"intersection reading differs between N={ctx.precision} and "
-            f"N+margin={ctx.high_precision}"
+            f"N+margin={ctx.high_precision}",
+            precision=ctx.precision,
         )
     return lo_i == lo_w

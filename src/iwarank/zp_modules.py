@@ -6,13 +6,13 @@ entry is encoded as valuation N.  Lengths of spans and quotients are read
 off these valuations.
 
 Certificate: a span given by exact integer columns has Z_p elementary
-divisors p^{a_i}, one per unit of its Q-rank, and reducing mod p^N reads
-each of them as min(a_i, N).  So the reading at N is exact if and only if
-the count of finite valuations (those below N) equals the exact Q-rank;
-otherwise a divisor reached N and the reading is refused.  Q-ranks are
-never taken from mod-p^N data: callers with cyclotomic structure pass
-the rank profile, general spans use fraction-free elimination on the
-exact integers.
+divisors p^{a_i}, one per unit of its Q-rank, and reducing mod p^e reads
+each of them as min(a_i, e).  So a reading at any e is exact if and only
+if its count of finite valuations (those below e) equals the exact
+Q-rank.  Readings climb a precision ladder e = min(8, N), 16, 32, ...
+capped at N, and only a reading at N that falls short is refused.
+Q-ranks never come from mod-p^e data: callers with cyclotomic structure
+pass the rank profile, general spans use fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class LengthReport:
 class SpanPresentation:
     """A Z_p-span inside Z_p^{ambient_rank}, given by generator columns.
 
-    Columns are exact integers; reductions mod p^N are derived on demand
-    so that the same span can be measured at several precisions.
+    Columns are exact integers; each SNF reading reduces them mod p^e
+    itself, so the same span can be read at several precisions.
     """
 
     ambient_rank: int
@@ -52,11 +52,6 @@ class SpanPresentation:
                 raise InvalidContext(
                     f"column length {len(col)} != ambient rank {self.ambient_rank}"
                 )
-
-    def rows_mod(self, modulus: int) -> list[list[int]]:
-        return [
-            [col[i] % modulus for col in self.columns] for i in range(self.ambient_rank)
-        ]
 
     def rows_exact(self) -> list[list[int]]:
         return [[col[i] for col in self.columns] for i in range(self.ambient_rank)]
@@ -75,18 +70,18 @@ def _intval(x: int, p: int) -> int:
     return v
 
 
-def _snf(rows, p: int, e: int, want_left: bool = False, want_right: bool = False):
+def _snf(rows, p: int, e: int, want_right: bool = False):
     """Diagonalize over Z/p^e by unimodular row/column operations.
 
-    Returns (vals, L, R): vals are the nondecreasing pivot valuations
-    padded with e (= zero entries) to min(nrows, ncols); L and R, when
-    requested, satisfy L @ input @ R = diag mod p^e.
+    Returns (vals, R): vals are the nondecreasing pivot valuations padded
+    with e (= zero entries) to min(nrows, ncols); R, when requested, is a
+    unimodular column transform with L @ input @ R = diag mod p^e for
+    some unimodular L.
     """
     pe = p ** e
     m = [[x % pe for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    left = [[int(i == j) for j in range(nr)] for i in range(nr)] if want_left else None
     right = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_right else None
     vals: list[int] = []
     mind = min(nr, nc)
@@ -118,8 +113,6 @@ def _snf(rows, p: int, e: int, want_left: bool = False, want_right: bool = False
                 break  # remaining submatrix is zero
         if pi != r:
             m[r], m[pi] = m[pi], m[r]
-            if want_left:
-                left[r], left[pi] = left[pi], left[r]
         if pj != r:
             for row in m:
                 row[r], row[pj] = row[pj], row[r]
@@ -133,34 +126,27 @@ def _snf(rows, p: int, e: int, want_left: bool = False, want_right: bool = False
         if unit != 1:
             inv = pow(unit, -1, pe)
             m[r] = [(x * inv) % pe for x in m[r]]
-            if want_left:
-                left[r] = [(x * inv) % pe for x in left[r]]
         rowr = m[r]
+        # the spans start sparse: touch only the pivot row's nonzero columns
+        nonzero = [(j, x) for j in range(r, nc) if (x := rowr[j])]
         for i in range(r + 1, nr):
-            t = m[i][r]
+            rowi = m[i]
+            t = rowi[r]
             if t:
                 q = t // pv
-                rowi = m[i]
-                for j in range(r, nc):
-                    rowi[j] = (rowi[j] - q * rowr[j]) % pe
-                if want_left:
-                    li, lr = left[i], left[r]
-                    for j in range(nr):
-                        li[j] = (li[j] - q * lr[j]) % pe
+                for j, x in nonzero:
+                    rowi[j] = (rowi[j] - q * x) % pe
         # the column below the pivot is now zero, so clearing the pivot
-        # row is a pure column operation on row r
-        for j in range(r + 1, nc):
-            t = rowr[j]
-            if t:
+        # row is a pure column operation, recorded only in the transform
+        if want_right:
+            for j, t in nonzero[1:]:
                 q = t // pv
-                rowr[j] = 0
-                if want_right:
-                    for row in right:
-                        row[j] = (row[j] - q * row[r]) % pe
+                for row in right:
+                    row[j] = (row[j] - q * row[r]) % pe
         vals.append(v)
         r += 1
     vals.extend([e] * (mind - len(vals)))
-    return vals, left, right
+    return vals, right
 
 
 def snf_local(ctx: PrimeContext, matrix) -> list[int]:
@@ -169,27 +155,32 @@ def snf_local(ctx: PrimeContext, matrix) -> list[int]:
     rows = [list(map(int, row)) for row in matrix]
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise InvalidContext("ragged matrix")
-    vals, _, _ = _snf(rows, ctx.p, ctx.precision)
+    vals, _ = _snf(rows, ctx.p, ctx.precision)
     return vals
 
 
 def finite_valuations(span: SpanPresentation, p: int, e: int) -> list[int]:
     """The finite SNF valuations of a span over Z/p^e: those below e,
     nondecreasing, one per elementary divisor that p^e does not kill."""
-    vals, _, _ = _snf(span.rows_mod(p**e), p, e)
+    vals, _ = _snf(span.rows_exact(), p, e)
     return [a for a in vals if a < e]
 
 
 def certified_valuations(ctx: PrimeContext, span: SpanPresentation, rank: int) -> list[int]:
-    """The finite SNF valuations of a span at precision N, certified
-    exact: raises PrecisionUnstable unless there are exactly ``rank`` of
-    them, ``rank`` being the exact Q-rank of the span."""
-    vals = finite_valuations(span, ctx.p, ctx.precision)
-    if len(vals) != rank:
-        raise PrecisionUnstable(
-            f"{len(vals)} finite elementary divisors at N={ctx.precision}, "
-            f"exact rank {rank}: a divisor reaches p^{ctx.precision}"
-        )
+    """The finite SNF valuations of a span, certified exact: the first
+    reading on the ladder e = min(8, N), 16, 32, ... capped at N with
+    exactly ``rank`` of them, ``rank`` being the exact Q-rank of the
+    span; PrecisionUnstable when the reading at N falls short."""
+    n = ctx.precision
+    e = min(8, n)  # residues below 3^8 fit in one machine digit
+    while len(vals := finite_valuations(span, ctx.p, e)) != rank:
+        if e == n:
+            raise PrecisionUnstable(
+                f"{len(vals)} finite elementary divisors at N={n}, "
+                f"exact rank {rank}: a divisor reaches p^{n}",
+                precision=n, finite_count=len(vals), expected_rank=rank,
+            )
+        e = min(2 * e, n)
     return vals
 
 
@@ -250,20 +241,12 @@ def intersect_spans_mod(
     ca = len(cols_a)
     cols = list(cols_a) + list(cols_b)
     rows = [[col[i] % pe for col in cols] for i in range(ambient)]
-    vals, _, right = _snf(rows, p, e, want_right=True)
-    nc = len(cols)
-    mind = len(vals)
-    kernel_scales = []
-    for i in range(nc):
-        if i < mind:
-            v = vals[i]
-            if v == 0:
-                continue
-            kernel_scales.append((i, p ** (e - v) if v < e else 1))
-        else:
-            kernel_scales.append((i, 1))
+    vals, right = _snf(rows, p, e, want_right=True)
+    # transform column i times p^(e - v_i) lies in the kernel; columns
+    # past the diagonal count as v_i = e
+    vals += [e] * (len(cols) - len(vals))
     out = []
-    for idx, scale in kernel_scales:
+    for idx, scale in [(i, p ** (e - v)) for i, v in enumerate(vals) if v]:
         x = [(right[j][idx] * scale) % pe for j in range(ca)]
         vec = [0] * ambient
         for j, xj in enumerate(x):
@@ -276,15 +259,17 @@ def intersect_spans_mod(
     return out
 
 
-def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:
+def lambda_column_span(ctx: PrimeContext, gens, level: int, shifts: int | None = None) -> SpanPresentation:
     """Exact integer realization of the Lambda_n-span of polynomial
     vectors inside Lambda_n^k = (Z_p[X]/omega_n)^k == Z_p^{k p^n}.
 
     Each generator g contributes the columns X^i g mod omega_n for
-    0 <= i < p^n; coefficients stay exact integers.
+    0 <= i < shifts (default p^n; fewer suffice when a monic polynomial
+    of degree ``shifts`` kills every g); coefficients stay exact integers.
     """
     p = ctx.p
     pn = p ** level
+    shifts = pn if shifts is None else shifts
     gens = [tuple(g) for g in gens]
     if not gens:
         raise InvalidContext("need at least one generator")
@@ -302,9 +287,9 @@ def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:
             rem = entry.reduced_mod(omega)
             vec = list(rem.coeffs) + [0] * (pn - len(rem.coeffs))
             cur.append(vec)
-        for i in range(pn):
+        for i in range(shifts):
             cols.append(tuple(c for vec in cur for c in vec))
-            if i < pn - 1:
+            if i < shifts - 1:
                 nxt_all = []
                 for vec in cur:
                     top = vec[-1]

@@ -157,6 +157,16 @@ class TestPayloadGrammar:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_result_past_digit_limit_is_exit2(self, capsys):
+        # 99^2200 has 4391 digits: within the ^ bound, but too long for str()
+        code, out, err = run(
+            capsys, "assemble-fn", "-p", "3", "-n", "1",
+            "--col-plus", "diag(99^2200, 1)", "--col-minus", "diag(1,1)",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bounded_power_accepted(self, capsys):
         doc = run_json(capsys, "ord-eps", "-p", "3", "-m", "1", "--poly", "(1+X)^243-1")
         assert doc["result"]["ord"] == "inf"

@@ -1,7 +1,10 @@
 """Brute-force step ranks against their closed forms on the three tower shapes."""
 
+import random
+
 import pytest
 
+from iwarank.cyclo_eval import ord_eps, rank_at_eps
 from iwarank.errors import (
     InvalidContext,
     NotTorsion,
@@ -12,7 +15,9 @@ from iwarank.errors import (
 from iwarank.kobayashi_rank import (
     CyclicTower,
     MatrixTower,
+    NablaResult,
     TorsionTower,
+    _brute_nabla,
     additivity_check,
     detect_stabilization,
     direct_sum,
@@ -31,8 +36,12 @@ from iwarank.lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     cyclotomic_phi,
+    euler_phi_pk,
+    omega_poly,
 )
 from iwarank.special_matrices import ColemanData
+from iwarank.verify import rand_special_matrix
+from iwarank.zp_modules import finite_valuations, lambda_column_span
 
 THREE = LambdaElement((3,))
 
@@ -152,8 +161,16 @@ class TestMatrix:
     def test_precision_drill(self):
         lo = PrimeContext(3, precision=3, margin=8)
         a = LambdaMatrix.diagonal(LambdaElement((27,)), ONE)
-        with pytest.raises(PrecisionUnstable):
+        with pytest.raises(PrecisionUnstable) as exc:
             nabla_matrix_tower(lo, a, 1)
+        assert exc.value.precision == 3
+        assert exc.value.finite_count < exc.value.expected_rank
+
+    @pytest.mark.parametrize("p, n", [(3, 5), (7, 3)])
+    def test_frontier_reach(self, p, n):
+        ctx = PrimeContext(p)
+        a, _ = rand_special_matrix(ctx, random.Random(f"reach-{p}-{n}"), n)
+        assert nabla_matrix_tower(ctx, a, n).nabla == ord_eps(ctx, n, a.det)
 
 
 class TestColeman:
@@ -216,3 +233,73 @@ class TestSerialization:
         assert d["nabla"] == 2
         assert d["agrees"] is True
         assert set(d) >= {"n", "ker_length", "coker_length", "lower_rank", "nabla"}
+
+
+def _two_span_nabla(ctx, k, cols, n):
+    """The kernel as the nested quotient <relations, omega_{n-1} e_j> /
+    <relations> inside Lambda_n^k, both spans read once at N."""
+    ranks = [rank_at_eps(ctx, m, cols, k) for m in range(n + 1)]
+    if ranks[n] < k:
+        raise PhiDivides("relations drop rank")
+    q_rank = sum(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks))
+    inner = lambda_column_span(ctx, cols, n)
+    w = omega_poly(ctx, n - 1)
+    wcols = [tuple(w if i == j else ZERO for i in range(k)) for j in range(k)]
+    outer = inner.concat(lambda_column_span(ctx, wcols, n))
+    readings = [finite_valuations(span, ctx.p, ctx.precision) for span in (inner, outer)]
+    if any(len(vals) != q_rank for vals in readings):
+        raise PrecisionUnstable("divisor reaches p^N")
+    ker = sum(readings[0]) - sum(readings[1])
+    lower = sum(euler_phi_pk(ctx.p, m) * (k - r) for m, r in enumerate(ranks[:n]))
+    return NablaResult(n=n, ker_length=ker, coker_length=0, lower_rank=lower, nabla=ker + lower)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PhiDivides, PrecisionUnstable) as exc:
+        return type(exc)
+
+
+def test_torsion_difference_matches_nested_quotient():
+    # seeded relation systems: Phi_m factors on rows and columns, p-power
+    # columns and dependent columns, at precisions from 3 (many raises)
+    # to 40; k p^n stays at most 81 to keep the sweep quick
+    rng = random.Random(20261018)
+    counts = {}
+    for _ in range(200):
+        while True:
+            p, n, k = rng.choice((3, 5, 7)), rng.randint(1, 3), rng.randint(1, 3)
+            if k * p**n <= 81:
+                break
+        ctx = PrimeContext(p, precision=rng.choice((3, 4, 6, 10, 40)))
+        c = rng.randint(max(1, k - 1), k + 1)
+
+        def poly():
+            f = LambdaElement([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+            return f if f else ONE
+
+        cols = [[poly() for _ in range(k)] for _ in range(c)]
+        for _ in range(rng.randint(0, 2)):
+            phi = cyclotomic_phi(ctx, rng.randint(0, n))
+            if rng.random() < 0.5:
+                j = rng.randrange(c)
+                cols[j] = [e * phi for e in cols[j]]
+            else:
+                i = rng.randrange(k)
+                for col in cols:
+                    col[i] = col[i] * phi
+        if rng.random() < 0.4:
+            j = rng.randrange(c)
+            power = LambdaElement.const(p ** rng.randint(1, 6))
+            cols[j] = [e * power for e in cols[j]]
+        if c > 1 and rng.random() < 0.3:
+            s = LambdaElement((rng.randint(-3, 3), rng.randint(-3, 3)))
+            cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
+        cols = [tuple(col) for col in cols]
+        got = _outcome(_brute_nabla, ctx, k, cols, n)
+        assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (p, n, k, ctx.precision, cols)
+        kind = got if isinstance(got, type) else NablaResult
+        counts[kind] = counts.get(kind, 0) + 1
+    # every branch is exercised
+    assert set(counts) == {NablaResult, PhiDivides, PrecisionUnstable}

@@ -238,8 +238,9 @@ class TestRodCheck:
 
     def test_precision_drill(self):
         # 27 vanishes mod 3^3, so the reading changes at N + margin
-        with pytest.raises(PrecisionUnstable):
+        with pytest.raises(PrecisionUnstable) as exc:
             rod_check(PrimeContext(3, precision=3), diag(LambdaElement((27,)), ONE), 1, 2)
+        assert (exc.value.precision, exc.value.finite_count, exc.value.expected_rank) == (3, None, None)
 
 
 class TestReports:

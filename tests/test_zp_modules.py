@@ -8,6 +8,7 @@ from iwarank.errors import NotNested, PrecisionUnstable
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext
 from iwarank.zp_modules import (
     SpanPresentation,
+    certified_valuations,
     intersect_spans_mod,
     lambda_column_span,
     nested_span_quotient_length,
@@ -119,6 +120,31 @@ class TestQuotientInvariants:
     def test_divisor_at_precision_raises(self, ctx):
         with pytest.raises(PrecisionUnstable):
             quotient_invariants(ctx, SpanPresentation(1, ((3**5,),)))
+
+
+class TestPrecisionLadder:
+    def test_divisor_past_first_rung_certifies(self):
+        # 3^20 reads as zero at the rungs 8 and 16, and exactly at 32
+        ctx40 = PrimeContext(3, precision=40)
+        span = SpanPresentation(1, ((3**20,),))
+        assert certified_valuations(ctx40, span, 1) == [20]
+        free, tors = quotient_invariants(ctx40, span)
+        assert (free, tors.length) == (0, 20)
+
+    def test_divisor_at_precision_raises_with_reading(self):
+        ctx40 = PrimeContext(3, precision=40)
+        with pytest.raises(PrecisionUnstable) as exc:
+            certified_valuations(ctx40, SpanPresentation(1, ((3**40,),)), 1)
+        assert (exc.value.precision, exc.value.finite_count, exc.value.expected_rank) == (40, 0, 1)
+        assert str(exc.value) == (
+            "0 finite elementary divisors at N=40, exact rank 1: a divisor reaches p^40"
+        )
+
+    def test_mixed_divisors(self):
+        # one divisor per rung of the ladder, all certified at N = 40
+        ctx40 = PrimeContext(3, precision=40)
+        span = SpanPresentation(4, ((1, 0, 0, 0), (0, 3**7, 0, 0), (0, 0, 3**15, 0), (0, 0, 0, 3**39)))
+        assert certified_valuations(ctx40, span, 4) == [0, 7, 15, 39]
 
 
 class TestNestedQuotient:
