@@ -11,8 +11,9 @@ class IwarankError(Exception):
 
 
 class InvalidContext(IwarankError):
-    """p is not an odd prime, precision/margin out of range, or a level
-    request is outside what exact construction supports."""
+    """p is not an odd prime below MAX_PRIME, precision/margin out of
+    range, or a level request is outside what exact construction
+    supports."""
 
 
 class ZeroElement(IwarankError):
@@ -26,10 +27,9 @@ class DuplicateLevel(IwarankError):
 class PrecisionUnstable(IwarankError):
     """A length read off at working precision N is not certified: its
     count of finite elementary divisors falls short of the exact rank (a
-    divisor reached p^N), or, for rod_check, the reading changed at
-    N + margin.  The finite-ring proxy cannot be trusted.  The failing
-    reading's ``precision``, ``finite_count`` and ``expected_rank`` are
-    attributes, None where they do not apply."""
+    divisor reached p^N).  The finite-ring proxy cannot be trusted.  The
+    failing reading's ``precision``, ``finite_count`` and
+    ``expected_rank`` are attributes, None when not given."""
 
     def __init__(self, message: str, *, precision=None, finite_count=None, expected_rank=None):
         super().__init__(message)

@@ -32,14 +32,34 @@ from .errors import InvalidContext, ZeroElement
 MAX_EXPLICIT_LENGTH = 20_000
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly
+# below this bound (Sorenson & Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; InvalidContext for p >= MAX_PRIME,
+    where the fixed bases no longer decide."""
+    if p >= MAX_PRIME:
+        raise InvalidContext(f"p must be below {MAX_PRIME}, got {p}")
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p in _MR_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -57,8 +77,8 @@ def vp(x: int, p: int) -> int:
 @dataclass(frozen=True)
 class PrimeContext:
     """Computation context: the odd prime p, the working precision N
-    (finite quotients are computed over Z/p^N), and the stability margin
-    (rod_check recomputes its intersection reading at N + margin)."""
+    (finite quotients are computed over Z/p^N), and a margin that is
+    validated and echoed in the CLI envelope but read by no computation."""
 
     p: int
     precision: int = 40

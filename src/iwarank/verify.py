@@ -271,19 +271,19 @@ def _sweep_thm_app(ctx: PrimeContext, rng, count: int, n: int) -> CheckOutcome:
     return CheckOutcome(name=f"special-p{ctx.p}-n{n}", ok=failures == 0, details=details)
 
 
-def suite_thm_app(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_thm_app(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "thm-app")
     checks = []
     for p, n_top, per in ((3, 3, 50), (5, 2, 50)):
-        ctx = PrimeContext(p, precision=precision, margin=margin)
+        ctx = PrimeContext(p, precision=precision)
         for n in range(1, n_top + 1):
             checks.append(_sweep_thm_app(ctx, rng, _scaled(per, scale), n))
     return SuiteReport(suite="thm-app", seed=seed, checks=checks)
 
 
-def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "lemma-3.3")
-    ctx = PrimeContext(3, precision=precision, margin=margin)
+    ctx = PrimeContext(3, precision=precision)
     checks = []
     for n in (1, 2, 3):
         count = _scaled(36, scale)
@@ -342,9 +342,9 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
             return TorsionTower(columns=m.columns)
 
 
-def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "additivity")
-    ctx = PrimeContext(3, precision=precision, margin=margin)
+    ctx = PrimeContext(3, precision=precision)
     checks = []
     count = _scaled(20, scale)
     failures = 0
@@ -380,9 +380,9 @@ _COLEMAN_KINDS = (
 )
 
 
-def suite_parity(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "parity")
-    ctx = PrimeContext(3, precision=precision, margin=margin)
+    ctx = PrimeContext(3, precision=precision)
     n_max = 3
     congr_fail = 0
     basis_fail = 0
@@ -447,9 +447,9 @@ def suite_parity(seed: int, scale: float = 1.0, precision: int = 40, margin: int
     return SuiteReport(suite="parity", seed=seed, checks=checks)
 
 
-def suite_rod(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "rod")
-    ctx = PrimeContext(3, precision=precision, margin=margin)
+    ctx = PrimeContext(3, precision=precision)
     checks = []
     for n in (1, 2):
         count = _scaled(10, scale)
@@ -468,10 +468,10 @@ def suite_rod(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 
     return SuiteReport(suite="rod", seed=seed, checks=checks)
 
 
-def suite_degrees(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_degrees(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     checks = []
     for p in (3, 5, 7):
-        ctx = PrimeContext(p, precision=precision, margin=margin)
+        ctx = PrimeContext(p, precision=precision)
         rows = [degree_identities(ctx, n) for n in range(1, 9)]
         checks.append(
             CheckOutcome(
@@ -483,7 +483,7 @@ def suite_degrees(seed: int, scale: float = 1.0, precision: int = 40, margin: in
     return SuiteReport(suite="degrees", seed=seed, checks=checks)
 
 
-def suite_growth(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_growth(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "growth")
     checks = []
     zero = InvariantSet(p=3, lambda_plus=0, lambda_minus=0, mu_plus=0, mu_minus=0, r_inf=0)
@@ -525,13 +525,13 @@ def suite_growth(seed: int, scale: float = 1.0, precision: int = 40, margin: int
     return SuiteReport(suite="growth", seed=seed, checks=checks)
 
 
-def suite_precision(seed: int, scale: float = 1.0, precision: int = 40, margin: int = 8) -> SuiteReport:
+def suite_precision(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     """Drive a special-matrix sweep at a precision far too low for the
     lengths involved (fixed at 3 digits regardless of the requested
     precision): the engine must raise PrecisionUnstable before reporting
     any value that disagrees with the closed form."""
     rng = _suite_rng(seed, "precision")
-    low = PrimeContext(3, precision=3, margin=8)
+    low = PrimeContext(3, precision=3)
     candidates = [rand_special_matrix(low, rng, 2, max_deg=3)[0] for _ in range(30)]
     # kernel of this one carries an elementary divisor of valuation 3,
     # invisible at precision 3: guaranteed to trip the stability check
@@ -574,10 +574,10 @@ _SUITES = {
 
 
 def run_suites(
-    names, seed: int = 0, scale: float = 1.0, precision: int = 40, margin: int = 8
+    names, seed: int = 0, scale: float = 1.0, precision: int = 40
 ) -> list[SuiteReport]:
     """Run the named suites (or all of them for "all") with a shared
     seed; unknown names raise KeyError."""
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
-    return [_SUITES[name](seed, scale, precision, margin) for name in names]
+    return [_SUITES[name](seed, scale, precision) for name in names]

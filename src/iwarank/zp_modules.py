@@ -70,19 +70,16 @@ def _intval(x: int, p: int) -> int:
     return v
 
 
-def _snf(rows, p: int, e: int, want_right: bool = False):
+def _snf(rows, p: int, e: int) -> list[int]:
     """Diagonalize over Z/p^e by unimodular row/column operations.
 
-    Returns (vals, R): vals are the nondecreasing pivot valuations padded
-    with e (= zero entries) to min(nrows, ncols); R, when requested, is a
-    unimodular column transform with L @ input @ R = diag mod p^e for
-    some unimodular L.
+    Returns the nondecreasing pivot valuations padded with e (= zero
+    entries) to min(nrows, ncols).
     """
     pe = p ** e
     m = [[x % pe for x in row] for row in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)] if want_right else None
     vals: list[int] = []
     mind = min(nr, nc)
     r = 0
@@ -116,9 +113,6 @@ def _snf(rows, p: int, e: int, want_right: bool = False):
         if pj != r:
             for row in m:
                 row[r], row[pj] = row[pj], row[r]
-            if want_right:
-                for row in right:
-                    row[r], row[pj] = row[pj], row[r]
         pivot = m[r][r]
         v = _intval(pivot, p)
         pv = p ** v
@@ -136,17 +130,10 @@ def _snf(rows, p: int, e: int, want_right: bool = False):
                 q = t // pv
                 for j, x in nonzero:
                     rowi[j] = (rowi[j] - q * x) % pe
-        # the column below the pivot is now zero, so clearing the pivot
-        # row is a pure column operation, recorded only in the transform
-        if want_right:
-            for j, t in nonzero[1:]:
-                q = t // pv
-                for row in right:
-                    row[j] = (row[j] - q * row[r]) % pe
         vals.append(v)
         r += 1
     vals.extend([e] * (mind - len(vals)))
-    return vals, right
+    return vals
 
 
 def snf_local(ctx: PrimeContext, matrix) -> list[int]:
@@ -155,15 +142,13 @@ def snf_local(ctx: PrimeContext, matrix) -> list[int]:
     rows = [list(map(int, row)) for row in matrix]
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise InvalidContext("ragged matrix")
-    vals, _ = _snf(rows, ctx.p, ctx.precision)
-    return vals
+    return _snf(rows, ctx.p, ctx.precision)
 
 
 def finite_valuations(span: SpanPresentation, p: int, e: int) -> list[int]:
     """The finite SNF valuations of a span over Z/p^e: those below e,
     nondecreasing, one per elementary divisor that p^e does not kill."""
-    vals, _ = _snf(span.rows_exact(), p, e)
-    return [a for a in vals if a < e]
+    return [a for a in _snf(span.rows_exact(), p, e) if a < e]
 
 
 def certified_valuations(ctx: PrimeContext, span: SpanPresentation, rank: int) -> list[int]:
@@ -228,48 +213,15 @@ def nested_span_quotient_length(
     return LengthReport(length=length, stable=len(vals_v) == rank_v == rank_u == len(vals_u))
 
 
-def intersect_spans_mod(
-    p: int, e: int, ambient: int, cols_a, cols_b
-) -> list[tuple[int, ...]]:
-    """Generators of span(cols_a) & span(cols_b) over Z/p^e.
-
-    A vector lies in both spans iff it is A x with (x, -y) in the kernel
-    of [A | B]; kernel generators come from the right transform of the
-    SNF of the concatenation.
-    """
-    pe = p ** e
-    ca = len(cols_a)
-    cols = list(cols_a) + list(cols_b)
-    rows = [[col[i] % pe for col in cols] for i in range(ambient)]
-    vals, right = _snf(rows, p, e, want_right=True)
-    # transform column i times p^(e - v_i) lies in the kernel; columns
-    # past the diagonal count as v_i = e
-    vals += [e] * (len(cols) - len(vals))
-    out = []
-    for idx, scale in [(i, p ** (e - v)) for i, v in enumerate(vals) if v]:
-        x = [(right[j][idx] * scale) % pe for j in range(ca)]
-        vec = [0] * ambient
-        for j, xj in enumerate(x):
-            if xj:
-                colj = cols_a[j]
-                for i in range(ambient):
-                    vec[i] = (vec[i] + xj * colj[i]) % pe
-        if any(vec):
-            out.append(tuple(vec))
-    return out
-
-
-def lambda_column_span(ctx: PrimeContext, gens, level: int, shifts: int | None = None) -> SpanPresentation:
+def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:
     """Exact integer realization of the Lambda_n-span of polynomial
     vectors inside Lambda_n^k = (Z_p[X]/omega_n)^k == Z_p^{k p^n}.
 
     Each generator g contributes the columns X^i g mod omega_n for
-    0 <= i < shifts (default p^n; fewer suffice when a monic polynomial
-    of degree ``shifts`` kills every g); coefficients stay exact integers.
+    0 <= i < p^n; coefficients stay exact integers.
     """
     p = ctx.p
     pn = p ** level
-    shifts = pn if shifts is None else shifts
     gens = [tuple(g) for g in gens]
     if not gens:
         raise InvalidContext("need at least one generator")
@@ -287,9 +239,9 @@ def lambda_column_span(ctx: PrimeContext, gens, level: int, shifts: int | None =
             rem = entry.reduced_mod(omega)
             vec = list(rem.coeffs) + [0] * (pn - len(rem.coeffs))
             cur.append(vec)
-        for i in range(shifts):
+        for i in range(pn):
             cols.append(tuple(c for vec in cur for c in vec))
-            if i < shifts - 1:
+            if i < pn - 1:
                 nxt_all = []
                 for vec in cur:
                     top = vec[-1]

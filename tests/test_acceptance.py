@@ -3,10 +3,9 @@
 Every sweep runs exact integer arithmetic at working precision 40, and
 every length is certified there (a reading whose count of finite
 elementary divisors fell short of the exact rank would raise
-PrecisionUnstable and fail the criterion outright; rod_check instead
-rechecks its intersection at 40 + 8).
-Run with `pytest tests/test_acceptance.py -v`; expect a few minutes for
-the level-3 sweeps (ambient rank 54).
+PrecisionUnstable and fail the criterion outright); rod_check reads no
+length, since saturation is a theorem once det B is coprime to omega_n.
+Run with `pytest tests/test_acceptance.py -v`; it takes a few seconds.
 """
 
 import pytest
@@ -158,11 +157,11 @@ def test_criterion_09_growth_table_regression():
 def test_criterion_10_precision_protocol(
     thm_app_report, lemma_report, additivity_report, parity_report, rod_report
 ):
-    """All lengths behind criteria 1-7 were certified at N = 40 (rod_check:
-    stable between 40 and 48) — any failure would have raised
-    PrecisionUnstable inside those sweeps — and forcing N = 3 on the
-    criterion-1 computation raises PrecisionUnstable rather than
-    reporting a wrong answer."""
+    """All lengths behind criteria 1-7 were certified at N = 40 (rod_check
+    reads none: it checks the coprimality that proves saturation) — any
+    failure would have raised PrecisionUnstable inside those sweeps — and
+    forcing N = 3 on the criterion-1 computation raises PrecisionUnstable
+    rather than reporting a wrong answer."""
     for report in (
         thm_app_report, lemma_report, additivity_report, parity_report, rod_report
     ):

@@ -1,6 +1,7 @@
 """Front-end behavior: flags, payload grammar, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -57,6 +58,16 @@ class TestFrozenCommands:
         code, _, err = run(capsys, "phi", "-p", "4", "-m", "1")
         assert code == 2
         assert "odd prime" in err
+
+    def test_huge_prime_answers_promptly(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "phi", "-p", "1000000000000000003", "-m", "1")
+        assert time.perf_counter() - start < 5
+        assert code == 2 and err.startswith("error:")
+
+    def test_prime_past_primality_cap_is_exit2(self, capsys):
+        code, _, err = run(capsys, "phi", "-p", "3317044064679887385961981", "-m", "1")
+        assert code == 2 and err.startswith("error:")
 
     def test_ord_eps(self, capsys):
         doc = run_json(capsys, "ord-eps", "-p", "3", "-m", "1", "--poly", "3")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from iwarank.errors import InvalidContext, ZeroElement
 from iwarank.lambda_ring import (
+    MAX_PRIME,
     ONE,
     X,
     ZERO,
@@ -16,6 +17,7 @@ from iwarank.lambda_ring import (
     PrimeContext,
     cyclotomic_phi,
     euler_phi_pk,
+    is_odd_prime,
     iwasawa_invariants,
     omega_poly,
     omega_tower,
@@ -121,6 +123,29 @@ class TestContext:
         for bad in (2, 4, 9, 1):
             with pytest.raises(InvalidContext):
                 PrimeContext(bad)
+
+    def test_primality_matches_sieve_below_1e5(self):
+        limit = 10**5
+        sieve = [True] * limit
+        sieve[0] = sieve[1] = False
+        for d in range(2, int(limit**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = [False] * len(range(d * d, limit, d))
+        assert [p for p in range(limit) if is_odd_prime(p)] == [
+            p for p in range(3, limit) if sieve[p]
+        ]
+
+    def test_primality_large(self):
+        assert is_odd_prime(10**18 + 3) and is_odd_prime(2**61 - 1)
+        # strong pseudoprimes to the bases 2..23 and 2..37
+        assert not is_odd_prime(3825123056546413051)
+        assert not is_odd_prime(318665857834031151167461)
+
+    def test_primality_cap(self):
+        assert is_odd_prime(MAX_PRIME - 2) is False  # composite, still decided
+        # MAX_PRIME is a strong pseudoprime to every base 2..41
+        with pytest.raises(InvalidContext):
+            PrimeContext(MAX_PRIME)
 
     def test_moduli(self):
         ctx = PrimeContext(3, precision=10, margin=5)

@@ -1,7 +1,10 @@
 """Column-divisibility reports, BD factorization, F_n assembly, parity
 congruence, the good-basis transform, and span saturation."""
 
+import random
+
 import pytest
+from rod_oracle import rod_check_by_intersection
 
 from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
 from iwarank.errors import (
@@ -237,10 +240,64 @@ class TestRodCheck:
         assert rod_check(ctx3, b, 1, 2) is True
 
     def test_precision_drill(self):
-        # 27 vanishes mod 3^3, so the reading changes at N + margin
-        with pytest.raises(PrecisionUnstable) as exc:
-            rod_check(PrimeContext(3, precision=3), diag(LambdaElement((27,)), ONE), 1, 2)
-        assert (exc.value.precision, exc.value.finite_count, exc.value.expected_rank) == (3, None, None)
+        # 27 vanishes mod 3^3, yet saturation is a theorem: no precision is read
+        for precision in (3, 1):
+            ctx = PrimeContext(3, precision=precision)
+            assert rod_check(ctx, diag(LambdaElement((27,)), ONE), 1, 2) is True
+
+    def test_negative_level(self, ctx3):
+        with pytest.raises(InvalidContext):
+            rod_check(ctx3, LambdaMatrix.identity(), -1, 2)
+
+    def test_agrees_with_intersection_oracle(self):
+        """60 seeded B: wherever the mod-p^40 intersection (read again at
+        40 + 8) gives an answer it is True, and NotCoprime falls on the
+        same inputs.  The oracle's own PrecisionUnstable refusals are
+        counted, not failed."""
+        rng = random.Random(20261018)
+        ctxs = {p: PrimeContext(p) for p in (3, 5)}
+        outcomes = {"agree": 0, "not_coprime": 0, "oracle_unstable": 0}
+        for _ in range(60):
+            p = rng.choice((3, 5))
+            ctx = ctxs[p]
+            # ambient rank 2 p^t <= 54 keeps the oracle's SNF small
+            n = rng.randint(0, 2 if p == 3 else 1)
+            t = rng.randint(n + 1, min(n + 2, 3 if p == 3 else 2))
+
+            def entry():
+                return LambdaElement(
+                    rng.choice((0, 1, -1, 2, p, -p, p * p)) for _ in range(rng.randint(1, 4))
+                )
+
+            cols = [[entry(), entry()] for _ in (0, 1)]
+            draw = rng.random()
+            if draw < 0.2:  # allowed: Phi_m with n < m <= t
+                factor = cyclotomic_phi(ctx, rng.randint(n + 1, t))
+            elif draw < 0.3:  # refused: Phi_m with m <= n
+                factor = cyclotomic_phi(ctx, rng.randint(0, n))
+            elif draw < 0.45:
+                factor = LambdaElement.const(p ** rng.randint(1, 3))
+            else:
+                factor = ONE
+            j = rng.randint(0, 1)
+            cols[j] = [factor * x for x in cols[j]]
+            b = LambdaMatrix(((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1])))
+            try:
+                expected = rod_check_by_intersection(ctx, b, n, t)
+            except NotCoprime:
+                with pytest.raises(NotCoprime):
+                    rod_check(ctx, b, n, t)
+                outcomes["not_coprime"] += 1
+                continue
+            except PrecisionUnstable:
+                outcomes["oracle_unstable"] += 1
+                expected = True
+            else:
+                outcomes["agree"] += 1
+            assert rod_check(ctx, b, n, t) is expected, (p, n, t, b)
+        # the oracle refuses the Phi_m (n < m <= t) draws: <B> then has
+        # lower rank, and its mod-p^e intersection drifts with e
+        assert outcomes["agree"] >= 30 and outcomes["not_coprime"] >= 3, outcomes
 
 
 class TestReports:

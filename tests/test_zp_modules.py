@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from rod_oracle import intersect_spans_mod
 
 from iwarank.errors import NotNested, PrecisionUnstable
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext
 from iwarank.zp_modules import (
     SpanPresentation,
     certified_valuations,
-    intersect_spans_mod,
     lambda_column_span,
     nested_span_quotient_length,
     quotient_invariants,
