@@ -28,12 +28,14 @@ class PrecisionUnstable(IwarankError):
     """A length read off at working precision N is not certified: its
     count of finite elementary divisors falls short of the exact rank (a
     divisor reached p^N).  The finite-ring proxy cannot be trusted.  The
-    failing reading's ``precision``, ``finite_count`` and
-    ``expected_rank`` are attributes, None when not given."""
+    failing reading's ``precision``, ``finite_count``, ``expected_rank``
+    and tower ``level`` are attributes, None when not given."""
 
-    def __init__(self, message: str, *, precision=None, finite_count=None, expected_rank=None):
+    def __init__(self, message: str, *, precision=None, finite_count=None, expected_rank=None,
+                 level=None):
         super().__init__(message)
         self.precision, self.finite_count, self.expected_rank = precision, finite_count, expected_rank
+        self.level = level
 
 
 class NotNested(IwarankError):

@@ -132,7 +132,7 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
     tors_n, tors_prev = (  # len tors M_m at m = n, n - 1
-        sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), profile[m]))
+        sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), profile[m], m))
         for m in (n, n - 1)
     )
     ker_length = tors_n - tors_prev

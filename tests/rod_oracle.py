@@ -12,8 +12,8 @@ precisions is a heuristic, so a refusal here is not a failure.
 
 from iwarank.cyclo_eval import INFINITE, ord_eps
 from iwarank.errors import InvalidContext, NotCoprime, PrecisionUnstable
-from iwarank.lambda_ring import ONE, ZERO, omega_poly
-from iwarank.zp_modules import SpanPresentation, _intval, finite_valuations, lambda_column_span
+from iwarank.lambda_ring import ONE, ZERO, omega_poly, vp
+from iwarank.zp_modules import SpanPresentation, finite_valuations, lambda_column_span
 
 
 def snf_with_transform(rows, p: int, e: int):
@@ -45,7 +45,7 @@ def snf_with_transform(rows, p: int, e: int):
                 for j in range(r, nc):
                     x = m[i][j]
                     if x:
-                        v = _intval(x, p)
+                        v = vp(x, p)
                         if v < best:
                             best, pi, pj = v, i, j
             if pi < 0:
@@ -56,7 +56,7 @@ def snf_with_transform(rows, p: int, e: int):
             for row in m + right:
                 row[r], row[pj] = row[pj], row[r]
         pivot = m[r][r]
-        v = _intval(pivot, p)
+        v = vp(pivot, p)
         pv = p ** v
         unit = pivot // pv
         if unit != 1:
@@ -109,12 +109,12 @@ def intersect_spans_mod(p: int, e: int, ambient: int, cols_a, cols_b):
 
 def _omega_multiples(ctx, gens, n: int, t: int) -> SpanPresentation:
     """The Lambda_t-span of omega_n g, g in gens: omega_n Lambda_t is
-    Z_p-free on X^i omega_n, i < p^t - p^n, so the columns of each
-    generator past that shift are dropped."""
+    Z_p-free on X^i omega_n, i < p^t - p^n, so the columns past that
+    shift are dropped (column s*len(gens) + j holds X^s omega_n g_j)."""
     omega_n = omega_poly(ctx, n)
     full = lambda_column_span(ctx, [tuple(omega_n * x for x in g) for g in gens], t)
-    pt, keep = ctx.p ** t, ctx.p ** t - ctx.p ** n
-    cols = tuple(c for i, c in enumerate(full.columns) if i % pt < keep)
+    keep = ctx.p ** t - ctx.p ** n
+    cols = tuple(c for i, c in enumerate(full.columns) if i // len(gens) < keep)
     return SpanPresentation(full.ambient_rank, cols)
 
 

@@ -3,13 +3,15 @@
 import random
 
 import pytest
-from rod_oracle import intersect_spans_mod
+from rod_oracle import intersect_spans_mod, snf_with_transform
 
 from iwarank.errors import NotNested, PrecisionUnstable
-from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext
+from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, vp
 from iwarank.zp_modules import (
     SpanPresentation,
+    _snf,
     certified_valuations,
+    finite_valuations,
     lambda_column_span,
     nested_span_quotient_length,
     quotient_invariants,
@@ -66,6 +68,73 @@ class TestSnfLocal:
             u = random_unimodular(rng, 3, mod)
             v = random_unimodular(rng, 3, mod)
             assert snf_local(ctx, mat_mul(u, mat_mul(g, v, mod), mod)) == snf_local(ctx, g)
+
+
+def rand_kernel_input(rng: random.Random, p: int, e: int) -> list[list[int]]:
+    """A seeded matrix for the SNF kernel, up to 12 x 12 (either side may
+    be 0): low rank, zero rows, all-zero blocks, rows and columns scaled
+    by powers of p (so residual blocks lose their units), and entries
+    past p^e and past 2^64, of either sign."""
+    nr, nc = rng.randint(0, 12), rng.randint(0, 12)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return 0
+        if kind < 0.6:
+            return rng.randint(-p * p, p * p)
+        if kind < 0.8:
+            return rng.choice((1, -1)) * p ** rng.randint(1, e + 2) * rng.randint(1, p - 1)
+        if kind < 0.9:
+            return rng.randint(1, p ** e) + p ** e * rng.randint(-3, 3)
+        return rng.choice((1, -1)) * rng.randrange(2**64, 2**70)
+
+    if rng.random() < 0.3:  # rank at most r: a product through r columns
+        r = rng.randint(0, 4)
+        u = [[entry() for _ in range(r)] for _ in range(nr)]
+        w = [[entry() for _ in range(nc)] for _ in range(r)]
+        m = [[sum(u[i][t] * w[t][j] for t in range(r)) for j in range(nc)] for i in range(nr)]
+    else:
+        m = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if rng.random() < 0.4:
+        rs = [p ** rng.randint(0, 3) for _ in range(nr)]
+        cs = [p ** rng.randint(0, 3) for _ in range(nc)]
+        m = [[x * rs[i] * cs[j] for j, x in enumerate(row)] for i, row in enumerate(m)]
+    if rng.random() < 0.3:
+        m = [row if rng.random() < 0.7 else [0] * nc for row in m]
+    if rng.random() < 0.3:
+        r0, c0 = rng.randint(0, nr), rng.randint(0, nc)
+        m = [[0 if i >= r0 and j >= c0 else x for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return m
+
+
+class TestSnfKernel:
+    """The unit-pivot kernel with valuation phases against independent
+    readings of the same valuations."""
+
+    def test_matches_minimum_valuation_kernel(self):
+        # the kernel it replaced: row-major unit search, then a scan for
+        # the entry of least valuation
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            p, e = rng.choice((3, 5, 7)), rng.choice((1, 2, 3, 8, 16, 40))
+            m = rand_kernel_input(rng, p, e)
+            assert _snf(m, p, e) == snf_with_transform(m, p, e)[0], (p, e, m)
+
+    def test_matches_smith_normal_form_over_z(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(5)
+        for _ in range(200):
+            p, e = rng.choice((3, 5, 7)), rng.choice((1, 2, 3, 8, 16, 40))
+            m = rand_kernel_input(rng, p, e)
+            nr, nc = len(m), len(m[0]) if m else 0
+            if not nr * nc:
+                continue
+            d = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+            want = sorted(min(vp(int(d[i, i]), p), e) if d[i, i] else e for i in range(min(nr, nc)))
+            assert _snf(m, p, e) == want, (p, e, m)
 
 
 class TestSpanLength:
@@ -215,3 +284,38 @@ class TestLambdaColumnSpan:
         span = lambda_column_span(ctx, ((LambdaElement((3,)),),), 1)
         free, tors = quotient_invariants(ctx, span)
         assert (free, tors.length) == (0, 3)
+
+    def test_shift_major_band(self, ctx):
+        # X^s g sits in the rows of coefficients s .. s + deg g until the
+        # shift wraps past omega_1 = X^3 + 3X^2 + 3X
+        g = (LambdaElement((1, 2)), LambdaElement((5,)))
+        span = lambda_column_span(ctx, (g, (ONE, X)), 1)
+        assert span.columns[0] == (1, 5, 2, 0, 0, 0)  # g: row t*k + i
+        assert span.columns[1] == (1, 0, 0, 1, 0, 0)  # (1, X)
+        assert span.columns[2] == (0, 0, 1, 5, 2, 0)  # X g
+        assert span.columns[3] == (0, 0, 1, 0, 0, 1)  # X (1, X)
+        assert span.columns[4] == (0, 0, -6, 0, -5, 5)  # X^2 g wraps: X^3 = -3X - 3X^2
+
+    def test_valuations_invariant_under_layout(self, rng):
+        # the same span laid out generator-major (entry i coefficient t at
+        # row i*p^n + t, column j*p^n + s) reads the same valuations
+        for _ in range(200):
+            p = rng.choice((3, 5))
+            level = rng.randint(1, 2 if p == 3 else 1)
+            k, g = rng.randint(1, 3), rng.randint(1, 3)
+            gens = [
+                tuple(
+                    LambdaElement(rng.choice((0, 1, -1, 2, p, -p, p * p)) for _ in range(rng.randint(1, 5)))
+                    for _ in range(k)
+                )
+                for _ in range(g)
+            ]
+            span = lambda_column_span(PrimeContext(p), gens, level)
+            pn = p**level
+            moved = SpanPresentation(span.ambient_rank, tuple(
+                tuple(span.columns[s * g + j][t * k + i] for i in range(k) for t in range(pn))
+                for j in range(g)
+                for s in range(pn)
+            ))
+            e = rng.choice((2, 8, 40))
+            assert finite_valuations(moved, p, e) == finite_valuations(span, p, e)
