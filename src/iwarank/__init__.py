@@ -3,11 +3,11 @@ special 2x2 matrices, Coleman-pair closed forms and Sha growth tables.
 
 All arithmetic is exact: polynomials carry integer coefficients,
 finite-level module lengths come from Smith normal forms over Z/p^N,
-and rational ranks come from the cyclotomic rank profile (or
-fraction-free elimination for spans without that structure).  Nothing
-is ever rounded; a length is reported only when its count of finite
-elementary divisors equals the exact rank, and otherwise the engine
-raises PrecisionUnstable instead of answering.
+and rational ranks come from the cyclotomic rank profile of the
+relations (exact polynomial minors at each eps_m).  Nothing is ever
+rounded; a length is reported only when its count of finite elementary
+divisors equals the exact rank, and otherwise the engine raises
+PrecisionUnstable instead of answering.
 """
 
 from .cyclo_eval import (
@@ -15,7 +15,6 @@ from .cyclo_eval import (
     CyclotomicPoint,
     RationalPoly,
     crt_interpolate,
-    det_ord_at_eps,
     matrices_proportional_at_eps,
     matrix_rank_at_eps,
     ord_eps,
@@ -26,7 +25,6 @@ from .errors import (
     InvalidContext,
     IwarankError,
     NotCoprime,
-    NotNested,
     NotSpecial,
     NotTorsion,
     PhiDivides,
@@ -73,7 +71,6 @@ from .lambda_ring import (
     iwasawa_invariants,
     omega_poly,
     omega_tower,
-    reduce_mod_omega,
     signed_degree,
 )
 from .special_matrices import (
@@ -90,14 +87,6 @@ from .special_matrices import (
     rod_check,
 )
 from .verify import SUITE_NAMES, CheckOutcome, SuiteReport, run_suites
-from .zp_modules import (
-    LengthReport,
-    SpanPresentation,
-    lambda_column_span,
-    nested_span_quotient_length,
-    quotient_invariants,
-    snf_local,
-    span_length,
-)
+from .zp_modules import SpanPresentation, lambda_column_span
 
 __version__ = "0.1.0"

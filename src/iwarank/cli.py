@@ -19,6 +19,7 @@ runs can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -202,12 +203,25 @@ class _Parser:
 
 
 def _maybe_file(text: str) -> str:
+    if not isinstance(text, str):  # argparse turns "--poly=--" into []
+        raise ExpressionError("empty payload")
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
             return fh.read()
     return text
 
 
+def _nesting_bounded(parse):
+    @functools.wraps(parse)
+    def bounded(text: str):
+        try:
+            return parse(text)
+        except RecursionError:  # nested past the interpreter's limit: bad input, not a crash
+            raise ExpressionError("input nested too deeply") from None
+    return bounded
+
+
+@_nesting_bounded
 def parse_poly_arg(text: str) -> LambdaElement:
     text = _maybe_file(text).strip()
     if text.startswith("{"):
@@ -222,6 +236,7 @@ def parse_poly_arg(text: str) -> LambdaElement:
     return value
 
 
+@_nesting_bounded
 def parse_matrix_arg(text: str) -> LambdaMatrix:
     text = _maybe_file(text).strip()
     try:
@@ -500,10 +515,7 @@ def main(argv=None) -> int:
             "result": result,
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ExpressionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IwarankError as exc:

@@ -15,10 +15,10 @@ v_p(f(0)).  The value is infinite exactly when Phi_m | f.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, inf, lcm
 
 from .errors import DuplicateLevel, InvalidContext
+from .exactlinalg import _minor_rank
 from .lambda_ring import (
     ONE,
     ZERO,
@@ -77,41 +77,9 @@ def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):
     return CyclotomicPoint.of(ctx, m, f).ord(ctx)
 
 
-def det_ord_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix):
-    """ord_{eps_m} of det A."""
-    return ord_eps(ctx, m, a.det)
-
-
 def matrix_rank_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix) -> int:
     """Rank of A(eps_m) over the fraction field of Z_p[zeta_{p^m}]."""
     return rank_at_eps(ctx, m, a.columns, 2)
-
-
-def _poly_det(rows) -> LambdaElement:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    if k == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = LambdaElement()
-    for j in range(k):
-        if rows[0][j].is_zero:
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _poly_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def _minor_rank(columns, k: int, reduce=lambda f: f) -> int:
-    """Size of the largest minor of the k x c polynomial matrix with the
-    given columns whose determinant does not reduce to zero."""
-    for size in range(min(k, len(columns)), 0, -1):
-        for pick in combinations(range(len(columns)), size):
-            for rows in combinations(range(k), size):
-                if reduce(_poly_det([[columns[j][i] for j in pick] for i in rows])):
-                    return size
-    return 0
 
 
 def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:

@@ -38,10 +38,6 @@ class PrecisionUnstable(IwarankError):
         self.level = level
 
 
-class NotNested(IwarankError):
-    """The alleged sub-span is not contained in the enclosing span."""
-
-
 class PhiDivides(IwarankError):
     """The level-n cyclotomic factor divides the data, so the requested
     quantity is infinite/undefined at that level."""

@@ -1,40 +1,35 @@
-"""Fraction-free exact linear algebra over Z (Bareiss elimination).
-
-Used where truncated p-adic data must never be trusted: the Q-ranks of
-relation matrices.
-"""
+"""Exact ranks of relation matrices, over Frac(Lambda) or mod Phi_m, from
+polynomial determinants: truncated p-adic data is never trusted here."""
 
 from __future__ import annotations
 
+from itertools import combinations
 
-def bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank over Q of an integer matrix, exactly."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    prev = 1
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(row, nrows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+from .lambda_ring import LambdaElement
+
+
+def _poly_det(rows) -> LambdaElement:
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    if k == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    acc = LambdaElement()
+    for j in range(k):
+        if rows[0][j].is_zero:
             continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for i in range(row + 1, nrows):
-            row_i = m[i]
-            aic = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (row_i[j] * pivot - aic * m[row][j]) // prev
-            row_i[col] = 0
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
+        term = rows[0][j] * _poly_det(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _minor_rank(columns, k: int, reduce=lambda f: f) -> int:
+    """Size of the largest minor of the k x c polynomial matrix with the
+    given columns whose determinant does not reduce to zero."""
+    for size in range(min(k, len(columns)), 0, -1):
+        for pick in combinations(range(len(columns)), size):
+            for rows in combinations(range(k), size):
+                if reduce(_poly_det([[columns[j][i] for j in pick] for i in rows])):
+                    return size
+    return 0

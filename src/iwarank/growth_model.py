@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidContext
 from .lambda_ring import (
-    MAX_EXPLICIT_LENGTH,
     PrimeContext,
     euler_phi_pk,
     is_odd_prime,
@@ -179,7 +178,7 @@ def degree_identities(ctx: PrimeContext, n: int) -> dict:
         raise InvalidContext(f"degree identities start at n = 1, got {n}")
     p = ctx.p
     s_prev = s_sequence(p, n - 1)
-    explicit = p**n <= min(_EXPLICIT_DEGREE_CAP, MAX_EXPLICIT_LENGTH)
+    explicit = p**n <= _EXPLICIT_DEGREE_CAP
     if explicit:
         tower = omega_tower(ctx, n)
         deg_plus = tower.omega_tilde_plus.degree

@@ -40,13 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-from .cyclo_eval import (
-    INFINITE,
-    _poly_det,
-    ord_eps,
-    poly_full_row_rank,
-    rank_at_eps,
-)
+from .cyclo_eval import INFINITE, ord_eps, poly_full_row_rank, rank_at_eps
 from .errors import (
     InvalidContext,
     NotTorsion,
@@ -54,6 +48,7 @@ from .errors import (
     SingularMatrix,
     ZeroElement,
 )
+from .exactlinalg import _poly_det
 from .lambda_ring import (
     ZERO,
     LambdaElement,

@@ -19,7 +19,6 @@ conventions omega_0^{+/-} = X, tilde_0^{+/-} = 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -92,17 +91,6 @@ class PrimeContext:
         if self.margin < 1:
             raise InvalidContext(f"margin must be >= 1, got {self.margin}")
 
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.precision
-
-    @property
-    def high_precision(self) -> int:
-        return self.precision + self.margin
-
-    @property
-    def high_modulus(self) -> int:
-        return self.p ** self.high_precision
 
 
 class LambdaElement:
@@ -220,12 +208,6 @@ class LambdaElement:
             base = base * base
             e >>= 1
         return result
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def divmod_monic(self, divisor: "LambdaElement"):
         """Exact (quotient, remainder) division by a monic divisor."""
@@ -362,9 +344,6 @@ class LambdaMatrix:
     def scaled(self, s) -> "LambdaMatrix":
         return LambdaMatrix(tuple(tuple(s * e for e in row) for row in self.rows))
 
-    def map_entries(self, fn) -> "LambdaMatrix":
-        return LambdaMatrix(tuple(tuple(fn(e) for e in row) for row in self.rows))
-
     def to_json_list(self) -> list:
         return [[e.to_json_dict() for e in row] for row in self.rows]
 
@@ -459,15 +438,14 @@ def euler_phi_pk(p: int, m: int) -> int:
     return 1 if m == 0 else p ** m - p ** (m - 1)
 
 
-def signed_degree(p: int, n: int, sign: str, tilde: bool = True) -> int:
-    """Degree of the signed product at level n, by exact factor bookkeeping
-    (all factors are monic, so degrees add).  sign '+' collects even m >= 2,
-    sign '-' collects odd m."""
+def signed_degree(p: int, n: int, sign: str) -> int:
+    """Degree of omega-tilde_n^{sign} by exact factor bookkeeping (all
+    factors are monic, so degrees add); omega_n^{sign} has one more.
+    sign '+' collects even m >= 2, sign '-' collects odd m."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     start = 2 if sign == "+" else 1
-    deg = sum(euler_phi_pk(p, m) for m in range(start, n + 1, 2))
-    return deg if tilde else deg + 1
+    return sum(euler_phi_pk(p, m) for m in range(start, n + 1, 2))
 
 
 def omega_tower(ctx: PrimeContext, n: int) -> OmegaTower:
@@ -500,25 +478,3 @@ def iwasawa_invariants(ctx: PrimeContext, f: LambdaElement) -> IwasawaInvariants
     mu = min(v for v in vals if v is not None)
     lam = next(i for i, v in enumerate(vals) if v == mu)
     return IwasawaInvariants(mu=mu, lambda_=lam)
-
-
-def reduce_mod_omega(ctx: PrimeContext, f: LambdaElement, n: int) -> list[int]:
-    """The class of f in Lambda/(omega_n, p^N) as a coefficient vector of
-    length p^n with entries in [0, p^N)."""
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
-    pn = ctx.p ** n
-    rem = f.reduced_mod(_omega(ctx.p, n))
-    pN = ctx.modulus
-    out = [0] * pn
-    for i, c in enumerate(rem.coeffs):
-        out[i] = c % pN
-    return out
-
-
-def poly_to_json(f: LambdaElement) -> str:
-    return json.dumps(f.to_json_dict(), sort_keys=True)
-
-
-def poly_from_json(text: str) -> LambdaElement:
-    return LambdaElement.from_json_dict(json.loads(text))

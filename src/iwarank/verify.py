@@ -15,7 +15,8 @@ Suites:
   additivity block-diagonal joins and constant finite systems
   parity     Coleman data: parity congruences, good-basis transforms,
              specialness of F_n B, and the signed closed form
-  rod        span saturation against omega_n at a higher level
+  rod        span saturation against omega_n at a higher level, and
+             refusal when a Phi_m (m <= n) divides det B
   degrees    reduced signed-product degree identities
   growth     Sha growth tables: frozen regression row and telescoping
   precision  low-precision drill: the engine must raise, never lie
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
-from .errors import PhiDivides, PrecisionUnstable
+from .errors import NotCoprime, PhiDivides, PrecisionUnstable
 from .growth_model import InvariantSet, degree_identities, delta_e, sha_growth
 from .kobayashi_rank import (
     CyclicTower,
@@ -451,20 +452,27 @@ def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport
     rng = _suite_rng(seed, "rod")
     ctx = PrimeContext(3, precision=precision)
     checks = []
-    for n in (1, 2):
-        count = _scaled(10, scale)
-        failures = 0
-        for _ in range(count):
-            b = rand_unit_resultant_matrix(ctx, rng, n)
-            if not rod_check(ctx, b, n, n + 1):
-                failures += 1
-        checks.append(
-            CheckOutcome(
-                name=f"saturation-n{n}",
-                ok=failures == 0,
-                details={"count": count, "test_level": n + 1, "failures": failures},
+    for kind in ("saturation", "not-coprime"):
+        for n in (1, 2):
+            count = _scaled(10, scale)
+            failures = 0
+            for _ in range(count):
+                b = rand_unit_resultant_matrix(ctx, rng, n)
+                if kind == "not-coprime":
+                    phi, j = cyclotomic_phi(ctx, rng.randint(0, n)), rng.randrange(2)
+                    b = LambdaMatrix(tuple(tuple(e * phi if i == j else e for i, e in enumerate(r)) for r in b.rows))
+                try:
+                    ok = rod_check(ctx, b, n, n + 1) and kind == "saturation"
+                except NotCoprime:
+                    ok = kind == "not-coprime"
+                failures += not ok
+            checks.append(
+                CheckOutcome(
+                    name=f"{kind}-n{n}",
+                    ok=failures == 0,
+                    details={"count": count, "test_level": n + 1, "failures": failures},
+                )
             )
-        )
     return SuiteReport(suite="rod", seed=seed, checks=checks)
 
 

@@ -16,28 +16,16 @@ each of them as min(a_i, e).  So a reading at any e is exact if and only
 if its count of finite valuations (those below e) equals the exact
 Q-rank.  Readings climb a precision ladder e = min(8, N), 16, 32, ...
 capped at N, and only a reading at N that falls short is refused.
-Q-ranks never come from mod-p^e data: callers with cyclotomic structure
-pass the rank profile, general spans use fraction-free elimination.
+Q-ranks never come from mod-p^e data: every caller passes the exact
+rank from the cyclotomic rank profile of its relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidContext, NotNested, PrecisionUnstable
-from .exactlinalg import bareiss_rank
+from .errors import InvalidContext, PrecisionUnstable
 from .lambda_ring import LambdaElement, PrimeContext, _omega
-
-
-@dataclass(frozen=True)
-class LengthReport:
-    """A Z_p-length together with the precision-stability verdict."""
-
-    length: int
-    stable: bool
-
-    def to_json_dict(self) -> dict:
-        return {"length": self.length, "stable": self.stable}
 
 
 @dataclass(frozen=True)
@@ -60,11 +48,6 @@ class SpanPresentation:
 
     def rows_exact(self) -> list[list[int]]:
         return [[col[i] for col in self.columns] for i in range(self.ambient_rank)]
-
-    def concat(self, other: "SpanPresentation") -> "SpanPresentation":
-        if other.ambient_rank != self.ambient_rank:
-            raise InvalidContext("ambient ranks differ")
-        return SpanPresentation(self.ambient_rank, self.columns + other.columns)
 
 
 def _snf(rows, p: int, e: int) -> list[int]:
@@ -121,15 +104,6 @@ def _snf(rows, p: int, e: int) -> list[int]:
     return vals
 
 
-def snf_local(ctx: PrimeContext, matrix) -> list[int]:
-    """Diagonal valuations of an integer matrix over Z/p^N, nondecreasing;
-    valuation N encodes a zero diagonal entry."""
-    rows = [list(map(int, row)) for row in matrix]
-    if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise InvalidContext("ragged matrix")
-    return _snf(rows, ctx.p, ctx.precision)
-
-
 def finite_valuations(span: SpanPresentation, p: int, e: int) -> list[int]:
     """The finite SNF valuations of a span over Z/p^e: those below e,
     nondecreasing, one per elementary divisor that p^e does not kill."""
@@ -155,50 +129,6 @@ def certified_valuations(
             )
         e = min(2 * e, n)
     return vals
-
-
-def _reading(ctx: PrimeContext, span: SpanPresentation) -> tuple[list[int], int]:
-    """(finite valuations at N, exact Q-rank) of a span without structure."""
-    return finite_valuations(span, ctx.p, ctx.precision), bareiss_rank(span.rows_exact())
-
-
-def span_length(ctx: PrimeContext, span: SpanPresentation) -> LengthReport:
-    """Length of the span as a Z/p^N-module (sum of N - a_i over finite
-    valuations); stable when the reading is certified exact."""
-    vals, rank = _reading(ctx, span)
-    return LengthReport(length=sum(ctx.precision - a for a in vals), stable=len(vals) == rank)
-
-
-def quotient_invariants(ctx: PrimeContext, relations: SpanPresentation):
-    """(free_rank, torsion length report) of ambient / <relations>.
-
-    free_rank is the ambient rank minus the exact rank of the relations;
-    the torsion length is the sum of the certified finite valuations
-    (PrecisionUnstable when the reading is not certified).
-    """
-    rank = bareiss_rank(relations.rows_exact())
-    torsion = sum(certified_valuations(ctx, relations, rank))
-    return relations.ambient_rank - rank, LengthReport(length=torsion, stable=True)
-
-
-def nested_span_quotient_length(
-    ctx: PrimeContext, outer: SpanPresentation, inner: SpanPresentation
-) -> LengthReport:
-    """Length of outer/inner for nested spans (NotNested otherwise).
-
-    Containment is checked mod p^N: outer <= outer + inner are finite
-    modules, equal exactly when their SNF valuations agree.  The report
-    is stable only when both readings are certified and the two spans
-    have the same rank -- otherwise the quotient is not finite and the
-    difference of lengths would drift with N.
-    """
-    vals_v, rank_v = _reading(ctx, outer)
-    if finite_valuations(outer.concat(inner), ctx.p, ctx.precision) != vals_v:
-        raise NotNested("inner span is not contained in outer span")
-    vals_u, rank_u = _reading(ctx, inner)
-    n = ctx.precision
-    length = sum(n - a for a in vals_v) - sum(n - a for a in vals_u)
-    return LengthReport(length=length, stable=len(vals_v) == rank_v == rank_u == len(vals_u))
 
 
 def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:

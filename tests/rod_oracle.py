@@ -132,7 +132,7 @@ def rod_check_by_intersection(ctx, b, n: int, test_level: int) -> bool:
     span_w = _omega_multiples(ctx, [(ONE, ZERO), (ZERO, ONE)], n, t)
     span_wb = _omega_multiples(ctx, b.columns, n, t)
     readings = []
-    for e in (ctx.precision, ctx.high_precision):
+    for e in (ctx.precision, ctx.precision + ctx.margin):
         inter = intersect_spans_mod(p, e, ambient, span_w.columns, span_b.columns)
         readings.append((
             finite_valuations(SpanPresentation(ambient, tuple(inter)), p, e),
@@ -141,7 +141,7 @@ def rod_check_by_intersection(ctx, b, n: int, test_level: int) -> bool:
     if readings[0] != readings[1]:
         raise PrecisionUnstable(
             f"intersection reading differs between N={ctx.precision} and "
-            f"N+margin={ctx.high_precision}",
+            f"N+margin={ctx.precision + ctx.margin}",
             precision=ctx.precision,
         )
     (inter_vals, wb_vals), _ = readings

@@ -124,14 +124,16 @@ def test_criterion_06_coleman_closed_form(parity_report):
 def test_criterion_07_span_saturation(rod_report):
     """>= 20 random B with unit-resultant determinants: inside the level
     n+1 quotient, span(B) meets omega_n * ambient exactly in
-    omega_n * span(B), for n <= 2."""
-    total = 0
-    for n in (1, 2):
-        c = _check(rod_report, f"saturation-n{n}")
-        assert c.ok, c.details
-        assert c.details["test_level"] == n + 1
-        total += c.details["count"]
-    assert total >= 20
+    omega_n * span(B), for n <= 2; and >= 20 with a Phi_m (m <= n)
+    column factor, each refused with NotCoprime."""
+    for kind in ("saturation", "not-coprime"):
+        total = 0
+        for n in (1, 2):
+            c = _check(rod_report, f"{kind}-n{n}")
+            assert c.ok, c.details
+            assert c.details["test_level"] == n + 1
+            total += c.details["count"]
+        assert total >= 20
 
 
 def test_criterion_08_signed_degree_identities():

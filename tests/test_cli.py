@@ -1,9 +1,13 @@
 """Front-end behavior: flags, payload grammar, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import iwarank.growth_model
 from iwarank import cli
@@ -189,6 +193,57 @@ class TestPayloadGrammar:
             pytest.fail(f"accepted {bad!r}")
         assert code == 2
         assert err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord-eps", "-m", "1", "--poly=" + "(" * 400 + "X" + ")" * 400],
+            ["ord-eps", "-m", "1", "--poly=" + "-" * 2000 + "X"],
+            ["special-check", "-n", "1", "--matrix=" + "[" * 3000],
+            ["ord-eps", "-m", "1", '--poly={"coeffs":' + "[" * 3000],
+        ],
+        ids=["parentheses", "unary-minus", "matrix-brackets", "json-arrays"],
+    )
+    def test_deep_nesting_is_exit2(self, capsys, argv):
+        # past the interpreter's recursion limit: bad input, not a crash
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: input nested too deeply\n"
+
+
+# strings of up to 40 characters over the payload grammar's tokens, some
+# shaped like a term or a matrix so that not every draw is refused; "^"
+# is left out, its size bound has tests of its own
+TOKENS = st.lists(st.sampled_from([*"0123456789X+-*()[],{}\":", "diag", "coeffs"]), max_size=40)
+TERMS = st.text("0123456789X+-*()", min_size=1, max_size=8)
+PAYLOADS = st.one_of(
+    TOKENS.map("".join),
+    TERMS,
+    st.builds("diag({},{})".format, TERMS, TERMS),
+    st.builds("[[{},{}],[{},{}]]".format, TERMS, TERMS, TERMS, TERMS),
+).map(lambda s: s[:40])
+
+
+def quiet_main(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+
+class TestPayloadFuzz:
+    """Any payload either answers or is refused as bad input: main
+    returns 0 or 2 and raises nothing."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(s=PAYLOADS)
+    @example(s="--")  # argparse hands "--poly=--" over as []
+    def test_poly_payload(self, s):
+        assert quiet_main("ord-eps", "-m", "1", "--poly=" + s) in (0, 2)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(s=PAYLOADS)
+    @example(s="--")
+    def test_matrix_payload(self, s):
+        assert quiet_main("special-check", "-n", "1", "--matrix=" + s) in (0, 2)
 
 
 class TestPrecisionResolution:

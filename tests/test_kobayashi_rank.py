@@ -41,7 +41,7 @@ from iwarank.lambda_ring import (
 )
 from iwarank.special_matrices import ColemanData
 from iwarank.verify import rand_special_matrix
-from iwarank.zp_modules import finite_valuations, lambda_column_span
+from iwarank.zp_modules import SpanPresentation, finite_valuations, lambda_column_span
 
 THREE = LambdaElement((3,))
 
@@ -245,7 +245,8 @@ def _two_span_nabla(ctx, k, cols, n):
     inner = lambda_column_span(ctx, cols, n)
     w = omega_poly(ctx, n - 1)
     wcols = [tuple(w if i == j else ZERO for i in range(k)) for j in range(k)]
-    outer = inner.concat(lambda_column_span(ctx, wcols, n))
+    wspan = lambda_column_span(ctx, wcols, n)
+    outer = SpanPresentation(inner.ambient_rank, inner.columns + wspan.columns)
     readings = [finite_valuations(span, ctx.p, ctx.precision) for span in (inner, outer)]
     if any(len(vals) != q_rank for vals in readings):
         raise PrecisionUnstable("divisor reaches p^N")

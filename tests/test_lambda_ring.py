@@ -21,9 +21,6 @@ from iwarank.lambda_ring import (
     iwasawa_invariants,
     omega_poly,
     omega_tower,
-    poly_from_json,
-    poly_to_json,
-    reduce_mod_omega,
     signed_degree,
     vp,
 )
@@ -108,10 +105,10 @@ class TestOmegaTower:
     def test_signed_degree_bookkeeping(self, p, n):
         ctx = PrimeContext(p)
         tw = omega_tower(ctx, n)
-        assert signed_degree(p, n, "+", tilde=True) == tw.omega_tilde_plus.degree
-        assert signed_degree(p, n, "-", tilde=True) == tw.omega_tilde_minus.degree
-        assert signed_degree(p, n, "+", tilde=False) == tw.omega_plus.degree
-        assert signed_degree(p, n, "-", tilde=False) == tw.omega_minus.degree
+        assert signed_degree(p, n, "+") == tw.omega_tilde_plus.degree
+        assert signed_degree(p, n, "-") == tw.omega_tilde_minus.degree
+        assert signed_degree(p, n, "+") + 1 == tw.omega_plus.degree
+        assert signed_degree(p, n, "-") + 1 == tw.omega_minus.degree
 
     def test_negative_level_rejected(self, ctx3):
         with pytest.raises(InvalidContext):
@@ -148,10 +145,11 @@ class TestContext:
             PrimeContext(MAX_PRIME)
 
     def test_moduli(self):
+        # the context carries N and the echoed margin; each SNF reading
+        # reduces mod p^e itself
         ctx = PrimeContext(3, precision=10, margin=5)
-        assert ctx.modulus == 3**10
-        assert ctx.high_precision == 15
-        assert ctx.high_modulus == 3**15
+        assert (ctx.p, ctx.precision, ctx.margin) == (3, 10, 5)
+        assert (PrimeContext(3).precision, PrimeContext(3).margin) == (40, 8)
 
 
 class TestInvariants:
@@ -220,7 +218,6 @@ class TestElementArithmetic:
     @settings(max_examples=60, deadline=None)
     @given(f=small_polys)
     def test_json_roundtrip(self, f):
-        assert poly_from_json(poly_to_json(f)) == f
         assert LambdaElement.from_json_dict(f.to_json_dict()) == f
 
     def test_matrix_json_roundtrip(self, ctx3):
@@ -235,14 +232,8 @@ class TestElementArithmetic:
 
 
 class TestReduceModOmega:
-    def test_shape_and_range(self, ctx3):
-        f = LambdaElement([5, -1, 7, 0, 2, 1, 9, 3, 4, 11])
-        vec = reduce_mod_omega(ctx3, f, 2)
-        assert len(vec) == 9
-        assert all(0 <= c < ctx3.modulus for c in vec)
-
     @settings(max_examples=40, deadline=None)
     @given(f=small_polys, h=small_polys)
     def test_well_defined_mod_omega(self, f, h):
-        shifted = f + omega_poly(CTX3, 1) * h
-        assert reduce_mod_omega(CTX3, f, 1) == reduce_mod_omega(CTX3, shifted, 1)
+        omega = omega_poly(CTX3, 1)
+        assert f.reduced_mod(omega) == (f + omega * h).reduced_mod(omega)

@@ -1,11 +1,12 @@
-"""Smith normal form over Z/p^N, span lengths, and nested quotients."""
+"""Smith normal form over Z/p^N, span lengths read off its finite
+valuations, and readings certified against the exact rank."""
 
 import random
 
 import pytest
 from rod_oracle import intersect_spans_mod, snf_with_transform
 
-from iwarank.errors import NotNested, PrecisionUnstable
+from iwarank.errors import PrecisionUnstable
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, vp
 from iwarank.zp_modules import (
     SpanPresentation,
@@ -13,10 +14,6 @@ from iwarank.zp_modules import (
     certified_valuations,
     finite_valuations,
     lambda_column_span,
-    nested_span_quotient_length,
-    quotient_invariants,
-    snf_local,
-    span_length,
 )
 
 
@@ -45,29 +42,29 @@ def mat_mul(a, b, mod):
 
 
 class TestSnfLocal:
-    def test_frozen(self, ctx):
-        assert snf_local(ctx, [[3]]) == [1]
-        assert snf_local(ctx, [[1, 0], [0, 9]]) == [0, 2]
-        assert snf_local(ctx, [[3, 3], [3, 12]]) == [1, 2]
+    def test_frozen(self):
+        assert _snf([[3]], 3, 5) == [1]
+        assert _snf([[1, 0], [0, 9]], 3, 5) == [0, 2]
+        assert _snf([[3, 3], [3, 12]], 3, 5) == [1, 2]
 
-    def test_zero_matrix(self, ctx):
+    def test_zero_matrix(self):
         # valuation N encodes a zero diagonal entry
-        assert snf_local(ctx, [[0, 0], [0, 0]]) == [5, 5]
+        assert _snf([[0, 0], [0, 0]], 3, 5) == [5, 5]
 
-    def test_nondecreasing_and_bounded(self, ctx, rng):
+    def test_nondecreasing_and_bounded(self, rng):
         for _ in range(30):
-            g = [[rng.randrange(ctx.modulus) for _ in range(3)] for _ in range(3)]
-            vals = snf_local(ctx, g)
+            g = [[rng.randrange(3**5) for _ in range(3)] for _ in range(3)]
+            vals = _snf(g, 3, 5)
             assert vals == sorted(vals)
             assert all(0 <= a <= 5 for a in vals)
 
-    def test_invariant_under_unimodular(self, ctx, rng):
-        mod = ctx.modulus
+    def test_invariant_under_unimodular(self, rng):
+        mod = 3**5
         for _ in range(25):
             g = [[rng.randrange(mod) for _ in range(3)] for _ in range(3)]
             u = random_unimodular(rng, 3, mod)
             v = random_unimodular(rng, 3, mod)
-            assert snf_local(ctx, mat_mul(u, mat_mul(g, v, mod), mod)) == snf_local(ctx, g)
+            assert _snf(mat_mul(u, mat_mul(g, v, mod), mod), 3, 5) == _snf(g, 3, 5)
 
 
 def rand_kernel_input(rng: random.Random, p: int, e: int) -> list[list[int]]:
@@ -137,25 +134,25 @@ class TestSnfKernel:
             assert _snf(m, p, e) == want, (p, e, m)
 
 
+def span_length(span: SpanPresentation) -> int:
+    """Length over Z/3^5 of a span: sum of N - a over its finite valuations."""
+    return sum(5 - a for a in finite_valuations(span, 3, 5))
+
+
 class TestSpanLength:
-    def test_frozen(self, ctx):
-        assert span_length(ctx, SpanPresentation(1, ((3,),))).length == 4
-        assert span_length(ctx, SpanPresentation(2, ((3, 0), (0, 9)))).length == 7
-        assert span_length(ctx, SpanPresentation(1, ((1,),))).length == 5
+    def test_frozen(self):
+        assert span_length(SpanPresentation(1, ((3,),))) == 4
+        assert span_length(SpanPresentation(2, ((3, 0), (0, 9)))) == 7
+        assert span_length(SpanPresentation(1, ((1,),))) == 5
 
-    def test_stability_flag(self, ctx):
-        rep = span_length(ctx, SpanPresentation(2, ((3, 0), (0, 9))))
-        assert rep.stable is True
+    def test_empty_span(self):
+        assert span_length(SpanPresentation(2, ())) == 0
 
-    def test_empty_span(self, ctx):
-        assert span_length(ctx, SpanPresentation(2, ())).length == 0
-
-    def test_divisor_at_precision_not_certified(self, ctx):
+    def test_divisor_at_precision_not_certified(self):
         # 3^5 reads as zero at N = 5: no finite divisor against rank 1
-        rep = span_length(ctx, SpanPresentation(1, ((3**5,),)))
-        assert rep.stable is False
+        assert finite_valuations(SpanPresentation(1, ((3**5,),)), 3, 5) == []
 
-    def test_additive_over_direct_sums(self, ctx, rng):
+    def test_additive_over_direct_sums(self, rng):
         for _ in range(15):
             a_cols = tuple(
                 tuple(rng.randrange(-80, 81) for _ in range(2)) for _ in range(2)
@@ -166,29 +163,27 @@ class TestSpanLength:
             joined = tuple(c + (0, 0, 0) for c in a_cols) + tuple(
                 (0, 0) + c for c in b_cols
             )
-            total = span_length(ctx, SpanPresentation(5, joined)).length
+            total = span_length(SpanPresentation(5, joined))
             assert total == (
-                span_length(ctx, SpanPresentation(2, a_cols)).length
-                + span_length(ctx, SpanPresentation(3, b_cols)).length
+                span_length(SpanPresentation(2, a_cols)) + span_length(SpanPresentation(3, b_cols))
             )
 
 
 class TestQuotientInvariants:
+    """The torsion of ambient / <relations> is the sum of the certified
+    valuations; its free rank is the ambient rank minus the exact rank."""
+
     def test_frozen(self, ctx):
-        free, tors = quotient_invariants(ctx, SpanPresentation(2, ((3, 0),)))
-        assert (free, tors.length) == (1, 1)
-        free, tors = quotient_invariants(ctx, SpanPresentation(2, ((1, 0), (0, 1))))
-        assert (free, tors.length) == (0, 0)
-        free, tors = quotient_invariants(ctx, SpanPresentation(2, ((3, 0), (0, 9))))
-        assert (free, tors.length) == (0, 3)
+        assert certified_valuations(ctx, SpanPresentation(2, ((3, 0),)), 1) == [1]
+        assert certified_valuations(ctx, SpanPresentation(2, ((1, 0), (0, 1))), 2) == [0, 0]
+        assert certified_valuations(ctx, SpanPresentation(2, ((3, 0), (0, 9))), 2) == [1, 2]
 
     def test_no_relations(self, ctx):
-        free, tors = quotient_invariants(ctx, SpanPresentation(2, ()))
-        assert (free, tors.length) == (2, 0)
+        assert certified_valuations(ctx, SpanPresentation(2, ()), 0) == []
 
     def test_divisor_at_precision_raises(self, ctx):
         with pytest.raises(PrecisionUnstable):
-            quotient_invariants(ctx, SpanPresentation(1, ((3**5,),)))
+            certified_valuations(ctx, SpanPresentation(1, ((3**5,),)), 1)
 
 
 class TestPrecisionLadder:
@@ -197,8 +192,6 @@ class TestPrecisionLadder:
         ctx40 = PrimeContext(3, precision=40)
         span = SpanPresentation(1, ((3**20,),))
         assert certified_valuations(ctx40, span, 1) == [20]
-        free, tors = quotient_invariants(ctx40, span)
-        assert (free, tors.length) == (0, 20)
 
     def test_divisor_at_precision_raises_with_reading(self):
         ctx40 = PrimeContext(3, precision=40)
@@ -216,52 +209,18 @@ class TestPrecisionLadder:
         assert certified_valuations(ctx40, span, 4) == [0, 7, 15, 39]
 
 
-class TestNestedQuotient:
-    def test_frozen(self, ctx):
-        v = SpanPresentation(1, ((1,),))
-        u = SpanPresentation(1, ((3,),))
-        assert nested_span_quotient_length(ctx, v, u).length == 1
-        assert nested_span_quotient_length(ctx, v, v).length == 0
-        v2 = SpanPresentation(2, ((1, 0), (0, 3)))
-        u2 = SpanPresentation(2, ((3, 0), (0, 3)))
-        assert nested_span_quotient_length(ctx, v2, u2).length == 1
-
-    def test_rejects_non_nested(self, ctx):
-        v = SpanPresentation(1, ((3,),))
-        u = SpanPresentation(1, ((1,),))
-        with pytest.raises(NotNested):
-            nested_span_quotient_length(ctx, v, u)
-
-    def test_length_identity(self, ctx, rng):
-        # length(V/U) + length(U) = length(V) on random nested pairs
-        for _ in range(15):
-            v_cols = tuple(
-                tuple(rng.randrange(-40, 41) for _ in range(3)) for _ in range(3)
-            )
-            scalars = [rng.choice((1, 3, 9)) for _ in range(3)]
-            u_cols = tuple(
-                tuple(s * x for x in col) for s, col in zip(scalars, v_cols)
-            )
-            v = SpanPresentation(3, v_cols)
-            u = SpanPresentation(3, u_cols)
-            q = nested_span_quotient_length(ctx, v, u)
-            assert (
-                q.length + span_length(ctx, u).length == span_length(ctx, v).length
-            )
-
-
 class TestIntersect:
-    def test_scaled_axes(self, ctx):
+    def test_scaled_axes(self):
         inter = intersect_spans_mod(
             3, 5, 2, [(3, 0), (0, 1)], [(1, 0), (0, 3)]
         )
         rows = [[col[i] for col in inter] for i in range(2)]
-        assert snf_local(ctx, rows) == [1, 1]
+        assert _snf(rows, 3, 5) == [1, 1]
 
-    def test_disjoint_lines(self, ctx):
+    def test_disjoint_lines(self):
         inter = intersect_spans_mod(3, 5, 2, [(1, 0)], [(0, 1)])
         rows = [[col[i] for col in inter] for i in range(2)]
-        vals = snf_local(ctx, rows) if inter else []
+        vals = _snf(rows, 3, 5) if inter else []
         assert all(a == 5 for a in vals)
 
 
@@ -270,20 +229,18 @@ class TestLambdaColumnSpan:
         span = lambda_column_span(ctx3, ((X, ONE),), 1)
         assert span.ambient_rank == 6  # two Lambda_1 coordinates of rank 3
 
+    # Lambda_1 has Z_p-rank 3; X kills the level-0 factor, so <X> has rank 2
     def test_unit_generator_fills_quotient(self, ctx):
         span = lambda_column_span(ctx, ((ONE,),), 1)
-        free, tors = quotient_invariants(ctx, span)
-        assert (free, tors.length) == (0, 0)
+        assert certified_valuations(ctx, span, 3) == [0, 0, 0]
 
     def test_x_generator_leaves_free_line(self, ctx):
         span = lambda_column_span(ctx, ((X,),), 1)
-        free, tors = quotient_invariants(ctx, span)
-        assert (free, tors.length) == (1, 0)
+        assert certified_valuations(ctx, span, 2) == [0, 0]
 
     def test_p_generator_torsion(self, ctx):
         span = lambda_column_span(ctx, ((LambdaElement((3,)),),), 1)
-        free, tors = quotient_invariants(ctx, span)
-        assert (free, tors.length) == (0, 3)
+        assert certified_valuations(ctx, span, 3) == [1, 1, 1]
 
     def test_shift_major_band(self, ctx):
         # X^s g sits in the rows of coefficients s .. s + deg g until the
