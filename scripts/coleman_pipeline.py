@@ -16,14 +16,12 @@ from iwarank.special_matrices import (
     is_special,
     parity_congruence_check,
 )
-from iwarank.verify import rand_coleman_data
-
-KINDS = ("generic", "minus_rank1", "minus_rank1_m0", "plus_rank1", "minus_rank0")
+from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--kind", choices=KINDS, default="minus_rank1")
+    ap.add_argument("--kind", choices=tuple(COLEMAN_KINDS), default="minus_rank1")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--n-max", type=int, default=3)
     args = ap.parse_args()

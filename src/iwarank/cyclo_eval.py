@@ -25,6 +25,7 @@ from .lambda_ring import (
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
+    Record,
     cyclotomic_phi,
     euler_phi_pk,
     omega_poly,
@@ -39,7 +40,7 @@ def ord_json(v) -> object:
 
 
 @dataclass(frozen=True)
-class CyclotomicPoint:
+class CyclotomicPoint(Record):
     """The image f(eps_m) in Z_p[zeta_{p^m}], stored on the power basis.
 
     ``rep`` is the reduction of f mod Phi_m: degree < phi(p^m) for
@@ -67,9 +68,6 @@ class CyclotomicPoint:
             return vp(self.rep.coeffs[0], ctx.p)
         e = euler_phi_pk(ctx.p, self.m)
         return min(e * vp(c, ctx.p) + i for i, c in enumerate(self.rep.coeffs) if c)
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "rep": self.rep.to_json_dict()}
 
 
 def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):

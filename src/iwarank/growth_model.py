@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import InvalidContext
 from .lambda_ring import (
     PrimeContext,
+    Record,
     euler_phi_pk,
     is_odd_prime,
     omega_tower,
@@ -33,7 +34,7 @@ _EXPLICIT_DEGREE_CAP = 300
 
 
 @dataclass(frozen=True)
-class InvariantSet:
+class InvariantSet(Record):
     p: int
     lambda_plus: int
     lambda_minus: int
@@ -55,49 +56,22 @@ class InvariantSet:
             return self.lambda_minus, self.mu_minus
         return self.lambda_plus, self.mu_plus
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lambda_plus": self.lambda_plus,
-            "lambda_minus": self.lambda_minus,
-            "mu_plus": self.mu_plus,
-            "mu_minus": self.mu_minus,
-            "r_inf": self.r_inf,
-        }
-
 
 @dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(Record):
     n: int
     parity: str
     s_prev: int
     delta_e: int
     e_n: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "parity": self.parity,
-            "s_prev": self.s_prev,
-            "delta_e": self.delta_e,
-            "e_n": self.e_n,
-        }
-
 
 @dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(Record):
     invariants: InvariantSet
     base_level: int
     base_value: int
     rows: tuple[GrowthRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "invariants": self.invariants.to_json_dict(),
-            "base_level": self.base_level,
-            "base_value": self.base_value,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
 
     def to_csv(self) -> str:
         out = io.StringIO()

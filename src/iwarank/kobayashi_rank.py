@@ -54,17 +54,18 @@ from .lambda_ring import (
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
+    Record,
     cyclotomic_phi,
     euler_phi_pk,
     iwasawa_invariants,
-    omega_tower,
+    signed_degree,
 )
-from .special_matrices import ColemanData, assemble_fn, is_special
+from .special_matrices import ColemanData, assemble_fn, is_special, parity_reference
 from .zp_modules import certified_valuations, lambda_column_span
 
 
 @dataclass(frozen=True)
-class NablaResult:
+class NablaResult(Record):
     n: int
     ker_length: int
     coker_length: int
@@ -72,17 +73,6 @@ class NablaResult:
     nabla: int
     closed_form: int | None = None
     agrees: bool | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ker_length": self.ker_length,
-            "coker_length": self.coker_length,
-            "lower_rank": self.lower_rank,
-            "nabla": self.nabla,
-            "closed_form": self.closed_form,
-            "agrees": self.agrees,
-        }
 
 
 @dataclass(frozen=True)
@@ -209,16 +199,10 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     result = _brute_nabla(ctx, 2, f.columns, n)
     if not is_special(ctx, f, n).verdict:
         return result
-    tower = omega_tower(ctx, n)
-    if n % 2 == 1:
-        base = 2 * tower.omega_tilde_plus.degree
-        o = ord_eps(ctx, n, cd.col_minus.det)
-    else:
-        base = 2 * tower.omega_tilde_minus.degree
-        o = ord_eps(ctx, n, cd.col_plus.det)
+    o = ord_eps(ctx, n, parity_reference(cd, n).det)
     if o == INFINITE:
         return result
-    return _attach(result, base + o)
+    return _attach(result, 2 * signed_degree(ctx.p, n, "+" if n % 2 else "-") + o)
 
 
 def nabla_tower(ctx: PrimeContext, tower, n: int) -> NablaResult:

@@ -19,8 +19,8 @@ conventions omega_0^{+/-} = X, tilde_0^{+/-} = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from math import comb, gcd
 
 from .errors import InvalidContext, ZeroElement
@@ -265,6 +265,7 @@ ONE = LambdaElement((1,))
 ZERO = LambdaElement()
 
 
+@dataclass(frozen=True)
 class LambdaMatrix:
     """A 2x2 matrix over the polynomial ring, row-major; det is computed
     on first access and cached.
@@ -273,27 +274,21 @@ class LambdaMatrix:
     matrix is generated by its two columns.
     """
 
-    __slots__ = ("rows", "_det")
+    rows: tuple
 
-    def __init__(self, rows):
+    def __post_init__(self):
         rs = tuple(
             tuple(e if isinstance(e, LambdaElement) else LambdaElement.const(e) for e in row)
-            for row in rows
+            for row in self.rows
         )
         if len(rs) != 2 or any(len(r) != 2 for r in rs):
             raise ValueError("expected a 2x2 matrix")
         object.__setattr__(self, "rows", rs)
-        object.__setattr__(self, "_det", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("LambdaMatrix is immutable")
-
-    @property
+    @cached_property
     def det(self) -> LambdaElement:
-        if self._det is None:
-            (a, c), (b, d) = self.rows
-            object.__setattr__(self, "_det", a * d - c * b)
-        return self._det
+        (a, c), (b, d) = self.rows
+        return a * d - c * b
 
     @classmethod
     def identity(cls) -> "LambdaMatrix":
@@ -317,14 +312,6 @@ class LambdaMatrix:
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"[[{self.rows[0][0]!r}, {self.rows[0][1]!r}], [{self.rows[1][0]!r}, {self.rows[1][1]!r}]]"
@@ -352,6 +339,28 @@ class LambdaMatrix:
         return cls(tuple(tuple(LambdaElement.from_json_dict(e) for e in row) for row in obj))
 
 
+def _json_form(value):
+    """The JSON form of one record field: anything with its own
+    to_json_dict (polynomials, nested records) gives that dict, a matrix
+    its rows, a tuple or list the list of its items' forms; any other
+    value is already JSON."""
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, LambdaMatrix):
+        return value.to_json_list()
+    if isinstance(value, (tuple, list)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+class Record:
+    """Mixin for result dataclasses: the JSON form is the dict of the
+    fields' JSON forms, keyed by field name."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: _json_form(getattr(self, f.name)) for f in fields(self)}
+
+
 @dataclass(frozen=True)
 class IwasawaInvariants:
     """mu = minimal coefficient valuation, lambda = first index attaining it
@@ -365,7 +374,7 @@ class IwasawaInvariants:
 
 
 @dataclass(frozen=True)
-class OmegaTower:
+class OmegaTower(Record):
     """The level-n relation polynomial omega_n with its signed split."""
 
     n: int
@@ -374,16 +383,6 @@ class OmegaTower:
     omega_minus: LambdaElement
     omega_tilde_plus: LambdaElement
     omega_tilde_minus: LambdaElement
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "omega_n": self.omega_n.to_json_dict(),
-            "omega_plus": self.omega_plus.to_json_dict(),
-            "omega_minus": self.omega_minus.to_json_dict(),
-            "omega_tilde_plus": self.omega_tilde_plus.to_json_dict(),
-            "omega_tilde_minus": self.omega_tilde_minus.to_json_dict(),
-        }
 
 
 def _check_explicit_size(p: int, n: int):

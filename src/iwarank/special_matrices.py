@@ -42,6 +42,7 @@ from .lambda_ring import (
     ZERO,
     LambdaMatrix,
     PrimeContext,
+    Record,
     cyclotomic_phi,
     omega_poly,
     omega_tower,
@@ -49,45 +50,28 @@ from .lambda_ring import (
 
 
 @dataclass(frozen=True)
-class SpecialLevel:
+class SpecialLevel(Record):
     m: int
     i_m: int
     det_divisible: bool
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "i_m": self.i_m,
-            "det_divisible": self.det_divisible,
-            "ok": self.ok,
-        }
-
 
 @dataclass(frozen=True)
-class SpecialReport:
+class SpecialReport(Record):
     n: int
     per_level: tuple[SpecialLevel, ...]
     verdict: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "per_level": [lv.to_json_dict() for lv in self.per_level],
-            "verdict": self.verdict,
-        }
-
 
 @dataclass(frozen=True)
-class BDFactorization:
+class BDFactorization(Record):
     b: LambdaMatrix
     d: LambdaMatrix
 
-    def to_json_dict(self) -> dict:
-        return {"b": self.b.to_json_list(), "d": self.d.to_json_list()}
 
-
-class ColemanData:
+@dataclass(frozen=True)
+class ColemanData(Record):
     """A pair of 2x2 Coleman matrices.
 
     Structural invariants (checked by validate): every entry of col_plus
@@ -95,11 +79,8 @@ class ColemanData:
     determinants are nonzero.
     """
 
-    __slots__ = ("col_plus", "col_minus")
-
-    def __init__(self, col_plus: LambdaMatrix, col_minus: LambdaMatrix):
-        self.col_plus = col_plus
-        self.col_minus = col_minus
+    col_plus: LambdaMatrix
+    col_minus: LambdaMatrix
 
     def validate(self) -> "ColemanData":
         for e in self.col_plus.entries:
@@ -115,17 +96,6 @@ class ColemanData:
         """Right-multiply both matrices by B (a change of basis of the
         source module); preserves X-divisibility of col_plus."""
         return ColemanData(self.col_plus @ b, self.col_minus @ b)
-
-    def __eq__(self, other):
-        if not isinstance(other, ColemanData):
-            return NotImplemented
-        return self.col_plus == other.col_plus and self.col_minus == other.col_minus
-
-    def to_json_dict(self) -> dict:
-        return {
-            "col_plus": self.col_plus.to_json_list(),
-            "col_minus": self.col_minus.to_json_list(),
-        }
 
     @classmethod
     def from_json_dict(cls, obj) -> "ColemanData":

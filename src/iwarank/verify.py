@@ -47,6 +47,7 @@ from .lambda_ring import (
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
+    Record,
     cyclotomic_phi,
     iwasawa_invariants,
     omega_poly,
@@ -61,30 +62,16 @@ from .special_matrices import (
     rod_check,
 )
 
-SUITE_NAMES = (
-    "thm-app",
-    "lemma-3.3",
-    "additivity",
-    "parity",
-    "rod",
-    "degrees",
-    "growth",
-    "precision",
-)
-
 
 @dataclass
-class CheckOutcome:
+class CheckOutcome(Record):
     name: str
     ok: bool
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "details": self.details}
-
 
 @dataclass
-class SuiteReport:
+class SuiteReport(Record):
     suite: str
     seed: int
     checks: list[CheckOutcome]
@@ -94,12 +81,17 @@ class SuiteReport:
         return all(c.ok for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "ok": self.ok,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
+        return {**super().to_json_dict(), "ok": self.ok}
+
+
+def _sweep(name: str, count: int, trial, **details) -> CheckOutcome:
+    """Run trial(i) for i < count; each returns the list of its failures
+    (JSON-ready dicts), the first of which is reported as the example."""
+    failures = [failure for i in range(count) for failure in trial(i)]
+    out = {"count": count, **details, "failures": len(failures)}
+    if failures:
+        out["example"] = failures[0]
+    return CheckOutcome(name=name, ok=not failures, details=out)
 
 
 def _suite_rng(seed: int, name: str) -> random.Random:
@@ -139,7 +131,6 @@ def _rand_matrix(rng, max_deg: int, bound: int = 5) -> LambdaMatrix:
 def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tuple:
     """A = B D with D diagonal squarefree Phi-products over m <= n-1 and
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
-    p = ctx.p
     while True:
         b = _rand_matrix(rng, max_deg, bound=4)
         if any(b.det.divisible_by(cyclotomic_phi(ctx, m)) for m in range(n + 1)):
@@ -197,8 +188,20 @@ def _rand_unimodular(rng) -> LambdaMatrix:
     return LambdaMatrix(((-1, 0), (0, 1)))
 
 
+# kind -> the levels where the parity reference drops rank, with the rank
+# it drops to; at every other level m <= 3 it has full rank 2
+COLEMAN_KINDS = {
+    "generic": {},
+    "minus_rank1": {1: 1},
+    "minus_rank1_m0": {0: 1},
+    "plus_rank1": {2: 1},
+    "minus_rank0": {1: 0},
+}
+
+
 def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanData:
-    """Random Coleman pair at p = 3 with a prescribed rank profile:
+    """Random Coleman pair with a prescribed rank profile of the parity
+    references at eps_0 .. eps_3 (COLEMAN_KINDS; ValueError otherwise):
 
       generic        every parity reference has full rank at its eps_m
       minus_rank1    col_minus drops to rank one at eps_1
@@ -206,9 +209,12 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
       plus_rank1     col_plus drops to rank one at eps_2 (det = unit * X^2 Phi_2)
       minus_rank0    col_minus vanishes at eps_1 (a full Phi_1 factor)
     """
+    if kind not in COLEMAN_KINDS:
+        raise ValueError(f"unknown Coleman kind {kind!r}")
     p = ctx.p
     phi1 = cyclotomic_phi(ctx, 1)
     w1 = omega_poly(ctx, 1)
+    wanted = {m: 2 for m in range(4)} | COLEMAN_KINDS[kind]
     while True:
         col_plus = _rand_matrix(rng, 3, bound=4).scaled(X)
         col_minus = _rand_matrix(rng, 4, bound=4)
@@ -225,7 +231,8 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
                 ((X * g0, col_minus.rows[0][1]), (X * g1, col_minus.rows[1][1]))
             )
         elif kind == "plus_rank1":
-            core = LambdaMatrix(((w1 + 3, -1), (3, w1)))  # det = Phi_2
+            # det = Phi_2, as Phi_2 = sum_{k<p} (1 + omega_1)^k is p mod omega_1
+            core = LambdaMatrix((((cyclotomic_phi(ctx, 2) - p).exact_div(w1), -1), (p, w1)))
             inner = _rand_unimodular(rng) @ core @ _rand_unimodular(rng)
             col_plus = inner.scaled(X)
         elif kind == "minus_rank0":
@@ -236,40 +243,23 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
         profile = {
             m: matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) for m in range(4)
         }
-        wanted = {m: 2 for m in range(4)}
-        if kind == "minus_rank1":
-            wanted[1] = 1
-        elif kind == "minus_rank1_m0":
-            wanted[0] = 1
-        elif kind == "plus_rank1":
-            wanted[2] = 1
-        elif kind == "minus_rank0":
-            wanted[1] = 0
-        if profile != wanted:
-            continue
-        return cd
+        if profile == wanted:
+            return cd
 
 
 def _sweep_thm_app(ctx: PrimeContext, rng, count: int, n: int) -> CheckOutcome:
-    failures = 0
-    example = None
-    for _ in range(count):
+    def trial(_):
         a, levels = rand_special_matrix(ctx, rng, n)
         res = nabla_matrix_tower(ctx, a, n)
-        rank_ok = True
-        for m in range(n):
-            i_m = sum(1 for js in levels if m in js)
-            if matrix_rank_at_eps(ctx, m, a) != 2 - i_m:
-                rank_ok = False
-        ok = res.agrees is True and rank_ok
-        if not ok:
-            failures += 1
-            if example is None:
-                example = {"matrix": a.to_json_list(), "result": res.to_json_dict()}
-    details = {"count": count, "failures": failures}
-    if example is not None:
-        details["example"] = example
-    return CheckOutcome(name=f"special-p{ctx.p}-n{n}", ok=failures == 0, details=details)
+        rank_ok = all(
+            matrix_rank_at_eps(ctx, m, a) == 2 - sum(1 for js in levels if m in js)
+            for m in range(n)
+        )
+        if res.agrees is True and rank_ok:
+            return []
+        return [{"matrix": a.to_json_list(), "result": res.to_json_dict()}]
+
+    return _sweep(f"special-p{ctx.p}-n{n}", count, trial)
 
 
 def suite_thm_app(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
@@ -287,24 +277,16 @@ def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteR
     ctx = PrimeContext(3, precision=precision)
     checks = []
     for n in (1, 2, 3):
-        count = _scaled(36, scale)
-        failures = 0
-        example = None
-        for _ in range(count):
+        def cyclic_trial(_):
             f, predicted = rand_cyclic_poly(ctx, rng, n)
             res = nabla_cyclic(ctx, f, n)
-            if not (res.agrees is True and res.closed_form == predicted):
-                failures += 1
-                if example is None:
-                    example = {"f": f.to_json_dict(), "result": res.to_json_dict()}
-        details = {"count": count, "failures": failures}
-        if example is not None:
-            details["example"] = example
-        checks.append(CheckOutcome(name=f"cyclic-ord-n{n}", ok=failures == 0, details=details))
+            if res.agrees is True and res.closed_form == predicted:
+                return []
+            return [{"f": f.to_json_dict(), "result": res.to_json_dict()}]
 
-    count = _scaled(12, scale)
-    failures = 0
-    for _ in range(count):
+        checks.append(_sweep(f"cyclic-ord-n{n}", _scaled(36, scale), cyclic_trial))
+
+    def torsion_trial(_):
         a = rng.randint(0, 2)
         ms = [m for m in (0, 1) if rng.random() < 0.5]
         g = LambdaElement([3 * rng.randint(-2, 2) for _ in range(rng.randint(0, 2))] + [1])
@@ -314,18 +296,15 @@ def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteR
         f = f * g
         inv = iwasawa_invariants(ctx, f)
         tower = TorsionTower(columns=((f,),))
+        failures = []
         for n in (2, 3):
             res = nabla_torsion_tower(ctx, tower, n)
             expected = inv.lambda_ + (3**n - 3 ** (n - 1)) * inv.mu
             if not (res.closed_form == expected and res.agrees is True):
-                failures += 1
-    checks.append(
-        CheckOutcome(
-            name="torsion-stabilized",
-            ok=failures == 0,
-            details={"count": count, "levels": [2, 3], "failures": failures},
-        )
-    )
+                failures.append({"f": f.to_json_dict(), "n": n})
+        return failures
+
+    checks.append(_sweep("torsion-stabilized", _scaled(12, scale), torsion_trial, levels=[2, 3]))
     return SuiteReport(suite="lemma-3.3", seed=seed, checks=checks)
 
 
@@ -346,33 +325,26 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
 def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
     rng = _suite_rng(seed, "additivity")
     ctx = PrimeContext(3, precision=precision)
-    checks = []
-    count = _scaled(20, scale)
-    failures = 0
-    for i in range(count):
+
+    def trial(i):
         n = 1 + (i % 2)
-        if not additivity_check(ctx, _rand_summand(ctx, rng, n), _rand_summand(ctx, rng, n), n):
-            failures += 1
-    checks.append(
-        CheckOutcome(name="direct-sums", ok=failures == 0, details={"count": count, "failures": failures})
-    )
+        left, right = _rand_summand(ctx, rng, n), _rand_summand(ctx, rng, n)
+        return [] if additivity_check(ctx, left, right, n) else [{"n": n}]
 
     finite = TorsionTower(columns=((LambdaElement.const(3),), (X,)))
-    zeros = []
-    for n in (1, 2):
-        res = nabla_tower(ctx, finite, n)
-        zeros.append(res.nabla)
-    checks.append(
+    zeros = [nabla_tower(ctx, finite, n).nabla for n in (1, 2)]
+    checks = [
+        _sweep("direct-sums", _scaled(20, scale), trial),
         CheckOutcome(
             name="constant-finite-zero",
             ok=all(v == 0 for v in zeros),
             details={"nabla": zeros},
-        )
-    )
+        ),
+    ]
     return SuiteReport(suite="additivity", seed=seed, checks=checks)
 
 
-_COLEMAN_KINDS = (
+_PARITY_DRAWS = (
     ("generic", 8),
     ("minus_rank1", 5),
     ("minus_rank1_m0", 3),
@@ -391,7 +363,7 @@ def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
     closed_applicable = 0
     total = 0
     example = None
-    for kind, base in _COLEMAN_KINDS:
+    for kind, base in _PARITY_DRAWS:
         for _ in range(_scaled(base, scale)):
             total += 1
             cd = rand_coleman_data(ctx, rng, kind)
@@ -410,8 +382,7 @@ def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
                 continue
             moved = cd.transformed(b)
             for n in (2, 3):
-                det_ref = moved.col_minus.det if n % 2 == 1 else moved.col_plus.det
-                if ord_eps(ctx, n, det_ref) == INFINITE:
+                if ord_eps(ctx, n, parity_reference(moved, n).det) == INFINITE:
                     continue
                 if assemble_fn(ctx, moved, n).det.divisible_by(cyclotomic_phi(ctx, n)):
                     continue
@@ -454,9 +425,7 @@ def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport
     checks = []
     for kind in ("saturation", "not-coprime"):
         for n in (1, 2):
-            count = _scaled(10, scale)
-            failures = 0
-            for _ in range(count):
+            def trial(_):
                 b = rand_unit_resultant_matrix(ctx, rng, n)
                 if kind == "not-coprime":
                     phi, j = cyclotomic_phi(ctx, rng.randint(0, n)), rng.randrange(2)
@@ -465,14 +434,9 @@ def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport
                     ok = rod_check(ctx, b, n, n + 1) and kind == "saturation"
                 except NotCoprime:
                     ok = kind == "not-coprime"
-                failures += not ok
-            checks.append(
-                CheckOutcome(
-                    name=f"{kind}-n{n}",
-                    ok=failures == 0,
-                    details={"count": count, "test_level": n + 1, "failures": failures},
-                )
-            )
+                return [] if ok else [{"b": b.to_json_list()}]
+
+            checks.append(_sweep(f"{kind}-n{n}", _scaled(10, scale), trial, test_level=n + 1))
     return SuiteReport(suite="rod", seed=seed, checks=checks)
 
 
@@ -504,9 +468,8 @@ def suite_growth(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
             details={"deltas": list(deltas)},
         )
     )
-    count = _scaled(10, scale)
-    failures = 0
-    for _ in range(count):
+
+    def trial(_):
         inv = InvariantSet(
             p=rng.choice((3, 5)),
             lambda_plus=rng.randint(0, 6),
@@ -518,18 +481,15 @@ def suite_growth(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
         n0 = rng.randint(0, 2)
         e0 = rng.randint(0, 9)
         table = sha_growth(inv, range(n0 + 1, n0 + 6), baseline=(n0, e0))
+        failures = []
         prev = e0
         for row in table.rows:
             if row.e_n - prev != row.delta_e or row.delta_e != delta_e(inv, row.n):
-                failures += 1
+                failures.append({"invariants": inv.to_json_dict(), "n": row.n})
             prev = row.e_n
-    checks.append(
-        CheckOutcome(
-            name="telescoping",
-            ok=failures == 0,
-            details={"count": count, "failures": failures},
-        )
-    )
+        return failures
+
+    checks.append(_sweep("telescoping", _scaled(10, scale), trial))
     return SuiteReport(suite="growth", seed=seed, checks=checks)
 
 
@@ -579,6 +539,7 @@ _SUITES = {
     "growth": suite_growth,
     "precision": suite_precision,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(

@@ -4,10 +4,18 @@ import random
 
 import pytest
 
-from iwarank.cyclo_eval import INFINITE, ord_eps
+from iwarank import verify
+from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
+from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import PrimeContext, cyclotomic_phi
-from iwarank.special_matrices import is_special
+from iwarank.special_matrices import (
+    assemble_fn,
+    good_basis_transform,
+    is_special,
+    parity_reference,
+)
 from iwarank.verify import (
+    COLEMAN_KINDS,
     SUITE_NAMES,
     rand_coleman_data,
     rand_cyclic_poly,
@@ -15,6 +23,7 @@ from iwarank.verify import (
     rand_unit_resultant_matrix,
     run_suites,
     suite_growth,
+    suite_rod,
 )
 
 
@@ -47,6 +56,25 @@ class TestGenerators:
         assert not cd.col_plus.det.is_zero
         assert not cd.col_minus.det.is_zero
 
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("kind", sorted(COLEMAN_KINDS))
+    def test_coleman_kinds_past_p3(self, p, kind):
+        # the rank profile, the good basis and the signed closed form all
+        # hold away from p = 3
+        ctx = PrimeContext(p)
+        cd = rand_coleman_data(ctx, random.Random(5), kind)
+        profile = {m: matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) for m in range(4)}
+        assert profile == {m: 2 for m in range(4)} | COLEMAN_KINDS[kind]
+        moved = cd.transformed(good_basis_transform(ctx, cd, 2))
+        for n in (1, 2):
+            assert is_special(ctx, assemble_fn(ctx, moved, n), n).verdict
+        if ord_eps(ctx, 2, parity_reference(moved, 2).det) != INFINITE:
+            assert nabla_coleman_tower(ctx, moved, 2).agrees is True
+
+    def test_unknown_coleman_kind_raises(self, ctx3):
+        with pytest.raises(ValueError):
+            rand_coleman_data(ctx3, random.Random(0), "bogus")
+
 
 class TestReports:
     def test_growth_suite_passes(self):
@@ -78,3 +106,19 @@ class TestReports:
         assert d["seed"] == 0
         assert isinstance(d["checks"], list)
         assert {"name", "ok"} <= set(d["checks"][0])
+
+    def test_failing_rod_sweep_carries_example(self, monkeypatch):
+        monkeypatch.setattr(verify, "rod_check", lambda ctx, b, n, t: False)
+        check = next(c for c in suite_rod(seed=0, scale=0.2).checks if c.name == "saturation-n1")
+        assert not check.ok
+        assert check.details["failures"] == check.details["count"] == 2
+        assert len(check.details["example"]["b"]) == 2  # the matrix B, as rows
+
+    def test_passing_sweep_has_no_example(self):
+        assert all("example" not in c.details for c in suite_rod(seed=0, scale=0.2).checks)
+
+    def test_failing_telescoping_counts_rows(self, monkeypatch):
+        monkeypatch.setattr(verify, "delta_e", lambda inv, n: -1)
+        check = next(c for c in suite_growth(seed=0, scale=0.2).checks if c.name == "telescoping")
+        assert (check.ok, check.details["count"], check.details["failures"]) == (False, 2, 10)
+        assert set(check.details["example"]) == {"invariants", "n"}
