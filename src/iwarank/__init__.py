@@ -28,6 +28,7 @@ from .errors import (
     NotSpecial,
     NotTorsion,
     PhiDivides,
+    PostconditionFailed,
     PrecisionUnstable,
     SingularMatrix,
     ZeroElement,

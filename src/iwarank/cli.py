@@ -14,6 +14,12 @@ The working precision defaults to 40 p-adic digits; the IWK_PRECISION
 environment variable overrides the default and the --precision flag
 overrides both.  Every JSON envelope records the context and seed so
 runs can be reproduced byte for byte.
+
+Each subcommand is declared once, as one entry of COMMANDS; build_parser
+builds the argparse tree from that table once per process.  One rule
+sets the exit code: 2 for refused input, 1 when the result has "agrees"
+(nabla) or "ok" (verify, rod-check) false or a computation's check of its
+own result fails (PostconditionFailed), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -21,12 +27,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
 
 from .cyclo_eval import ord_eps, ord_json
-from .errors import IwarankError
+from .errors import InvalidContext, IwarankError, PostconditionFailed
 from .growth_model import InvariantSet, nabla_x_formula, sha_growth
 from .kobayashi_rank import (
     TorsionTower,
@@ -43,6 +50,7 @@ from .lambda_ring import (
     X,
     cyclotomic_phi,
     iwasawa_invariants,
+    json_form,
     omega_tower,
 )
 from .special_matrices import (
@@ -178,28 +186,19 @@ class _Parser:
         tok = self.peek()
         if tok == "diag":
             self.take()
-            self.take("(")
-            a = self.expr()
-            self.take(",")
-            b = self.expr()
-            self.take(")")
-            return LambdaMatrix.diagonal(a, b)
+            return LambdaMatrix.diagonal(*self._two(self.expr, "(", ")"))
         if tok == "[":
-            self.take()
-            r0 = self._row()
-            self.take(",")
-            r1 = self._row()
-            self.take("]")
-            return LambdaMatrix((tuple(r0), tuple(r1)))
+            return LambdaMatrix(self._two(lambda: self._two(self.expr, "[", "]"), "[", "]"))
         raise ExpressionError(f"expected 'diag(...)' or '[[..],[..]]', got {tok!r}")
 
-    def _row(self):
-        self.take("[")
-        a = self.expr()
+    def _two(self, item, opening, closing) -> tuple:
+        """``opening item , item closing``"""
+        self.take(opening)
+        first = item()
         self.take(",")
-        b = self.expr()
-        self.take("]")
-        return (a, b)
+        second = item()
+        self.take(closing)
+        return first, second
 
 
 def _maybe_file(text: str) -> str:
@@ -251,234 +250,141 @@ def parse_matrix_arg(text: str) -> LambdaMatrix:
             raise ExpressionError(f"cannot parse matrix argument {text!r}") from None
 
 
-def _coleman_from_args(args) -> ColemanData:
-    return ColemanData(
-        parse_matrix_arg(args.col_plus), parse_matrix_arg(args.col_minus)
-    )
+def _flag(*names, **options):
+    return names, options
 
 
-def _invariants_from_args(args) -> InvariantSet:
-    return InvariantSet(
-        p=args.prime,
-        lambda_plus=args.lambda_plus,
-        lambda_minus=args.lambda_minus,
-        mu_plus=args.mu_plus,
-        mu_minus=args.mu_minus,
-        r_inf=args.r_inf,
-    )
+def _add_flags(parser, flags):
+    for names, options in flags:
+        parser.add_argument(*names, **options)
+    return parser
 
 
-def _nabla_exit(res) -> int:
-    return 1 if res.agrees is False else 0
+_COMMON = (
+    _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)"),
+    _flag("--precision", type=int, default=None,
+          help="p-adic working precision (default 40; IWK_PRECISION env overrides the default)"),
+    _flag("--margin", type=int, default=8, help="accepted and echoed in the envelope; no computation reads it"),
+    _flag("--seed", type=int, default=0, help="seed recorded in the output and used by verify"),
+)
+_N = _flag("-n", type=int, required=True)
+_M = _flag("-m", type=int, required=True)
+_POLY = _flag("--poly", required=True)
+_MATRIX = _flag("--matrix", required=True)
+_PAIR = (_flag("--col-plus", required=True), _flag("--col-minus", required=True))
+_INVARIANTS = tuple(
+    _flag(f"--{name}", type=int, default=0)
+    for name in ("lambda-plus", "lambda-minus", "mu-plus", "mu-minus", "r-inf")
+)
 
 
-def _cmd_phi(ctx, args):
-    return {"m": args.m, "phi": cyclotomic_phi(ctx, args.m).to_json_dict()}, 0
+def _pair(a) -> ColemanData:
+    return ColemanData(parse_matrix_arg(a.col_plus), parse_matrix_arg(a.col_minus))
 
 
-def _cmd_omega(ctx, args):
-    return omega_tower(ctx, args.n).to_json_dict(), 0
+def _invariants(a) -> InvariantSet:
+    return InvariantSet(a.prime, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, a.r_inf)
 
 
-def _cmd_invariants(ctx, args):
-    inv = iwasawa_invariants(ctx, parse_poly_arg(args.poly))
-    return inv.to_json_dict(), 0
+def _printable_level(p: int, n: int) -> int:
+    """n, refused up front when the answer at level n must print past the
+    interpreter's integer-string digit limit: every answer there holds or
+    exceeds s_{n-1} >= p^{n-2}."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (n - 2) * math.log10(p) >= limit:
+        raise InvalidContext(f"level {n}: the answer would print over {limit} digits")
+    return n
 
 
-def _cmd_ord_eps(ctx, args):
-    o = ord_eps(ctx, args.m, parse_poly_arg(args.poly))
-    return {"m": args.m, "ord": ord_json(o)}, 0
-
-
-def _cmd_nabla_cyclic(ctx, args):
-    res = nabla_cyclic(ctx, parse_poly_arg(args.poly), args.n)
-    return res.to_json_dict(), _nabla_exit(res)
-
-
-def _cmd_nabla_torsion(ctx, args):
-    tower = TorsionTower(columns=parse_matrix_arg(args.matrix).columns)
-    res = nabla_torsion_tower(ctx, tower, args.n)
-    return res.to_json_dict(), _nabla_exit(res)
-
-
-def _cmd_nabla_matrix(ctx, args):
-    res = nabla_matrix_tower(ctx, parse_matrix_arg(args.matrix), args.n)
-    return res.to_json_dict(), _nabla_exit(res)
-
-
-def _cmd_nabla_coleman(ctx, args):
-    res = nabla_coleman_tower(ctx, _coleman_from_args(args), args.n)
-    return res.to_json_dict(), _nabla_exit(res)
-
-
-def _cmd_special_check(ctx, args):
-    report = is_special(ctx, parse_matrix_arg(args.matrix), args.n)
-    return report.to_json_dict(), 0
-
-
-def _cmd_factor_bd(ctx, args):
-    fact = factor_bd(ctx, parse_matrix_arg(args.matrix), args.n)
-    return fact.to_json_dict(), 0
-
-
-def _cmd_assemble_fn(ctx, args):
-    f = assemble_fn(ctx, _coleman_from_args(args), args.n)
-    return {"n": args.n, "fn": f.to_json_list()}, 0
-
-
-def _cmd_specialize(ctx, args):
-    cd = _coleman_from_args(args)
-    b = good_basis_transform(ctx, cd, args.n_max)
-    det_ords = {
-        str(m): ord_json(ord_eps(ctx, m, b.det)) for m in range(args.n_max + 1)
+def _specialize(ctx, a):
+    cd = _pair(a)
+    b = good_basis_transform(ctx, cd, a.n_max)
+    return {
+        "b": b,
+        "det_ords": {str(m): ord_json(ord_eps(ctx, m, b.det)) for m in range(a.n_max + 1)},
+        "special": {
+            str(n): is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict
+            for n in range(1, a.n_max + 1)
+        },
     }
-    special = {
-        str(n): is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict
-        for n in range(1, args.n_max + 1)
-    }
-    return {"b": b.to_json_list(), "det_ords": det_ords, "special": special}, 0
 
 
-def _cmd_rod_check(ctx, args):
-    ok = rod_check(ctx, parse_matrix_arg(args.matrix), args.n, args.test_level)
-    return {"n": args.n, "test_level": args.test_level, "ok": ok}, 0
+def _growth(ctx, a):
+    inv, n_to = _invariants(a), _printable_level(a.prime, a.n_to)
+    table = sha_growth(inv, range(a.base_n + 1, n_to + 1), (a.base_n, a.base_e))
+    return table.to_csv() if a.format == "csv" else table
 
 
-def _cmd_growth(ctx, args):
-    inv = _invariants_from_args(args)
-    table = sha_growth(inv, range(args.base_n + 1, args.n_to + 1), (args.base_n, args.base_e))
-    if args.format == "csv":
-        return table.to_csv(), 0
-    return table.to_json_dict(), 0
+def _verify(ctx, a):
+    reports = run_suites([a.suite], seed=a.seed, scale=a.scale, precision=ctx.precision)
+    return {"ok": all(r.ok for r in reports), "reports": reports}
 
 
-def _cmd_nabla_x(ctx, args):
-    inv = _invariants_from_args(args)
-    return {"n": args.n, "nabla_x": nabla_x_formula(inv, args.n)}, 0
+# Every subcommand, in listing order: its path in the command tree, help
+# text, flags and the call (context, parsed args) -> result.  A path with
+# no call is a group; the envelope names a command by its path joined
+# with "-".  The result is a record, a dict of JSON-ready values and
+# records, or a string printed raw.
+COMMANDS = (
+    ("phi", "cyclotomic factor at level m", (_M,),
+     lambda ctx, a: {"m": a.m, "phi": cyclotomic_phi(ctx, a.m)}),
+    ("omega", "omega_n and its signed/reduced products", (_N,),
+     lambda ctx, a: omega_tower(ctx, a.n)),
+    ("invariants", "mu and lambda of a polynomial", (_POLY,),
+     lambda ctx, a: iwasawa_invariants(ctx, parse_poly_arg(a.poly))),
+    ("ord-eps", "valuation of f at eps_m", (_M, _POLY),
+     lambda ctx, a: {"m": a.m, "ord": ord_json(ord_eps(ctx, a.m, parse_poly_arg(a.poly)))}),
+    ("nabla", "brute-force step ranks with closed forms", (), None),
+    ("nabla cyclic", "Lambda/(f)", (_POLY, _N),
+     lambda ctx, a: nabla_cyclic(ctx, parse_poly_arg(a.poly), a.n)),
+    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_MATRIX, _N),
+     lambda ctx, a: nabla_torsion_tower(ctx, TorsionTower(columns=parse_matrix_arg(a.matrix).columns), a.n)),
+    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_MATRIX, _N),
+     lambda ctx, a: nabla_matrix_tower(ctx, parse_matrix_arg(a.matrix), a.n)),
+    ("nabla coleman", "level-n module of a Coleman pair", (*_PAIR, _N),
+     lambda ctx, a: nabla_coleman_tower(ctx, _pair(a), a.n)),
+    ("special-check", "column-divisibility report", (_MATRIX, _N),
+     lambda ctx, a: is_special(ctx, parse_matrix_arg(a.matrix), a.n)),
+    ("factor-bd", "A = B D factorization of a special matrix", (_MATRIX, _N),
+     lambda ctx, a: factor_bd(ctx, parse_matrix_arg(a.matrix), a.n)),
+    ("assemble-fn", "level-n coupling matrix of a Coleman pair", (*_PAIR, _N),
+     lambda ctx, a: {"n": a.n, "fn": assemble_fn(ctx, _pair(a), a.n)}),
+    ("specialize", "good-basis transform making every F_n special",
+     (*_PAIR, _flag("--n-max", type=int, required=True)), _specialize),
+    ("rod-check", "span saturation against omega_n at a higher level",
+     (_MATRIX, _N, _flag("--test-level", type=int, required=True)),
+     lambda ctx, a: {"n": a.n, "test_level": a.test_level,
+                     "ok": rod_check(ctx, parse_matrix_arg(a.matrix), a.n, a.test_level)}),
+    ("growth", "cumulative Sha growth table",
+     (*_INVARIANTS,
+      _flag("--base-n", type=int, required=True, help="known level n_0"),
+      _flag("--base-e", type=int, required=True, help="known value e_{n_0}"),
+      _flag("--n-to", type=int, required=True),
+      _flag("--format", choices=("json", "csv"), default="json")),
+     _growth),
+    ("nabla-x", "X-side step rank from signed invariants", (*_INVARIANTS, _N),
+     lambda ctx, a: {"n": a.n,
+                     "nabla_x": nabla_x_formula(_invariants(a), _printable_level(a.prime, a.n))}),
+    ("verify", "seeded randomized verification sweeps",
+     (_flag("--suite", choices=("all",) + SUITE_NAMES, default="all"),
+      _flag("--scale", type=float, default=1.0, help="multiply every sweep count")),
+     _verify),
+)
 
 
-def _cmd_verify(ctx, args):
-    names = "all" if args.suite == "all" else [args.suite]
-    reports = run_suites(names, seed=args.seed, scale=args.scale, precision=ctx.precision)
-    ok = all(r.ok for r in reports)
-    payload = {"ok": ok, "reports": [r.to_json_dict() for r in reports]}
-    return payload, 0 if ok else 1
-
-
-def _add_invariant_flags(sp):
-    sp.add_argument("--lambda-plus", type=int, default=0)
-    sp.add_argument("--lambda-minus", type=int, default=0)
-    sp.add_argument("--mu-plus", type=int, default=0)
-    sp.add_argument("--mu-minus", type=int, default=0)
-    sp.add_argument("--r-inf", type=int, default=0)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", "--prime", type=int, default=3, help="odd prime p (default 3)")
-    common.add_argument(
-        "--precision",
-        type=int,
-        default=None,
-        help="p-adic working precision (default 40; IWK_PRECISION env overrides the default)",
-    )
-    common.add_argument("--margin", type=int, default=8, help="accepted and echoed in the envelope; no computation reads it")
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in the output and used by verify")
-
-    parser = argparse.ArgumentParser(prog="iwarank", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("phi", parents=[common], help="cyclotomic factor at level m")
-    sp.add_argument("-m", type=int, required=True)
-    sp.set_defaults(handler=_cmd_phi)
-
-    sp = sub.add_parser("omega", parents=[common], help="omega_n and its signed/reduced products")
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_omega)
-
-    sp = sub.add_parser("invariants", parents=[common], help="mu and lambda of a polynomial")
-    sp.add_argument("--poly", required=True)
-    sp.set_defaults(handler=_cmd_invariants)
-
-    sp = sub.add_parser("ord-eps", parents=[common], help="valuation of f at eps_m")
-    sp.add_argument("-m", type=int, required=True)
-    sp.add_argument("--poly", required=True)
-    sp.set_defaults(handler=_cmd_ord_eps)
-
-    nabla = sub.add_parser("nabla", help="brute-force step ranks with closed forms")
-    nsub = nabla.add_subparsers(dest="tower", required=True)
-
-    sp = nsub.add_parser("cyclic", parents=[common], help="Lambda/(f)")
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_nabla_cyclic)
-
-    sp = nsub.add_parser("torsion", parents=[common], help="Lambda^2 modulo the columns of a square relation matrix")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_nabla_torsion)
-
-    sp = nsub.add_parser("matrix", parents=[common], help="Lambda^2 modulo the columns of A, special closed form")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_nabla_matrix)
-
-    sp = nsub.add_parser("coleman", parents=[common], help="level-n module of a Coleman pair")
-    sp.add_argument("--col-plus", required=True)
-    sp.add_argument("--col-minus", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_nabla_coleman)
-
-    sp = sub.add_parser("special-check", parents=[common], help="column-divisibility report")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_special_check)
-
-    sp = sub.add_parser("factor-bd", parents=[common], help="A = B D factorization of a special matrix")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_factor_bd)
-
-    sp = sub.add_parser("assemble-fn", parents=[common], help="level-n coupling matrix of a Coleman pair")
-    sp.add_argument("--col-plus", required=True)
-    sp.add_argument("--col-minus", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_assemble_fn)
-
-    sp = sub.add_parser("specialize", parents=[common], help="good-basis transform making every F_n special")
-    sp.add_argument("--col-plus", required=True)
-    sp.add_argument("--col-minus", required=True)
-    sp.add_argument("--n-max", type=int, required=True)
-    sp.set_defaults(handler=_cmd_specialize)
-
-    sp = sub.add_parser("rod-check", parents=[common], help="span saturation against omega_n at a higher level")
-    sp.add_argument("--matrix", required=True)
-    sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--test-level", type=int, required=True)
-    sp.set_defaults(handler=_cmd_rod_check)
-
-    sp = sub.add_parser("growth", parents=[common], help="cumulative Sha growth table")
-    _add_invariant_flags(sp)
-    sp.add_argument("--base-n", type=int, required=True, help="known level n_0")
-    sp.add_argument("--base-e", type=int, required=True, help="known value e_{n_0}")
-    sp.add_argument("--n-to", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.set_defaults(handler=_cmd_growth)
-
-    sp = sub.add_parser("nabla-x", parents=[common], help="X-side step rank from signed invariants")
-    _add_invariant_flags(sp)
-    sp.add_argument("-n", type=int, required=True)
-    sp.set_defaults(handler=_cmd_nabla_x)
-
-    sp = sub.add_parser("verify", parents=[common], help="seeded randomized verification sweeps")
-    sp.add_argument(
-        "--suite",
-        choices=("all",) + SUITE_NAMES,
-        default="all",
-    )
-    sp.add_argument("--scale", type=float, default=1.0, help="multiply every sweep count")
-    sp.set_defaults(handler=_cmd_verify)
-
+    common = _add_flags(argparse.ArgumentParser(add_help=False), _COMMON)
+    # the help shows the docstring up to its notes on this module's layout
+    parser = argparse.ArgumentParser(prog="iwarank", description=__doc__.partition("\n\nEach subcommand")[0])
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, flags, call in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        sp = groups[group].add_parser(name, parents=[common] if call else [], help=help_text)
+        if call is None:
+            groups[path] = sp.add_subparsers(dest="tower", required=True)
+        else:
+            _add_flags(sp, flags).set_defaults(command=path.replace(" ", "-"), call=call)
     return parser
 
 
@@ -503,31 +409,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx = _resolve_context(args, parser)
-        result, code = args.handler(ctx, args)
+        result = args.call(ctx, args)
         if isinstance(result, str):
             sys.stdout.write(result)
-            return code
-        command = args.command if args.command != "nabla" else f"nabla-{args.tower}"
-        envelope = {
-            "command": command,
-            "context": {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin},
-            "seed": args.seed,
-            "result": result,
-        }
+            return 0
+        result = json_form(result)
+        context = {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin}
+        envelope = {"command": args.command, "context": context, "seed": args.seed, "result": result}
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     except (ExpressionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IwarankError as exc:
+    except (IwarankError, PostconditionFailed) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, PostconditionFailed) else 2
     except ValueError as exc:
         if not str(exc).startswith("Exceeds the limit"):  # str() past the int digit limit
             raise
         print(f"error: a result integer has over {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 2
     print(text)
-    return code
+    return 1 if result.get("agrees") is False or result.get("ok") is False else 0
 
 
 def entrypoint() -> None:

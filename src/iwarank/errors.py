@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every error raised on purpose by the library derives from IwarankError,
+Every error raised on purpose for bad input derives from IwarankError,
 so callers (and the CLI) can separate "the input violates a precondition"
-from genuine bugs.
+from genuine bugs.  PostconditionFailed is the one error raised on
+purpose that is not about the input: a computation's check of its own
+result failed.
 """
 
 
@@ -10,10 +12,15 @@ class IwarankError(Exception):
     """Base class for all library-raised errors."""
 
 
+class PostconditionFailed(RuntimeError):
+    """A computation's check of its own result failed: a bug or a case
+    its construction does not cover, never bad input.  The CLI exits 1."""
+
+
 class InvalidContext(IwarankError):
-    """p is not an odd prime below MAX_PRIME, precision/margin out of
-    range, or a level request is outside what exact construction
-    supports."""
+    """p is not an odd prime below MAX_PRIME, precision/margin or sweep
+    scale out of range, or a level request is outside what exact
+    construction supports."""
 
 
 class ZeroElement(IwarankError):

@@ -82,13 +82,10 @@ class GrowthTable(Record):
 
 
 def s_sequence(p: int, n: int) -> int:
-    """s_n = p^n - p^{n-1} + ... -+ p; s_0 = 0."""
+    """s_n = p^n - p^{n-1} + ... -+ p = p (p^n - (-1)^n) / (p + 1); s_0 = 0."""
     if n < 0:
         raise InvalidContext(f"s_n needs n >= 0, got {n}")
-    s = 0
-    for k in range(1, n + 1):
-        s = p**k - s
-    return s
+    return p * (p**n - (-1) ** n) // (p + 1)
 
 
 def nabla_x_formula(inv: InvariantSet, n: int) -> int:

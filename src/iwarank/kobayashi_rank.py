@@ -111,6 +111,7 @@ def direct_sum(left, right) -> TorsionTower:
 
 def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
     _require_step(n)
+    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
     ranks = [rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
     if ranks[n] < k:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")

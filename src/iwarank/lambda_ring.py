@@ -339,17 +339,19 @@ class LambdaMatrix:
         return cls(tuple(tuple(LambdaElement.from_json_dict(e) for e in row) for row in obj))
 
 
-def _json_form(value):
-    """The JSON form of one record field: anything with its own
-    to_json_dict (polynomials, nested records) gives that dict, a matrix
-    its rows, a tuple or list the list of its items' forms; any other
-    value is already JSON."""
+def json_form(value):
+    """The JSON form of a result or of one record field: anything with
+    its own to_json_dict (polynomials, records) gives that dict, a matrix
+    its rows, a tuple or list the list of its items' forms, a dict the
+    dict of its values' forms; any other value is already JSON."""
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
     if isinstance(value, LambdaMatrix):
         return value.to_json_list()
     if isinstance(value, (tuple, list)):
-        return [_json_form(v) for v in value]
+        return [json_form(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_form(v) for k, v in value.items()}
     return value
 
 
@@ -358,7 +360,7 @@ class Record:
     fields' JSON forms, keyed by field name."""
 
     def to_json_dict(self) -> dict:
-        return {f.name: _json_form(getattr(self, f.name)) for f in fields(self)}
+        return {f.name: json_form(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -386,9 +388,11 @@ class OmegaTower(Record):
 
 
 def _check_explicit_size(p: int, n: int):
-    if p ** n > MAX_EXPLICIT_LENGTH:
+    # p^n >= 2^n passes the bound once n reaches the bound's bit length,
+    # so a large n is refused without building its power
+    if n >= MAX_EXPLICIT_LENGTH.bit_length() or p ** n > MAX_EXPLICIT_LENGTH:
         raise InvalidContext(
-            f"p^n = {p ** n} exceeds the explicit-construction bound "
+            f"p^n = {p}^{n} exceeds the explicit-construction bound "
             f"{MAX_EXPLICIT_LENGTH}; use degree bookkeeping for large levels"
         )
 

@@ -35,6 +35,7 @@ from .errors import (
     InvalidContext,
     NotCoprime,
     NotSpecial,
+    PostconditionFailed,
     SingularMatrix,
 )
 from .lambda_ring import (
@@ -117,6 +118,7 @@ def is_special(ctx: PrimeContext, a: LambdaMatrix, n: int) -> SpecialReport:
         raise SingularMatrix("det A = 0: every level divides the determinant")
     if n < 0:
         raise InvalidContext(f"level must be >= 0, got {n}")
+    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
     levels = []
     for m in range(n + 1):
         phi = cyclotomic_phi(ctx, m)
@@ -205,6 +207,7 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     cd.validate()
     if n_max < 0:
         raise InvalidContext(f"n_max must be >= 0, got {n_max}")
+    cyclotomic_phi(ctx, n_max)  # refuse a level past the explicit cap up front
     rank_one = [
         m
         for m in range(n_max + 1)
@@ -245,14 +248,14 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
                     b = cand
                     break
             else:
-                raise RuntimeError(f"no correction restored invertibility at level {m}")
+                raise PostconditionFailed(f"no correction restored invertibility at level {m}")
     for m in range(n_max + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:
-            raise RuntimeError(f"internal: det B vanishes at eps_{m}")
+            raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")
     for n in range(1, n_max + 1):
         f = assemble_fn(ctx, cd, n)
         if not is_special(ctx, f @ b, n).verdict:
-            raise RuntimeError(f"internal: F_{n} B is not special")
+            raise PostconditionFailed(f"internal: F_{n} B is not special")
     return b
 
 
@@ -276,6 +279,7 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
         raise InvalidContext(f"test_level must exceed n, got {test_level} <= {n}")
     if n < 0:
         raise InvalidContext(f"level must be >= 0, got {n}")
+    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
     for m in range(n + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:
             raise NotCoprime(f"Phi_{m} divides det B")

@@ -24,11 +24,12 @@ Suites:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from .cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
-from .errors import NotCoprime, PhiDivides, PrecisionUnstable
+from .errors import InvalidContext, NotCoprime, PhiDivides, PostconditionFailed, PrecisionUnstable
 from .growth_model import InvariantSet, degree_identities, delta_e, sha_growth
 from .kobayashi_rank import (
     CyclicTower,
@@ -370,15 +371,18 @@ def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
             if not parity_congruence_check(ctx, cd, n_max):
                 congr_fail += 1
                 continue
-            b = good_basis_transform(ctx, cd, n_max)
-            good = all(ord_eps(ctx, m, b.det) != INFINITE for m in range(n_max + 1))
-            for n in range(1, n_max + 1):
-                if not is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict:
-                    good = False
+            try:
+                b = good_basis_transform(ctx, cd, n_max)
+                good = all(ord_eps(ctx, m, b.det) != INFINITE for m in range(n_max + 1)) and all(
+                    is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict for n in range(1, n_max + 1)
+                )
+                error = {}
+            except PostconditionFailed as exc:  # the transform's own check failed
+                good, error = False, {"error": str(exc)}
             if not good:
                 basis_fail += 1
                 if example is None:
-                    example = {"kind": kind, "data": cd.to_json_dict()}
+                    example = {"kind": kind, "data": cd.to_json_dict(), **error}
                 continue
             moved = cd.transformed(b)
             for n in (2, 3):
@@ -546,7 +550,10 @@ def run_suites(
     names, seed: int = 0, scale: float = 1.0, precision: int = 40
 ) -> list[SuiteReport]:
     """Run the named suites (or all of them for "all") with a shared
-    seed; unknown names raise KeyError."""
+    seed; unknown names raise KeyError, a scale that is not finite
+    InvalidContext."""
+    if not math.isfinite(scale):
+        raise InvalidContext(f"scale must be finite, got {scale}")
     if names == "all" or names == ["all"]:
         names = list(SUITE_NAMES)
     return [_SUITES[name](seed, scale, precision) for name in names]

@@ -1,6 +1,8 @@
 """Front-end behavior: flags, payload grammar, exit codes, determinism."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -10,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import iwarank.growth_model
-from iwarank import cli
+from iwarank import cli, special_matrices
+from iwarank.special_matrices import SpecialReport
 
 
 def run(capsys, *argv):
@@ -320,3 +323,145 @@ class TestVerifySubcommand:
         assert code == 1
         doc = json.loads(out)
         assert any(not r["ok"] for r in doc["result"]["reports"])
+
+
+# every node of the command tree, in the order of the top-level listing
+HELP_ARGVS = [
+    [], ["phi"], ["omega"], ["invariants"], ["ord-eps"],
+    ["nabla"], ["nabla", "cyclic"], ["nabla", "torsion"], ["nabla", "matrix"], ["nabla", "coleman"],
+    ["special-check"], ["factor-bd"], ["assemble-fn"], ["specialize"], ["rod-check"],
+    ["growth"], ["nabla-x"], ["verify"],
+]
+
+
+class TestParserSurface:
+    def test_help_text_digest(self, monkeypatch):
+        # every command name, flag, type, default, choice and help text, as
+        # argparse lays them out at 100 columns (CPython 3.11's layout)
+        monkeypatch.setenv("COLUMNS", "100")
+        texts = []
+        for argv in HELP_ARGVS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--help"])
+            assert exc.value.code == 0
+            texts.append(out.getvalue())
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
+            "54fd508e2bf687eaa75c2dbc3150364249d7cec624baf39ae43130ae220af8ab"
+        )
+
+    def test_flag_attributes_digest(self):
+        # what the help text leaves out: each flag's type and default
+        def walk(parser, path):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    yield f"{path}: subcommands {action.dest} {action.required}\n"
+                    for name, sub in action.choices.items():
+                        yield from walk(sub, f"{path} {name}")
+                else:
+                    kind = getattr(action.type, "__name__", action.type)
+                    yield (f"{path}: {action.option_strings} {action.dest} {kind} {action.default!r} "
+                           f"{action.required} {action.choices} {action.help}\n")
+
+        rows = "".join(walk(cli.build_parser(), "iwarank"))
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "5e691d217e2ba177a1949a664af7d7e7403c2f6a91de0116829e92df16795f30"
+        )
+
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        run(capsys, "phi", "-m", "1")
+        run(capsys, "omega", "-n", "1")
+        assert cli.build_parser.cache_info().misses == 1
+
+
+class TestExitRule:
+    """1 when the result reports agrees false or ok false, else 0."""
+
+    def test_rod_check_false_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rod_check", lambda *args: False)
+        code, out, _ = run(
+            capsys, "rod-check", "-n", "1", "--test-level", "2", "--matrix", "diag(1+X, 1)"
+        )
+        assert code == 1
+        assert json.loads(out)["result"]["ok"] is False
+
+    def test_failed_postcondition_exits_one(self, capsys, monkeypatch):
+        # good_basis_transform checks its own result; a failure there is
+        # not bad input, and prints no traceback
+        monkeypatch.setattr(
+            special_matrices, "is_special",
+            lambda ctx, a, n: SpecialReport(n=n, per_level=(), verdict=False),
+        )
+        code, out, err = run(
+            capsys, "specialize", "--n-max", "2",
+            "--col-plus", "diag(X,X)", "--col-minus", "diag(1, X^2+3X+3)",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: PostconditionFailed: internal: F_1 B is not special\n"
+
+
+def quiet_exit(*argv) -> int:
+    try:
+        return quiet_main(*argv)
+    except SystemExit as exc:  # argparse errors
+        return exc.code
+
+
+LEVELS = st.sampled_from([*range(-2, 4), 12, 10**8, 10**12])
+# every subcommand with a numeric level flag; {} marks a drawn level
+LEVEL_COMMANDS = [
+    "phi -m {}",
+    "omega -n {}",
+    "ord-eps -m {} --poly X+3",
+    "nabla cyclic -n {} --poly 9X+3",
+    "nabla torsion -n {} --matrix diag(3,X+3)",
+    "nabla matrix -n {} --matrix diag(X,X)",
+    "nabla coleman -n {} --col-plus diag(X,X) --col-minus [[1,X],[3,1]]",
+    "special-check -n {} --matrix diag(X,X)",
+    "factor-bd -n {} --matrix diag(X,X)",
+    "assemble-fn -n {} --col-plus diag(X,X) --col-minus [[1,X],[3,1]]",
+    "specialize --n-max {} --col-plus diag(X,X) --col-minus diag(1,X^2+3X+3)",
+    "rod-check -n {} --test-level {} --matrix diag(1+X,1)",
+    "growth --base-n 0 --base-e 0 --n-to {}",
+    "nabla-x -n {} --lambda-minus 1",
+]
+
+# each was slow or crashed before its refusal moved ahead of the work
+REFUSED_UP_FRONT = [
+    "omega -n 100000000",
+    "special-check -n 12 --matrix diag(X,X)",
+    "specialize --n-max 12 --col-plus diag(X,X) --col-minus diag(1,X^2+3X+3)",
+    "growth --base-n 0 --base-e 0 --n-to 100000000",
+    "nabla-x -n 60000",
+    "verify --suite growth --scale nan",
+    "verify --suite growth --scale inf",
+]
+
+
+class TestNumericFlags:
+    """Any level on any subcommand answers, disagrees or is refused:
+    main returns 0, 1 or 2 and raises nothing."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(cmd=st.sampled_from(LEVEL_COMMANDS), levels=st.tuples(LEVELS, LEVELS))
+    @example(cmd=LEVEL_COMMANDS[1], levels=(10**8, 0))
+    @example(cmd=LEVEL_COMMANDS[7], levels=(12, 0))
+    @example(cmd=LEVEL_COMMANDS[10], levels=(12, 0))
+    @example(cmd=LEVEL_COMMANDS[12], levels=(10**8, 0))
+    @example(cmd=LEVEL_COMMANDS[13], levels=(60000, 0))
+    def test_levels(self, cmd, levels):
+        assert quiet_exit(*cmd.format(*levels).split(), "-p", "3") in (0, 1, 2)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "0.2"])
+    def test_verify_scale(self, capsys, scale):
+        code, _, err = run(capsys, "verify", "--suite", "growth", "--scale", scale)
+        assert code == (2 if scale in ("nan", "inf") else 0), err
+
+    @pytest.mark.parametrize("cmd", REFUSED_UP_FRONT)
+    def test_refused_before_the_work(self, capsys, cmd):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *cmd.split(), "-p", "3")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1

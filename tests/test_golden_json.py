@@ -136,6 +136,20 @@ def test_cli_stdout(argv, expected):
     assert _stdout(argv) == (0, expected)
 
 
+# a closed form that disagrees exits 1 and still prints its envelope
+CLI_GOLDEN_DISAGREE = [
+    (["nabla", "torsion", "-p", "3", "-n", "1", "--matrix", "diag(X^2+3,1)"],
+     ENV % ("nabla-torsion", 3, '{"agrees":false,"closed_form":2,"coker_length":0,"ker_length":3,"lower_rank":0,"n":1,"nabla":3}')),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected", CLI_GOLDEN_DISAGREE, ids=[" ".join(argv[:2]) for argv, _ in CLI_GOLDEN_DISAGREE]
+)
+def test_cli_stdout_disagreement(argv, expected):
+    assert _stdout(argv) == (1, expected)
+
+
 def test_verify_report_digest():
     code, out = _stdout(["verify", "--suite", "all", "--scale", "0.2"])
     assert code == 0

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from iwarank import verify
+from iwarank import special_matrices, verify
 from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import PrimeContext, cyclotomic_phi
 from iwarank.special_matrices import (
+    SpecialReport,
     assemble_fn,
     good_basis_transform,
     is_special,
@@ -23,6 +24,7 @@ from iwarank.verify import (
     rand_unit_resultant_matrix,
     run_suites,
     suite_growth,
+    suite_parity,
     suite_rod,
 )
 
@@ -122,3 +124,18 @@ class TestReports:
         check = next(c for c in suite_growth(seed=0, scale=0.2).checks if c.name == "telescoping")
         assert (check.ok, check.details["count"], check.details["failures"]) == (False, 2, 10)
         assert set(check.details["example"]) == {"invariants", "n"}
+
+    def test_failed_transform_postcondition_is_a_basis_failure(self, monkeypatch):
+        # good_basis_transform checks F_n B with is_special; when that
+        # check fails, the draw counts as a failure instead of crashing
+        monkeypatch.setattr(
+            special_matrices, "is_special",
+            lambda ctx, a, n: SpecialReport(n=n, per_level=(), verdict=False),
+        )
+        checks = {c.name: c for c in suite_parity(seed=0, scale=0.2).checks}
+        basis = checks["good-basis-special"]
+        assert not basis.ok
+        assert basis.details["failures"] == basis.details["count"] == 6
+        example = checks["first-failure"].details
+        assert example["kind"] == "generic"
+        assert example["error"] == "internal: F_1 B is not special"
