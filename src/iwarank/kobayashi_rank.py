@@ -15,14 +15,21 @@ cokernel vanishes.  The kernel is finite exactly when the relation
 columns stay full rank at eps_n (otherwise PhiDivides is raised); then
 any lift of a torsion element is torsion, so tors M_n -> tors M_{n-1} is
 onto with the same kernel, and len ker(pi_n) = len tors M_n -
-len tors M_{n-1}: one SNF reading of the relation span at level n and
-one at level n-1.
+len tors M_{n-1}: one SNF reading of M_m at m = n and at m = n-1.
+
+Two presentations give that reading.  When some k x k minor d of the
+relations has mu = 0 and lambda < p^m (d of least lambda), M_m is read
+inside (Z_p[X]/P)^k, P the Weierstrass polynomial of d, on k lambda rows
+(zp_modules.weierstrass_span).  Otherwise it is read on the banded span
+of the relations in Lambda_m^k, on k p^m rows; mu > 0 must stay there,
+since when every minor has mu > 0, M_m / p has dimension at least p^m.
 
 Every rank comes from the cyclotomic rank profile r_m = rank of the
 relations at eps_m: Lambda_n x Q_p is the product of the fields
 Q_p(zeta_{p^m}), m <= n, so the level-m span has Q-rank
-sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
-(zp_modules.certified_valuations).  The rational dimension downstairs is
+R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
+(zp_modules.certified_valuations); the span on P has Q-rank
+k lambda - (k p^m - R_m).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
 
 Closed forms attached per tower kind:
@@ -38,7 +45,7 @@ Closed forms attached per tower kind:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 from .cyclo_eval import INFINITE, ord_eps, poly_full_row_rank, rank_at_eps
 from .errors import (
@@ -61,7 +68,7 @@ from .lambda_ring import (
     signed_degree,
 )
 from .special_matrices import ColemanData, assemble_fn, is_special, parity_reference
-from .zp_modules import certified_valuations, lambda_column_span
+from .zp_modules import certified_valuations, lambda_column_span, weierstrass_span
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,9 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
+    minor = _weierstrass_minor(ctx, k, rel_cols)
     tors_n, tors_prev = (  # len tors M_m at m = n, n - 1
-        sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), profile[m], m))
-        for m in (n, n - 1)
+        _tors_length(ctx, k, rel_cols, m, profile[m], minor) for m in (n, n - 1)
     )
     ker_length = tors_n - tors_prev
     lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
@@ -130,6 +137,27 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
         lower_rank=lower_rank,
         nabla=ker_length + lower_rank,
     )
+
+
+def _weierstrass_minor(ctx: PrimeContext, k: int, rel_cols) -> tuple[int, LambdaElement] | None:
+    """(lambda, d) for a k x k minor d of the relations with mu = 0 and
+    the least lambda; None when every minor has mu > 0."""
+    minors = (_poly_det([[c[i] for c in pick] for i in range(k)]) for pick in combinations(rel_cols, k))
+    found = [(inv.lambda_, d) for d in minors if d and (inv := iwasawa_invariants(ctx, d)).mu == 0]
+    return min(found, key=lambda t: t[0], default=None)
+
+
+def _tors_length(ctx: PrimeContext, k: int, rel_cols, m: int, q_rank: int, minor) -> int:
+    """len tors M_m, M_m = Lambda_m^k / <relations> with Q-rank q_rank
+    (= R_m), read on the Weierstrass span of ``minor`` (lambda, d) when
+    lambda < p^m and on the banded span otherwise.  Both present M_m,
+    so they certify and refuse the same inputs; only the finite count
+    and the expected rank differ, both by k (p^m - lambda)."""
+    if minor is None or minor[0] >= ctx.p ** m:
+        return sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), q_rank, m))
+    lam, d = minor
+    rank = k * lam - (k * ctx.p ** m - q_rank)  # k lambda less the Q-rank of M_m
+    return sum(certified_valuations(ctx, lambda e: weierstrass_span(ctx, rel_cols, d, m, e), rank, m))
 
 
 def _require_step(n: int) -> None:

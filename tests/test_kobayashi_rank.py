@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from iwarank import kobayashi_rank
 from iwarank.cyclo_eval import ord_eps, rank_at_eps
 from iwarank.errors import (
     InvalidContext,
@@ -18,6 +19,8 @@ from iwarank.kobayashi_rank import (
     NablaResult,
     TorsionTower,
     _brute_nabla,
+    _tors_length,
+    _weierstrass_minor,
     additivity_check,
     detect_stabilization,
     direct_sum,
@@ -39,9 +42,21 @@ from iwarank.lambda_ring import (
     euler_phi_pk,
     omega_poly,
 )
-from iwarank.special_matrices import ColemanData
-from iwarank.verify import rand_special_matrix
-from iwarank.zp_modules import SpanPresentation, finite_valuations, lambda_column_span
+from iwarank.special_matrices import ColemanData, assemble_fn
+from iwarank.verify import (
+    COLEMAN_KINDS,
+    _rand_matrix,
+    _rand_summand,
+    rand_coleman_data,
+    rand_cyclic_poly,
+    rand_special_matrix,
+)
+from iwarank.zp_modules import (
+    SpanPresentation,
+    certified_valuations,
+    finite_valuations,
+    lambda_column_span,
+)
 
 THREE = LambdaElement((3,))
 
@@ -166,7 +181,7 @@ class TestMatrix:
         assert (exc.value.precision, exc.value.level) == (3, 1)
         assert exc.value.finite_count < exc.value.expected_rank
 
-    @pytest.mark.parametrize("p, n", [(3, 5), (7, 3), (5, 4)])
+    @pytest.mark.parametrize("p, n", [(3, 5), (7, 3), (5, 4), (3, 6)])
     def test_frontier_reach(self, p, n):
         ctx = PrimeContext(p)
         a, _ = rand_special_matrix(ctx, random.Random(f"reach-{p}-{n}"), n)
@@ -304,3 +319,93 @@ def test_torsion_difference_matches_nested_quotient():
         counts[kind] = counts.get(kind, 0) + 1
     # every branch is exercised
     assert set(counts) == {NablaResult, PhiDivides, PrecisionUnstable}
+
+
+@pytest.fixture
+def span_paths(monkeypatch):
+    """Counts of the span builders _tors_length calls, by path."""
+    calls = {"banded": 0, "weierstrass": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(kobayashi_rank, "lambda_column_span", spy("banded", lambda_column_span))
+    monkeypatch.setattr(kobayashi_rank, "weierstrass_span", spy("weierstrass", kobayashi_rank.weierstrass_span))
+    return calls
+
+
+def _tower_draws(rng, p, n):
+    """(name, k, relation columns) of every tower kind at one (p, n)."""
+    ctx = PrimeContext(p)
+    f, _ = rand_cyclic_poly(ctx, rng, n)
+    yield "cyclic", 1, ((f,),)
+    g = LambdaElement([p * rng.randint(-2, 2) for _ in range(rng.randint(0, 2))] + [1])
+    yield "torsion-1", 1, ((g * p ** rng.randint(0, 1) * cyclotomic_phi(ctx, rng.randint(0, n)),),)
+    yield "torsion-2", 2, _rand_matrix(rng, 2, bound=3).columns
+    yield "direct-sum", *direct_sum(_rand_summand(ctx, rng, n), _rand_summand(ctx, rng, n)).relation_columns()
+    yield "special", 2, rand_special_matrix(ctx, rng, n, max_deg=2)[0].columns
+    if p ** n <= 27:
+        for kind in COLEMAN_KINDS:
+            yield f"coleman-{kind}", 2, assemble_fn(ctx, rand_coleman_data(ctx, rng, kind), n).columns
+
+
+def test_weierstrass_reading_matches_banded(span_paths):
+    # at every level m <= n the Weierstrass reading gives the banded
+    # reading's len tors M_m, and mu > 0 draws and levels with
+    # lambda >= p^m stay banded
+    rng = random.Random("weierstrass-differential")
+    seen = {"mu>0": 0, "lambda>=p^m": 0, "weierstrass": 0}
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
+        ctx = PrimeContext(p)
+        for _ in range(2):
+            for name, k, cols in _tower_draws(rng, p, n):
+                minor = _weierstrass_minor(ctx, k, cols)
+                for m in range(n + 1):
+                    ranks = [rank_at_eps(ctx, j, cols, k) for j in range(m + 1)]
+                    q_rank = sum(euler_phi_pk(p, j) * r for j, r in enumerate(ranks))
+                    banded = sum(certified_valuations(ctx, lambda_column_span(ctx, cols, m), q_rank))
+                    before = dict(span_paths)
+                    assert _tors_length(ctx, k, cols, m, q_rank, minor) == banded, (name, p, n, m)
+                    on_p = minor is not None and minor[0] < p**m
+                    assert span_paths["weierstrass"] - before["weierstrass"] == on_p
+                    assert span_paths["banded"] - before["banded"] == (not on_p)
+                    kind = "weierstrass" if on_p else "mu>0" if minor is None else "lambda>=p^m"
+                    seen[kind] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_weierstrass_minor_mu():
+    ctx = PrimeContext(3)
+    assert _weierstrass_minor(ctx, 2, LambdaMatrix.diagonal(THREE * 9, ONE).columns) is None
+    assert _weierstrass_minor(ctx, 1, ((THREE * X,), (X * X + THREE,))) == (2, X * X + THREE)
+    assert _weierstrass_minor(ctx, 1, ((X,), (ONE + X,)))[0] == 0  # the least lambda
+
+
+def test_unit_minor_reads_zero_lengths(span_paths):
+    # a unit minor (lambda = 0) presents M_m on no rows at all
+    ctx = PrimeContext(5)
+    cols = ((ONE + X, 3 * X), (X, 2 + X * X))
+    minor = _weierstrass_minor(ctx, 2, cols)
+    assert minor[0] == 0
+    assert [_tors_length(ctx, 2, cols, m, 2 * 5**m, minor) for m in range(3)] == [0, 0, 0]
+    assert span_paths == {"banded": 0, "weierstrass": 3}
+    assert nabla_torsion_tower(ctx, TorsionTower(cols), 2).nabla == 0
+
+
+def test_precision_drill_weierstrass_path(span_paths):
+    # f = X + 81: M_1 = Z_3/3^5, so at N = 3 both presentations refuse
+    # level 1; the counts differ by k (p^m - lambda) = 2 and nothing else
+    lo = PrimeContext(3, precision=3)
+    f = X + 81
+    with pytest.raises(PrecisionUnstable) as exc:
+        nabla_cyclic(lo, f, 1)
+    assert span_paths["weierstrass"] >= 1 and span_paths["banded"] == 0
+    assert (exc.value.precision, exc.value.level) == (3, 1)
+    assert (exc.value.finite_count, exc.value.expected_rank) == (0, 1)
+    with pytest.raises(PrecisionUnstable) as banded:
+        certified_valuations(lo, lambda_column_span(lo, ((f,),), 1), 3, 1)
+    assert (banded.value.finite_count, banded.value.expected_rank) == (2, 3)
+    assert banded.value.level == 1

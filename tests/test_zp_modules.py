@@ -6,14 +6,16 @@ import random
 import pytest
 from rod_oracle import intersect_spans_mod, snf_with_transform
 
-from iwarank.errors import PrecisionUnstable
-from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, vp
+from iwarank.errors import InvalidContext, PrecisionUnstable
+from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, iwasawa_invariants, vp
 from iwarank.zp_modules import (
     SpanPresentation,
     _snf,
     certified_valuations,
     finite_valuations,
     lambda_column_span,
+    weierstrass_lift,
+    weierstrass_span,
 )
 
 
@@ -276,3 +278,61 @@ class TestLambdaColumnSpan:
             ))
             e = rng.choice((2, 8, 40))
             assert finite_valuations(moved, p, e) == finite_valuations(span, p, e)
+
+
+def assert_weierstrass(d: LambdaElement, p: int, e: int) -> LambdaElement:
+    """P = weierstrass_lift(d, p, e) is monic of degree lambda(d), is
+    X^lambda mod p, and d = P U (mod p^e) with U(0) a unit."""
+    lam = iwasawa_invariants(PrimeContext(p), d).lambda_
+    pol = weierstrass_lift(d, p, e)
+    assert pol.degree == lam and pol.coeffs[-1] == 1
+    assert all(c % p == 0 for c in pol.coeffs[:-1])
+    u, r = d.divmod_monic(pol)
+    assert all(c % p**e == 0 for c in r.coeffs)
+    assert u.coeffs[0] % p
+    return pol
+
+
+class TestWeierstrassLift:
+    def test_frozen(self):
+        # X + 3 is its own Weierstrass polynomial; 3X^2 + X + 3 (p | lead)
+        # has one root in 3Z_3, r = -3 - 3r^2 = 51 mod 3^4, so P = X + 30
+        assert weierstrass_lift(X + 3, 3, 5) == X + 3
+        assert weierstrass_lift(LambdaElement((3, 1, 3)), 3, 4) == X + 30
+
+    def test_lead_divisible_by_p(self, rng):
+        for _ in range(60):
+            p = rng.choice((3, 5, 7))
+            lam = rng.randint(1, 6)
+            cs = [p * rng.randint(-9, 9) for _ in range(lam)] + [rng.randrange(1, p)]
+            cs += [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))] + [p * rng.randint(1, 9)]
+            assert_weierstrass(LambdaElement(cs), p, rng.choice((1, 2, 8, 16)))
+
+    def test_unit(self):
+        # lambda = 0: P = 1, and the span of a unit relation has no rows
+        assert assert_weierstrass(LambdaElement((2, 3, 9)), 3, 8) == ONE
+        span = weierstrass_span(PrimeContext(3), ((LambdaElement((2, 3)),),), LambdaElement((2, 3)), 2, 8)
+        assert span.ambient_rank == 0 and span.columns == ()
+        assert certified_valuations(PrimeContext(3), lambda e: span, 0) == []
+
+    def test_rungs_reduce(self, rng):
+        # the lift to p^16 reduces mod p^8 to the lift to p^8
+        for _ in range(20):
+            p = rng.choice((3, 5, 7))
+            d = LambdaElement([p * rng.randint(-5, 5) for _ in range(3)] + [1, rng.randint(-5, 5), p])
+            lo, hi = (weierstrass_lift(d, p, e) for e in (8, 16))
+            assert lo.coeffs == tuple(c % p**8 for c in hi.coeffs)
+
+    def test_mu_positive_refused(self):
+        with pytest.raises(InvalidContext):
+            weierstrass_lift(LambdaElement((3, 9, 6)), 3, 8)
+
+
+class TestWeierstrassSpan:
+    def test_shape_and_reading(self):
+        # M_1 = Z_3[X]/(X + 3, omega_1): omega_1(-3) = -9, so Z/9, on one row
+        ctx = PrimeContext(3)
+        rels = ((X + 3,),)
+        assert weierstrass_span(ctx, rels, X + 3, 1, 8).ambient_rank == 1
+        assert certified_valuations(ctx, lambda e: weierstrass_span(ctx, rels, X + 3, 1, e), 1) == [2]
+        assert certified_valuations(ctx, lambda_column_span(ctx, rels, 1), 3) == [0, 0, 2]
