@@ -15,7 +15,7 @@ cokernel vanishes.  The kernel is finite exactly when the relation
 columns stay full rank at eps_n (otherwise PhiDivides is raised); then
 any lift of a torsion element is torsion, so tors M_n -> tors M_{n-1} is
 onto with the same kernel, and len ker(pi_n) = len tors M_n -
-len tors M_{n-1}: one SNF reading of M_m at m = n and at m = n-1.
+len tors M_{n-1}: one reading of M_m at m = n and at m = n-1.
 
 Two presentations give that reading.  When some k x k minor d of the
 relations has mu = 0 and lambda < p^m (d of least lambda), M_m is read
@@ -31,6 +31,19 @@ R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 (zp_modules.certified_valuations); the span on P has Q-rank
 k lambda - (k p^m - R_m).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
+
+A third reading needs no presentation.  Let A be square with M_m finite
+(r_j = k for j <= m).  On Lambda_m^k x Q_p = prod_{j<=m} Q_p(zeta_{p^j})^k,
+A has determinant prod_j N(det A(eps_j)), and the index of A L in any
+A-stable lattice L is its inverse absolute value; each field is totally
+ramified, so v_p N(x) = ord_{eps_j}(x) and len M_m = sum_{j<=m}
+ord_{eps_j}(det A) (Kobayashi; Washington, GTM 83, ch. 13).  It is read
+only when m + max_j ceil(ord_{eps_j}(det A) / phi(p^j)) < N: the second
+term bounds the exponent of prod_j O_j^k / A(eps_j), and p^m prod_j O_j
+lies in Lambda_m (the CRT idempotents have denominators dividing p^m,
+see cyclo_eval.crt_interpolate), so every elementary divisor of M_m is
+below p^N and the SNF reading would certify the same length.  Elsewhere
+a presentation is read, and certifies or refuses, as before.
 
 Closed forms attached per tower kind:
 
@@ -124,27 +137,42 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
-    minor = _weierstrass_minor(ctx, k, rel_cols)
-    tors_n, tors_prev = (  # len tors M_m at m = n, n - 1
-        _tors_length(ctx, k, rel_cols, m, profile[m], minor) for m in (n, n - 1)
+    minors = _minors(k, rel_cols)
+    minor = _weierstrass_minor(ctx, k, rel_cols, minors)
+    finite = len(rel_cols) == k and profile[n] == k * ctx.p ** n  # so M_{n-1} is too
+    ords = [ord_eps(ctx, j, minors[0]) for j in range(n + 1)] if finite else []
+    tors_n, tors_prev = (  # len tors M_m at m = n, n - 1; from the norm when it answers
+        t if (t := _norm_length(ctx, ords[: m + 1])) is not None
+        else _tors_length(ctx, k, rel_cols, m, profile[m], minor)
+        for m in (n, n - 1)
     )
     ker_length = tors_n - tors_prev
     lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
-    return NablaResult(
-        n=n,
-        ker_length=ker_length,
-        coker_length=0,
-        lower_rank=lower_rank,
-        nabla=ker_length + lower_rank,
-    )
+    return NablaResult(n=n, ker_length=ker_length, coker_length=0, lower_rank=lower_rank,
+                       nabla=ker_length + lower_rank)
 
 
-def _weierstrass_minor(ctx: PrimeContext, k: int, rel_cols) -> tuple[int, LambdaElement] | None:
-    """(lambda, d) for a k x k minor d of the relations with mu = 0 and
-    the least lambda; None when every minor has mu > 0."""
-    minors = (_poly_det([[c[i] for c in pick] for i in range(k)]) for pick in combinations(rel_cols, k))
+def _minors(k: int, rel_cols) -> list[LambdaElement]:
+    """The k x k minors of the relations; for square relations, det A."""
+    return [_poly_det([[c[i] for c in pick] for i in range(k)]) for pick in combinations(rel_cols, k)]
+
+
+def _weierstrass_minor(ctx: PrimeContext, k: int, rel_cols, minors=None) -> tuple[int, LambdaElement] | None:
+    """(lambda, d) for a k x k minor d of the relations (of ``minors``, if
+    given) with mu = 0 and the least lambda; None when every mu > 0."""
+    minors = _minors(k, rel_cols) if minors is None else minors
     found = [(inv.lambda_, d) for d in minors if d and (inv := iwasawa_invariants(ctx, d)).mu == 0]
     return min(found, key=lambda t: t[0], default=None)
+
+
+def _norm_length(ctx: PrimeContext, ords: list[int]) -> int | None:
+    """len M_m = sum of ords = [ord_{eps_j}(det A) for j <= m], read from
+    the norm (see above); None when ords is empty (no square relations or
+    M_m infinite) or m + max_j ceil(ord_{eps_j} / phi(p^j)) reaches N."""
+    m = len(ords) - 1
+    if not ords or m + max(-(-o // euler_phi_pk(ctx.p, j)) for j, o in enumerate(ords)) >= ctx.precision:
+        return None
+    return sum(ords)
 
 
 def _tors_length(ctx: PrimeContext, k: int, rel_cols, m: int, q_rank: int, minor) -> int:
@@ -192,8 +220,7 @@ def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> Nabla
         raise NotTorsion("relations do not have full rank over Frac(Lambda)")
     result = _brute_nabla(ctx, k, cols, n)
     if len(cols) == k:
-        det = _poly_det([[cols[j][i] for j in range(k)] for i in range(k)])
-        inv = iwasawa_invariants(ctx, det)
+        inv = iwasawa_invariants(ctx, _minors(k, cols)[0])  # det of the square relations
         closed = inv.lambda_ + euler_phi_pk(ctx.p, n) * inv.mu
         return _attach(result, closed)
     return result

@@ -251,13 +251,12 @@ class LambdaElement:
 
     @classmethod
     def from_json_dict(cls, obj) -> "LambdaElement":
-        if isinstance(obj, dict):
-            return cls(int(c) for c in obj["coeffs"])
-        if isinstance(obj, list):
-            return cls(int(c) for c in obj)
-        if isinstance(obj, (int, str)):
-            return cls.const(int(obj))
-        raise ValueError(f"cannot decode polynomial from {obj!r}")
+        """From {"coeffs": [...]}, a coefficient list or one coefficient;
+        each coefficient a non-bool int or an integer string."""
+        coeffs = obj["coeffs"] if isinstance(obj, dict) else obj if isinstance(obj, list) else [obj]
+        if any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in coeffs):
+            raise ValueError(f"cannot decode polynomial from {obj!r}: coefficients must be integers")
+        return cls(int(c) for c in coeffs)
 
 
 X = LambdaElement((0, 1))

@@ -165,6 +165,22 @@ class TestPayloadGrammar:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ord-eps", "-m", "1", "--poly", '{"coeffs": [2.5, 1]}'],
+            ["ord-eps", "-m", "1", "--poly", '{"coeffs": [true, 1]}'],
+            ["special-check", "-n", "0", "--matrix",
+             '[[{"coeffs":[1.9]},{"coeffs":[0]}],[{"coeffs":[0]},{"coeffs":[1]}]]'],
+        ],
+        ids=["float", "bool", "float-in-matrix"],
+    )
+    def test_non_integer_json_coefficient_is_exit2(self, capsys, argv):
+        # refused, not truncated to 2 + X, 1 + X or diag(1, 1)
+        code, out, err = run(capsys, argv[0], "-p", "3", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
         "bad",
         ["X^99999999", "99^9999999", "X^200000*X^200000", "(1+X)^2000", "9" * 5000, "X^" + "9" * 5000],
         ids=["degree", "coefficient-bits", "product-of-powers", "dense-power", "long-literal", "long-exponent"],

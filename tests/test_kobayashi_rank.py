@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from iwarank import kobayashi_rank
-from iwarank.cyclo_eval import ord_eps, rank_at_eps
+from iwarank import kobayashi_rank, zp_modules
+from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from iwarank.errors import (
     InvalidContext,
     NotTorsion,
@@ -19,6 +19,7 @@ from iwarank.kobayashi_rank import (
     NablaResult,
     TorsionTower,
     _brute_nabla,
+    _norm_length,
     _tors_length,
     _weierstrass_minor,
     additivity_check,
@@ -409,3 +410,82 @@ def test_precision_drill_weierstrass_path(span_paths):
         certified_valuations(lo, lambda_column_span(lo, ((f,),), 1), 3, 1)
     assert (banded.value.finite_count, banded.value.expected_rank) == (2, 3)
     assert banded.value.level == 1
+
+
+def test_norm_reading_matches_snf():
+    # square relations with Phi_j and p-power factors on a column, at
+    # precisions from 3 to 40: wherever the norm reading answers at a
+    # finite level, the SNF reading certifies the same length; where the
+    # exponent bound reaches N it declines, and the SNF reading may raise
+    rng = random.Random("norm-differential")
+    counts = {"norm": 0, "fallback": 0, "fallback-raise": 0}
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
+        for _ in range(5):
+            for name, k, cols in _tower_draws(rng, p, n):
+                ctx = PrimeContext(p, precision=rng.choice((3, 4, 6, 10, 40)))
+                cols = [list(col) for col in cols]
+                if rng.random() < 0.5:
+                    factor = LambdaElement.const(p ** rng.randint(1, 6))
+                    if rng.random() < 0.4:
+                        factor = factor * cyclotomic_phi(ctx, rng.randint(0, n))
+                    j = rng.randrange(k)
+                    cols[j] = [e * factor for e in cols[j]]
+                cols = tuple(map(tuple, cols))
+                minors = kobayashi_rank._minors(k, cols)
+                minor = _weierstrass_minor(ctx, k, cols, minors)
+                ranks = [rank_at_eps(ctx, m, cols, k) for m in range(n + 1)]
+                for m in range(n + 1):
+                    if any(r < k for r in ranks[: m + 1]):
+                        break  # M_m and every later level are infinite
+                    norm = _norm_length(ctx, [ord_eps(ctx, j, minors[0]) for j in range(m + 1)])
+                    snf = _outcome(_tors_length, ctx, k, cols, m, k * p**m, minor)
+                    where = (name, p, n, m, ctx.precision, cols)
+                    if norm is not None:
+                        assert snf == norm, where
+                        counts["norm"] += 1
+                    else:
+                        counts["fallback"] += 1
+                        counts["fallback-raise"] += snf is PrecisionUnstable
+    assert min(counts.values()) > 0, counts
+
+
+def _unit_coleman(ctx, rng, n):
+    """Generic Coleman data from dense 2x2 matrices with unit det(0), as
+    the frontier benchmark draws it: every determinant in the tower is a
+    unit at each eps_m, and the closed form applies at step n."""
+    def dense(deg):
+        while True:
+            a = LambdaMatrix(tuple(
+                tuple(LambdaElement([rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(deg + 1)])
+                      for _ in range(2))
+                for _ in range(2)))
+            if a.det.coeffs and a.det.coeffs[0] % ctx.p:
+                return a
+
+    while True:
+        cd = ColemanData(dense(3).scaled(X), dense(4)).validate()
+        ref = cd.col_minus.det if n % 2 else cd.col_plus.det
+        if ord_eps(ctx, n, ref) != INFINITE and not assemble_fn(ctx, cd, n).det.divisible_by(cyclotomic_phi(ctx, n)):
+            return cd
+
+
+@pytest.mark.parametrize("p, n", [(3, 5), (7, 3)])
+def test_unit_coleman_reach_without_snf(monkeypatch, p, n):
+    # every level of a unit Coleman tower is finite, so both readings come
+    # from the norm of det F_n, with no SNF at all
+    calls = []
+    snf = zp_modules._snf
+    monkeypatch.setattr(zp_modules, "_snf", lambda *args: calls.append(args) or snf(*args))
+    ctx = PrimeContext(p)
+    cd = _unit_coleman(ctx, random.Random(f"unit-coleman-{p}-{n}"), n)
+    res = nabla_coleman_tower(ctx, cd, n)
+    assert res.agrees is True
+    assert calls == []
+    # at the least N above the exponent bound of M_n, far below its length,
+    # the norm still answers both levels, with the N = 40 result
+    det = assemble_fn(ctx, cd, n).det
+    ords = [ord_eps(ctx, j, det) for j in range(n + 1)]
+    low = n + max(-(-o // euler_phi_pk(p, j)) for j, o in enumerate(ords)) + 1
+    assert sum(ords) > 10 * low
+    assert nabla_coleman_tower(PrimeContext(p, precision=low), cd, n) == res
+    assert calls == []

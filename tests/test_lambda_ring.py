@@ -220,6 +220,13 @@ class TestElementArithmetic:
     def test_json_roundtrip(self, f):
         assert LambdaElement.from_json_dict(f.to_json_dict()) == f
 
+    def test_json_coefficients_are_integers(self):
+        assert LambdaElement.from_json_dict({"coeffs": ["-2", 1]}) == LambdaElement((-2, 1))
+        assert LambdaElement.from_json_dict("3") == LambdaElement.from_json_dict([3]) == LambdaElement((3,))
+        for bad in ({"coeffs": [2.5, 1]}, {"coeffs": [True, 1]}, [1.0], False, 2.5, None, {"coeffs": ["2.5"]}):
+            with pytest.raises(ValueError):
+                LambdaElement.from_json_dict(bad)
+
     def test_matrix_json_roundtrip(self, ctx3):
         a = LambdaMatrix(((X, ONE), (cyclotomic_phi(ctx3, 1), ZERO)))
         assert LambdaMatrix.from_json_list(a.to_json_list()) == a

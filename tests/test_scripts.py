@@ -22,6 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
             ["rank_sweep.py", "-p", "3", "-n", "3", "--count", "3", "--seed", "1"],
             id="rank_sweep.py-n3",
         ),
+        # every level of a generic Coleman tower is finite: read from the norm
+        pytest.param(
+            ["coleman_pipeline.py", "--kind", "generic", "--n-max", "4", "--seed", "1"],
+            id="coleman_pipeline.py-n4",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
