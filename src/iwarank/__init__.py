@@ -4,7 +4,8 @@ special 2x2 matrices, Coleman-pair closed forms and Sha growth tables.
 All arithmetic is exact: polynomials carry integer coefficients,
 finite-level module lengths come from Smith normal forms over Z/p^N,
 and rational ranks come from the cyclotomic rank profile of the
-relations (exact polynomial minors at each eps_m).  Nothing is ever
+relations (ord_{eps_m}(det A) for square ones; exact minors at eps_m
+where that is infinite or the relations are not square).  Nothing is ever
 rounded; a length is reported only when its count of finite elementary
 divisors equals the exact rank, and otherwise the engine raises
 PrecisionUnstable instead of answering.

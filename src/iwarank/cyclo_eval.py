@@ -93,12 +93,6 @@ def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:
     return _minor_rank(red, k, lambda f: f.reduced_mod(phi))
 
 
-def poly_full_row_rank(columns, k: int) -> bool:
-    """Whether the k x c polynomial matrix has rank k over Frac(Lambda)
-    (some k x k minor nonzero as a polynomial)."""
-    return _minor_rank(columns, k) == k
-
-
 def matrices_proportional_at_eps(
     ctx: PrimeContext, m: int, f: LambdaMatrix, c: LambdaMatrix
 ) -> bool:

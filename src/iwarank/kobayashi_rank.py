@@ -25,9 +25,11 @@ of the relations in Lambda_m^k, on k p^m rows; mu > 0 must stay there,
 since when every minor has mu > 0, M_m / p has dimension at least p^m.
 
 Every rank comes from the cyclotomic rank profile r_m = rank of the
-relations at eps_m: Lambda_n x Q_p is the product of the fields
-Q_p(zeta_{p^m}), m <= n, so the level-m span has Q-rank
-R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
+relations at eps_m; for square relations r_m = k exactly where
+ord_{eps_m}(det A) is finite, so rank_at_eps runs only where det A
+vanishes at eps_m and for non-square relations.  Lambda_n x Q_p is the
+product of the fields Q_p(zeta_{p^m}), m <= n, so the level-m span has
+Q-rank R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 (zp_modules.certified_valuations); the span on P has Q-rank
 k lambda - (k p^m - R_m).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
@@ -60,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 
-from .cyclo_eval import INFINITE, ord_eps, poly_full_row_rank, rank_at_eps
+from .cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from .errors import (
     InvalidContext,
     NotTorsion,
@@ -129,18 +131,18 @@ def direct_sum(left, right) -> TorsionTower:
     return TorsionTower(columns=cols)
 
 
-def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int) -> NablaResult:
+def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors) -> NablaResult:
+    """nabla M_n from the relations and the caller's _minors of them ([det A] if square)."""
     _require_step(n)
     cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
-    ranks = [rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
+    ords = [ord_eps(ctx, m, minors[0]) for m in range(n + 1)] if len(rel_cols) == k else []
+    # square relations have r_m = k exactly where ord_{eps_m}(det A) is finite
+    ranks = [k if ords and ords[m] != INFINITE else rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
     if ranks[n] < k:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
-    minors = _minors(k, rel_cols)
-    minor = _weierstrass_minor(ctx, k, rel_cols, minors)
-    finite = len(rel_cols) == k and profile[n] == k * ctx.p ** n  # so M_{n-1} is too
-    ords = [ord_eps(ctx, j, minors[0]) for j in range(n + 1)] if finite else []
+    minor = _weierstrass_minor(ctx, minors)
     tors_n, tors_prev = (  # len tors M_m at m = n, n - 1; from the norm when it answers
         t if (t := _norm_length(ctx, ords[: m + 1])) is not None
         else _tors_length(ctx, k, rel_cols, m, profile[m], minor)
@@ -157,22 +159,21 @@ def _minors(k: int, rel_cols) -> list[LambdaElement]:
     return [_poly_det([[c[i] for c in pick] for i in range(k)]) for pick in combinations(rel_cols, k)]
 
 
-def _weierstrass_minor(ctx: PrimeContext, k: int, rel_cols, minors=None) -> tuple[int, LambdaElement] | None:
-    """(lambda, d) for a k x k minor d of the relations (of ``minors``, if
-    given) with mu = 0 and the least lambda; None when every mu > 0."""
-    minors = _minors(k, rel_cols) if minors is None else minors
+def _weierstrass_minor(ctx: PrimeContext, minors) -> tuple[int, LambdaElement] | None:
+    """(lambda, d) for the minor d in ``minors`` with mu = 0 and the least
+    lambda; None when every mu > 0."""
     found = [(inv.lambda_, d) for d in minors if d and (inv := iwasawa_invariants(ctx, d)).mu == 0]
     return min(found, key=lambda t: t[0], default=None)
 
 
 def _norm_length(ctx: PrimeContext, ords: list[int]) -> int | None:
     """len M_m = sum of ords = [ord_{eps_j}(det A) for j <= m], read from
-    the norm (see above); None when ords is empty (no square relations or
-    M_m infinite) or m + max_j ceil(ord_{eps_j} / phi(p^j)) reaches N."""
-    m = len(ords) - 1
-    if not ords or m + max(-(-o // euler_phi_pk(ctx.p, j)) for j, o in enumerate(ords)) >= ctx.precision:
+    the norm (see above); None when ords is empty (no square relations), M_m
+    is infinite, or m + max_j ceil(ord_{eps_j} / phi(p^j)) reaches N."""
+    if not ords or INFINITE in ords:
         return None
-    return sum(ords)
+    bound = len(ords) - 1 + max(-(-o // euler_phi_pk(ctx.p, j)) for j, o in enumerate(ords))
+    return sum(ords) if bound < ctx.precision else None
 
 
 def _tors_length(ctx: PrimeContext, k: int, rel_cols, m: int, q_rank: int, minor) -> int:
@@ -206,7 +207,7 @@ def nabla_cyclic(ctx: PrimeContext, f: LambdaElement, n: int) -> NablaResult:
         raise ZeroElement("cyclic tower needs f != 0")
     if f.divisible_by(cyclotomic_phi(ctx, n)):
         raise PhiDivides(f"Phi_{n} divides f; step kernel is infinite")
-    result = _brute_nabla(ctx, 1, ((f,),), n)
+    result = _brute_nabla(ctx, 1, ((f,),), n, [f])
     return _attach(result, ord_eps(ctx, n, f))
 
 
@@ -216,11 +217,12 @@ def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> Nabla
     determinant is attached (valid once n is past stabilization)."""
     _require_step(n)
     k, cols = tower.relation_columns()
-    if not poly_full_row_rank(cols, k):
+    minors = _minors(k, cols)
+    if not any(minors):
         raise NotTorsion("relations do not have full rank over Frac(Lambda)")
-    result = _brute_nabla(ctx, k, cols, n)
+    result = _brute_nabla(ctx, k, cols, n, minors)
     if len(cols) == k:
-        inv = iwasawa_invariants(ctx, _minors(k, cols)[0])  # det of the square relations
+        inv = iwasawa_invariants(ctx, minors[0])  # det of the square relations
         closed = inv.lambda_ + euler_phi_pk(ctx.p, n) * inv.mu
         return _attach(result, closed)
     return result
@@ -234,7 +236,7 @@ def nabla_matrix_tower(ctx: PrimeContext, a: LambdaMatrix, n: int) -> NablaResul
         raise SingularMatrix("det A = 0: the tower is not torsion")
     if a.det.divisible_by(cyclotomic_phi(ctx, n)):
         raise PhiDivides(f"Phi_{n} divides det A; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, a.columns, n)
+    result = _brute_nabla(ctx, 2, a.columns, n, [a.det])
     if is_special(ctx, a, n).verdict:
         return _attach(result, ord_eps(ctx, n, a.det))
     return result
@@ -252,7 +254,7 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
         raise SingularMatrix(f"det F_{n} = 0")
     if f.det.divisible_by(cyclotomic_phi(ctx, n)):
         raise PhiDivides(f"Phi_{n} divides det F_{n}; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, f.columns, n)
+    result = _brute_nabla(ctx, 2, f.columns, n, [f.det])
     if not is_special(ctx, f, n).verdict:
         return result
     o = ord_eps(ctx, n, parity_reference(cd, n).det)
@@ -278,7 +280,7 @@ def additivity_check(ctx: PrimeContext, left, right, n: int) -> bool:
     res_l = nabla_tower(ctx, left, n)
     res_r = nabla_tower(ctx, right, n)
     k, cols = direct_sum(left, right).relation_columns()
-    res_sum = _brute_nabla(ctx, k, cols, n)
+    res_sum = _brute_nabla(ctx, k, cols, n, _minors(k, cols))
     return res_sum.nabla == res_l.nabla + res_r.nabla
 
 

@@ -7,11 +7,13 @@ import pytest
 from iwarank import kobayashi_rank, zp_modules
 from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from iwarank.errors import (
+    DegenerateColeman,
     InvalidContext,
     NotTorsion,
     PhiDivides,
     PrecisionUnstable,
     SingularMatrix,
+    ZeroElement,
 )
 from iwarank.kobayashi_rank import (
     CyclicTower,
@@ -19,6 +21,7 @@ from iwarank.kobayashi_rank import (
     NablaResult,
     TorsionTower,
     _brute_nabla,
+    _minors,
     _norm_length,
     _tors_length,
     _weierstrass_minor,
@@ -284,6 +287,7 @@ def test_torsion_difference_matches_nested_quotient():
     # to 40; k p^n stays at most 81 to keep the sweep quick
     rng = random.Random(20261018)
     counts = {}
+    shapes = {"square-infinite-below-n": 0, "non-square": 0}
     for _ in range(200):
         while True:
             p, n, k = rng.choice((3, 5, 7)), rng.randint(1, 3), rng.randint(1, 3)
@@ -314,12 +318,19 @@ def test_torsion_difference_matches_nested_quotient():
             s = LambdaElement((rng.randint(-3, 3), rng.randint(-3, 3)))
             cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
         cols = [tuple(col) for col in cols]
-        got = _outcome(_brute_nabla, ctx, k, cols, n)
+        got = _outcome(_brute_nabla, ctx, k, cols, n, _minors(k, cols))
         assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (p, n, k, ctx.precision, cols)
         kind = got if isinstance(got, type) else NablaResult
         counts[kind] = counts.get(kind, 0) + 1
-    # every branch is exercised
+        if kind is NablaResult and c != k:
+            shapes["non-square"] += 1
+        elif kind is NablaResult and any(rank_at_eps(ctx, m, cols, k) < k for m in range(n)):
+            shapes["square-infinite-below-n"] += 1
+    # every branch is exercised, and each source of a finished result's
+    # rank profile: ord_eps of det A with rank_at_eps at its infinite
+    # levels, and rank_at_eps alone for non-square relations
     assert set(counts) == {NablaResult, PhiDivides, PrecisionUnstable}
+    assert min(shapes.values()) > 0, shapes
 
 
 @pytest.fixture
@@ -363,7 +374,7 @@ def test_weierstrass_reading_matches_banded(span_paths):
         ctx = PrimeContext(p)
         for _ in range(2):
             for name, k, cols in _tower_draws(rng, p, n):
-                minor = _weierstrass_minor(ctx, k, cols)
+                minor = _weierstrass_minor(ctx, _minors(k, cols))
                 for m in range(n + 1):
                     ranks = [rank_at_eps(ctx, j, cols, k) for j in range(m + 1)]
                     q_rank = sum(euler_phi_pk(p, j) * r for j, r in enumerate(ranks))
@@ -380,16 +391,16 @@ def test_weierstrass_reading_matches_banded(span_paths):
 
 def test_weierstrass_minor_mu():
     ctx = PrimeContext(3)
-    assert _weierstrass_minor(ctx, 2, LambdaMatrix.diagonal(THREE * 9, ONE).columns) is None
-    assert _weierstrass_minor(ctx, 1, ((THREE * X,), (X * X + THREE,))) == (2, X * X + THREE)
-    assert _weierstrass_minor(ctx, 1, ((X,), (ONE + X,)))[0] == 0  # the least lambda
+    assert _weierstrass_minor(ctx, _minors(2, LambdaMatrix.diagonal(THREE * 9, ONE).columns)) is None
+    assert _weierstrass_minor(ctx, _minors(1, ((THREE * X,), (X * X + THREE,)))) == (2, X * X + THREE)
+    assert _weierstrass_minor(ctx, _minors(1, ((X,), (ONE + X,))))[0] == 0  # the least lambda
 
 
 def test_unit_minor_reads_zero_lengths(span_paths):
     # a unit minor (lambda = 0) presents M_m on no rows at all
     ctx = PrimeContext(5)
     cols = ((ONE + X, 3 * X), (X, 2 + X * X))
-    minor = _weierstrass_minor(ctx, 2, cols)
+    minor = _weierstrass_minor(ctx, _minors(2, cols))
     assert minor[0] == 0
     assert [_tors_length(ctx, 2, cols, m, 2 * 5**m, minor) for m in range(3)] == [0, 0, 0]
     assert span_paths == {"banded": 0, "weierstrass": 3}
@@ -431,8 +442,8 @@ def test_norm_reading_matches_snf():
                     j = rng.randrange(k)
                     cols[j] = [e * factor for e in cols[j]]
                 cols = tuple(map(tuple, cols))
-                minors = kobayashi_rank._minors(k, cols)
-                minor = _weierstrass_minor(ctx, k, cols, minors)
+                minors = _minors(k, cols)
+                minor = _weierstrass_minor(ctx, minors)
                 ranks = [rank_at_eps(ctx, m, cols, k) for m in range(n + 1)]
                 for m in range(n + 1):
                     if any(r < k for r in ranks[: m + 1]):
@@ -489,3 +500,102 @@ def test_unit_coleman_reach_without_snf(monkeypatch, p, n):
     assert sum(ords) > 10 * low
     assert nabla_coleman_tower(PrimeContext(p, precision=low), cd, n) == res
     assert calls == []
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """The levels at which kobayashi_rank calls rank_at_eps, and how often
+    it builds a minor with _poly_det."""
+    calls = {"rank_at_eps": [], "_poly_det": 0}
+    rank, det = kobayashi_rank.rank_at_eps, kobayashi_rank._poly_det
+
+    def counted_rank(ctx, m, columns, k):
+        calls["rank_at_eps"].append(m)
+        return rank(ctx, m, columns, k)
+
+    def counted_det(rows):
+        calls["_poly_det"] += 1
+        return det(rows)
+
+    monkeypatch.setattr(kobayashi_rank, "rank_at_eps", counted_rank)
+    monkeypatch.setattr(kobayashi_rank, "_poly_det", counted_det)
+    return calls
+
+
+def test_unit_det_towers_need_no_rank_and_no_minor(ctx3, profile_calls):
+    # det A = 1 - 2X is a unit: ord_{eps_m}(det A) = 0 at every level, so
+    # the rank profile is full with no rank_at_eps, and det A is the
+    # matrix's own
+    a = LambdaMatrix(((ONE + X, THREE), (X, ONE)))
+    assert nabla_matrix_tower(ctx3, a, 3).nabla == 0
+    assert nabla_coleman_tower(ctx3, _unit_coleman(ctx3, random.Random("unit-coleman-3-3"), 3), 3).agrees is True
+    assert profile_calls == {"rank_at_eps": [], "_poly_det": 0}
+
+
+def test_torsion_tower_builds_its_minor_once(ctx3, profile_calls):
+    # one minor serves the NotTorsion check, the rank profile, the
+    # Weierstrass minor and the closed form
+    res = nabla_torsion_tower(ctx3, TorsionTower(((ONE + X, 3 * X), (X, 2 + X * X))), 2)
+    assert res.agrees is True
+    assert profile_calls["_poly_det"] == 1
+
+
+def test_rank_at_eps_only_where_det_vanishes(ctx3, profile_calls):
+    # det A = X (1 + X): Phi_0 divides it, no other Phi_m does
+    res = nabla_matrix_tower(ctx3, LambdaMatrix.diagonal(X, ONE + X), 2)
+    assert (res.lower_rank, res.nabla) == (1, 1)
+    assert profile_calls == {"rank_at_eps": [0], "_poly_det": 0}
+
+
+_CAP = "p^n = 3^10 exceeds the explicit-construction bound 20000; use degree bookkeeping for large levels"
+_LO = PrimeContext(3, precision=3)
+_P5 = LambdaElement.const(3**5)
+_PHI1 = cyclotomic_phi(_LO, 1)
+_NOT_TORSION = TorsionTower(((X, ZERO),))
+_SINGULAR = LambdaMatrix(((X, X), (X, X)))
+_DEGENERATE = ColemanData(LambdaMatrix.identity(), LambdaMatrix.identity())
+_PHI1_PAIR = ColemanData(LambdaMatrix.diagonal(X, X), LambdaMatrix.diagonal(ONE, _PHI1))
+
+
+@pytest.mark.parametrize("fn, arg, n, alone, second, first, message", [
+    # each input has two faults; ``alone`` is the input with only the
+    # second one, which raises ``second``
+    (nabla_cyclic, ZERO, 0, (ZERO, 1), ZeroElement, InvalidContext, "tower steps start at n = 1, got 0"),
+    (nabla_cyclic, ZERO, 10, (X, 10), InvalidContext, ZeroElement, "cyclic tower needs f != 0"),
+    (nabla_cyclic, _P5, 10, (_P5, 1), PrecisionUnstable, InvalidContext, _CAP),
+    (nabla_cyclic, _PHI1 * _P5, 1, (_P5, 1), PrecisionUnstable, PhiDivides,
+     "Phi_1 divides f; step kernel is infinite"),
+    (nabla_torsion_tower, _NOT_TORSION, 0, (_NOT_TORSION, 1), NotTorsion, InvalidContext,
+     "tower steps start at n = 1, got 0"),
+    (nabla_torsion_tower, _NOT_TORSION, 10, (TorsionTower(((X,),)), 10), InvalidContext, NotTorsion,
+     "relations do not have full rank over Frac(Lambda)"),
+    (nabla_torsion_tower, TorsionTower(((ZERO,),)), 10, (TorsionTower(((X,),)), 10), InvalidContext, NotTorsion,
+     "relations do not have full rank over Frac(Lambda)"),
+    (nabla_torsion_tower, TorsionTower(((_P5,),)), 10, (TorsionTower(((_P5,),)), 1), PrecisionUnstable,
+     InvalidContext, _CAP),
+    (nabla_torsion_tower, TorsionTower(((_PHI1 * _P5, ZERO), (ZERO, _P5))), 1,
+     (TorsionTower(((_P5, ZERO), (ZERO, _P5))), 1), PrecisionUnstable, PhiDivides,
+     "relations drop rank at eps_1; step kernel is infinite"),
+    (nabla_torsion_tower, TorsionTower(((_PHI1 * _P5,), (_PHI1 * X,))), 1,
+     (TorsionTower(((_P5,), (_P5 * X,))), 1), PrecisionUnstable, PhiDivides,
+     "relations drop rank at eps_1; step kernel is infinite"),
+    (nabla_matrix_tower, _SINGULAR, 0, (_SINGULAR, 1), SingularMatrix, InvalidContext,
+     "tower steps start at n = 1, got 0"),
+    (nabla_matrix_tower, _SINGULAR, 10, (LambdaMatrix.diagonal(X, X), 10), InvalidContext, SingularMatrix,
+     "det A = 0: the tower is not torsion"),
+    (nabla_matrix_tower, LambdaMatrix.diagonal(_PHI1 * _P5, _P5), 1, (LambdaMatrix.diagonal(_P5, _P5), 1),
+     PrecisionUnstable, PhiDivides, "Phi_1 divides det A; step kernel is infinite"),
+    (nabla_coleman_tower, _DEGENERATE, 0, (_DEGENERATE, 1), DegenerateColeman, InvalidContext,
+     "tower steps start at n = 1, got 0"),
+    (nabla_coleman_tower, _DEGENERATE, 10, (_PHI1_PAIR, 10), InvalidContext, DegenerateColeman,
+     "col_plus entries must be divisible by X"),
+    (nabla_coleman_tower, ColemanData(_PHI1_PAIR.col_plus.scaled(_P5), _PHI1_PAIR.col_minus.scaled(_P5)), 1,
+     (ColemanData(LambdaMatrix.diagonal(X, X).scaled(_P5), LambdaMatrix.diagonal(_P5, _P5)), 1),
+     PrecisionUnstable, PhiDivides, "Phi_1 divides det F_1; step kernel is infinite"),
+])
+def test_refusal_order(fn, arg, n, alone, second, first, message):
+    with pytest.raises(second):
+        fn(_LO, *alone)
+    with pytest.raises(first) as exc:
+        fn(_LO, arg, n)
+    assert type(exc.value) is first and str(exc.value) == message
