@@ -24,9 +24,9 @@ def _poly_det(rows) -> LambdaElement:
     return acc
 
 
-def _minor_rank(columns, k: int, reduce=lambda f: f) -> int:
+def _minor_rank(columns, k: int, reduce) -> int:
     """Size of the largest minor of the k x c polynomial matrix with the
-    given columns whose determinant does not reduce to zero."""
+    given columns whose determinant ``reduce`` does not send to zero."""
     for size in range(min(k, len(columns)), 0, -1):
         for pick in combinations(range(len(columns)), size):
             for rows in combinations(range(k), size):

@@ -34,18 +34,49 @@ Q-rank R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 k lambda - (k p^m - R_m).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
 
-A third reading needs no presentation.  Let A be square with M_m finite
-(r_j = k for j <= m).  On Lambda_m^k x Q_p = prod_{j<=m} Q_p(zeta_{p^j})^k,
-A has determinant prod_j N(det A(eps_j)), and the index of A L in any
-A-stable lattice L is its inverse absolute value; each field is totally
-ramified, so v_p N(x) = ord_{eps_j}(x) and len M_m = sum_{j<=m}
-ord_{eps_j}(det A) (Kobayashi; Washington, GTM 83, ch. 13).  It is read
-only when m + max_j ceil(ord_{eps_j}(det A) / phi(p^j)) < N: the second
-term bounds the exponent of prod_j O_j^k / A(eps_j), and p^m prod_j O_j
-lies in Lambda_m (the CRT idempotents have denominators dividing p^m,
-see cyclo_eval.crt_interpolate), so every elementary divisor of M_m is
-below p^N and the SNF reading would certify the same length.  Elsewhere
-a presentation is read, and certifies or refuses, as before.
+A third reading needs no presentation.  Let A be square, write
+ords = [ord_{eps_j}(det A) for j <= m] and S = {j : ords[j] = inf}.  If
+S is empty or M = Lambda^k / A is cyclic,
+
+    len tors M_m = sum_{j not in S} t_j,  t_j = ords[j] - sum_{i in S} phi(p^min(i, j)).
+
+S empty: on Lambda_m^k x Q_p = prod_{j<=m} Q_p(zeta_{p^j})^k, A has
+determinant prod_j N(det A(eps_j)), the index of A L in any A-stable
+lattice L is its inverse absolute value, and each field is totally
+ramified, so v_p N(x) = ord_{eps_j}(x) (Kobayashi; Washington, GTM 83,
+ch. 13).  M cyclic: Lambda is local with maximal ideal (p, X), so by
+Nakayama M is cyclic iff F_p^k / A(0) has dimension <= 1, i.e.
+rank A(0) mod p >= k - 1 (decided once per nabla), and then
+M = Lambda / Fitt_0(M) = Lambda / (f), f = det A.  With
+g = prod_{i in S} Phi_i = gcd(f, omega_m) and w = omega_m / g,
+multiplication by g embeds the finite Lambda / (w, f/g) in
+M_m = Lambda / (omega_m, f) with free quotient Lambda / (g); so it is
+tors M_m, and the norm over the fields j not in S gives the sum, as
+ord_{eps_j}(Phi_i) = phi(p^min(i, j)) for i != j (Phi_i(eps_j) is p for
+i > j, eps_j for i = 0 < j, and (z^p - 1) / (z - 1), z a primitive
+p^{j-i+1}-th root of unity, for 0 < i < j).
+
+It answers only when m + max_j ceil(t_j / phi(p^j)) < N.  Proof: let
+T = {j <= m} - S, O_j = Z_p[X]/(Phi_j) = Z_p[zeta_{p^j}] and
+R = Z_p[X]/(w), inside prod_{j in T} O_j.  For i < j,
+Phi_j == Phi_1(0) = p mod Phi_i, as (1+X)^{p^{j-1}} == 1 mod omega_i; so
+p lies in (Phi_i, Phi_j), and the product over i != j puts p^{|T|-1}
+in (Phi_j, w / Phi_j).  So p^{|T|-1} e_j lies in R for every CRT
+idempotent e_j (compare cyclo_eval.crt_interpolate), and as
+|T| <= m + 1, p^m prod_j O_j lies in R.  With
+a = max_j ceil(t_j / phi(p^j)), p^a / (f/g) lies in prod_j O_j, so
+p^{m+a} = (f/g) y with y in R: p^{m+a} kills tors M_m, every elementary
+divisor of M_m is below p^N, and the certified SNF reading would give
+the same length.  Elsewhere (relations not square, an infinite level of
+a non-cyclic M, or the bound reached) a presentation is read, and
+certifies or refuses, as before.
+
+Each tower computes ords for m <= n once, right after the explicit-cap
+check, and reads from it its own PhiDivides guard, the rank profile,
+the third reading, the closed forms and the specialness verdict: a level
+with ords[m] finite is fine whatever the entries, so columns are tested
+for Phi_m-divisibility only where ords[m] is infinite
+(special_matrices.is_special keeps the full per-level report).
 
 Closed forms attached per tower kind:
 
@@ -82,7 +113,7 @@ from .lambda_ring import (
     iwasawa_invariants,
     signed_degree,
 )
-from .special_matrices import ColemanData, assemble_fn, is_special, parity_reference
+from .special_matrices import ColemanData, assemble_fn, parity_reference
 from .zp_modules import certified_valuations, lambda_column_span, weierstrass_span
 
 
@@ -131,11 +162,9 @@ def direct_sum(left, right) -> TorsionTower:
     return TorsionTower(columns=cols)
 
 
-def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors) -> NablaResult:
-    """nabla M_n from the relations and the caller's _minors of them ([det A] if square)."""
-    _require_step(n)
-    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
-    ords = [ord_eps(ctx, m, minors[0]) for m in range(n + 1)] if len(rel_cols) == k else []
+def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, ords) -> NablaResult:
+    """nabla M_n from the relations, the caller's _minors of them ([det A]
+    if square) and its _level_ords of det A ([] if not square)."""
     # square relations have r_m = k exactly where ord_{eps_m}(det A) is finite
     ranks = [k if ords and ords[m] != INFINITE else rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
     if ranks[n] < k:
@@ -143,8 +172,9 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors) -> NablaRe
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
     minor = _weierstrass_minor(ctx, minors)
+    cyclic = bool(ords) and _cyclic(ctx.p, k, rel_cols)
     tors_n, tors_prev = (  # len tors M_m at m = n, n - 1; from the norm when it answers
-        t if (t := _norm_length(ctx, ords[: m + 1])) is not None
+        t if (t := _norm_length(ctx, ords[: m + 1], cyclic)) is not None
         else _tors_length(ctx, k, rel_cols, m, profile[m], minor)
         for m in (n, n - 1)
     )
@@ -152,6 +182,14 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors) -> NablaRe
     lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
     return NablaResult(n=n, ker_length=ker_length, coker_length=0, lower_rank=lower_rank,
                        nabla=ker_length + lower_rank)
+
+
+def _level_ords(ctx: PrimeContext, n: int, det: LambdaElement | None) -> list:
+    """[ord_{eps_m}(det) for m <= n], the one valuation list of a nabla
+    ([] when det is None: the relations are not square); a level past
+    the explicit cap is refused first."""
+    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
+    return [] if det is None else [ord_eps(ctx, m, det) for m in range(n + 1)]
 
 
 def _minors(k: int, rel_cols) -> list[LambdaElement]:
@@ -166,14 +204,42 @@ def _weierstrass_minor(ctx: PrimeContext, minors) -> tuple[int, LambdaElement] |
     return min(found, key=lambda t: t[0], default=None)
 
 
-def _norm_length(ctx: PrimeContext, ords: list[int]) -> int | None:
-    """len M_m = sum of ords = [ord_{eps_j}(det A) for j <= m], read from
-    the norm (see above); None when ords is empty (no square relations), M_m
-    is infinite, or m + max_j ceil(ord_{eps_j} / phi(p^j)) reaches N."""
-    if not ords or INFINITE in ords:
+def _cyclic(p: int, k: int, rel_cols) -> bool:
+    """Whether Lambda^k / A, A square, is cyclic: rank A(0) mod p >= k - 1
+    (Nakayama, see above)."""
+    rows = [[c[i].coeffs[0] % p if c[i] else 0 for c in rel_cols] for i in range(k)]
+    rank = 0
+    for j in range(k):
+        if (pivot := next((r for r in rows if r[j]), None)) is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        inv = pow(pivot[j], -1, p)
+        rows = [[(x - r[j] * inv * y) % p for x, y in zip(r, pivot)] for r in rows]
+    return rank >= k - 1
+
+
+def _norm_length(ctx: PrimeContext, ords: list, cyclic: bool) -> int | None:
+    """len tors M_m = sum_{j not in S} t_j from ords = [ord_{eps_j}(det A)
+    for j <= m] (see above), S the levels where ords is infinite and
+    t_j = ords[j] - sum_{i in S} phi(p^min(i, j)); None when ords is empty
+    (no square relations), S is not empty and M is not ``cyclic``, or
+    m + max_j ceil(t_j / phi(p^j)) reaches N."""
+    if not ords or (INFINITE in ords and not cyclic):
         return None
-    bound = len(ords) - 1 + max(-(-o // euler_phi_pk(ctx.p, j)) for j, o in enumerate(ords))
-    return sum(ords) if bound < ctx.precision else None
+    p, s = ctx.p, [i for i, o in enumerate(ords) if o == INFINITE]
+    terms = {j: o - sum(euler_phi_pk(p, min(i, j)) for i in s) for j, o in enumerate(ords) if o != INFINITE}
+    bound = len(ords) - 1 + max((-(-t // euler_phi_pk(p, j)) for j, t in terms.items()), default=0)
+    return sum(terms.values()) if bound < ctx.precision else None
+
+
+def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
+    """is_special(ctx, a, n).verdict from ords = [ord_{eps_m}(det A) for
+    m <= n]: columns are tested only where Phi_m divides det A."""
+    return all(
+        any(all(e.divisible_by(cyclotomic_phi(ctx, m)) for e in col) for col in a.columns)
+        for m, o in enumerate(ords) if o == INFINITE
+    )
 
 
 def _tors_length(ctx: PrimeContext, k: int, rel_cols, m: int, q_rank: int, minor) -> int:
@@ -205,10 +271,10 @@ def nabla_cyclic(ctx: PrimeContext, f: LambdaElement, n: int) -> NablaResult:
     _require_step(n)
     if f.is_zero:
         raise ZeroElement("cyclic tower needs f != 0")
-    if f.divisible_by(cyclotomic_phi(ctx, n)):
+    ords = _level_ords(ctx, n, f)
+    if ords[n] == INFINITE:
         raise PhiDivides(f"Phi_{n} divides f; step kernel is infinite")
-    result = _brute_nabla(ctx, 1, ((f,),), n, [f])
-    return _attach(result, ord_eps(ctx, n, f))
+    return _attach(_brute_nabla(ctx, 1, ((f,),), n, [f], ords), ords[n])
 
 
 def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> NablaResult:
@@ -220,8 +286,9 @@ def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> Nabla
     minors = _minors(k, cols)
     if not any(minors):
         raise NotTorsion("relations do not have full rank over Frac(Lambda)")
-    result = _brute_nabla(ctx, k, cols, n, minors)
-    if len(cols) == k:
+    square = len(cols) == k
+    result = _brute_nabla(ctx, k, cols, n, minors, _level_ords(ctx, n, minors[0] if square else None))
+    if square:
         inv = iwasawa_invariants(ctx, minors[0])  # det of the square relations
         closed = inv.lambda_ + euler_phi_pk(ctx.p, n) * inv.mu
         return _attach(result, closed)
@@ -234,12 +301,11 @@ def nabla_matrix_tower(ctx: PrimeContext, a: LambdaMatrix, n: int) -> NablaResul
     _require_step(n)
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: the tower is not torsion")
-    if a.det.divisible_by(cyclotomic_phi(ctx, n)):
+    ords = _level_ords(ctx, n, a.det)
+    if ords[n] == INFINITE:
         raise PhiDivides(f"Phi_{n} divides det A; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, a.columns, n, [a.det])
-    if is_special(ctx, a, n).verdict:
-        return _attach(result, ord_eps(ctx, n, a.det))
-    return result
+    result = _brute_nabla(ctx, 2, a.columns, n, [a.det], ords)
+    return _attach(result, ords[n]) if _special(ctx, a, ords) else result
 
 
 def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResult:
@@ -252,10 +318,11 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     f = assemble_fn(ctx, cd, n)
     if f.det.is_zero:
         raise SingularMatrix(f"det F_{n} = 0")
-    if f.det.divisible_by(cyclotomic_phi(ctx, n)):
+    ords = _level_ords(ctx, n, f.det)
+    if ords[n] == INFINITE:
         raise PhiDivides(f"Phi_{n} divides det F_{n}; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, f.columns, n, [f.det])
-    if not is_special(ctx, f, n).verdict:
+    result = _brute_nabla(ctx, 2, f.columns, n, [f.det], ords)
+    if not _special(ctx, f, ords):
         return result
     o = ord_eps(ctx, n, parity_reference(cd, n).det)
     if o == INFINITE:
@@ -279,9 +346,7 @@ def additivity_check(ctx: PrimeContext, left, right, n: int) -> bool:
     two summand nablas at step n."""
     res_l = nabla_tower(ctx, left, n)
     res_r = nabla_tower(ctx, right, n)
-    k, cols = direct_sum(left, right).relation_columns()
-    res_sum = _brute_nabla(ctx, k, cols, n, _minors(k, cols))
-    return res_sum.nabla == res_l.nabla + res_r.nabla
+    return nabla_torsion_tower(ctx, direct_sum(left, right), n).nabla == res_l.nabla + res_r.nabla
 
 
 def tower_sweep(ctx: PrimeContext, tower, n_max: int) -> list[NablaResult]:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from iwarank import kobayashi_rank, zp_modules
+from iwarank import kobayashi_rank, special_matrices, zp_modules
 from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from iwarank.errors import (
     DegenerateColeman,
@@ -21,8 +21,11 @@ from iwarank.kobayashi_rank import (
     NablaResult,
     TorsionTower,
     _brute_nabla,
+    _cyclic,
+    _level_ords,
     _minors,
     _norm_length,
+    _special,
     _tors_length,
     _weierstrass_minor,
     additivity_check,
@@ -46,11 +49,13 @@ from iwarank.lambda_ring import (
     euler_phi_pk,
     omega_poly,
 )
-from iwarank.special_matrices import ColemanData, assemble_fn
+from iwarank.special_matrices import ColemanData, assemble_fn, good_basis_transform, is_special
 from iwarank.verify import (
     COLEMAN_KINDS,
     _rand_matrix,
+    _rand_poly,
     _rand_summand,
+    _rand_unit_poly,
     rand_coleman_data,
     rand_cyclic_poly,
     rand_special_matrix,
@@ -318,7 +323,9 @@ def test_torsion_difference_matches_nested_quotient():
             s = LambdaElement((rng.randint(-3, 3), rng.randint(-3, 3)))
             cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
         cols = [tuple(col) for col in cols]
-        got = _outcome(_brute_nabla, ctx, k, cols, n, _minors(k, cols))
+        minors = _minors(k, cols)
+        ords = _level_ords(ctx, n, minors[0] if c == k else None)
+        got = _outcome(_brute_nabla, ctx, k, cols, n, minors, ords)
         assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (p, n, k, ctx.precision, cols)
         kind = got if isinstance(got, type) else NablaResult
         counts[kind] = counts.get(kind, 0) + 1
@@ -448,7 +455,8 @@ def test_norm_reading_matches_snf():
                 for m in range(n + 1):
                     if any(r < k for r in ranks[: m + 1]):
                         break  # M_m and every later level are infinite
-                    norm = _norm_length(ctx, [ord_eps(ctx, j, minors[0]) for j in range(m + 1)])
+                    ords = [ord_eps(ctx, j, minors[0]) for j in range(m + 1)]
+                    norm = _norm_length(ctx, ords, _cyclic(p, k, cols))
                     snf = _outcome(_tors_length, ctx, k, cols, m, k * p**m, minor)
                     where = (name, p, n, m, ctx.precision, cols)
                     if norm is not None:
@@ -599,3 +607,168 @@ def test_refusal_order(fn, arg, n, alone, second, first, message):
     with pytest.raises(first) as exc:
         fn(_LO, arg, n)
     assert type(exc.value) is first and str(exc.value) == message
+
+
+def test_special_verdict_matches_is_special():
+    # the towers' verdict, read from ords, equals is_special's on special
+    # draws, on Coleman F_n before and after the good-basis move, and on
+    # draws where Phi_m divides det A but (as a rule) no column does
+    rng = random.Random("special-verdict")
+    seen = {True: 0, False: 0}
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)):
+        ctx = PrimeContext(p)
+        draws = [rand_special_matrix(ctx, rng, n, max_deg=2)[0] for _ in range(6)]
+        if p ** n <= 27:
+            for kind in COLEMAN_KINDS:
+                cd = rand_coleman_data(ctx, rng, kind)
+                f = assemble_fn(ctx, cd, n)
+                draws += [f, f @ good_basis_transform(ctx, cd, n)]
+        for _ in range(6):
+            a = _rand_matrix(rng, 2, bound=3)
+            phi = cyclotomic_phi(ctx, rng.randint(0, n))
+            draws.append(LambdaMatrix((tuple(e * phi for e in a.rows[0]), a.rows[1])))
+        for a in draws:
+            ords = [ord_eps(ctx, m, a.det) for m in range(n + 1)]
+            verdict = is_special(ctx, a, n).verdict
+            assert _special(ctx, a, ords) is verdict, (p, n, a)
+            seen[verdict] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.fixture
+def tower_calls(monkeypatch):
+    """Calls of is_special, of kobayashi_rank's ord_eps and of
+    divisible_by."""
+    calls = {"is_special": 0, "ord_eps": 0, "divisible_by": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(special_matrices, "is_special", spy("is_special", special_matrices.is_special))
+    monkeypatch.setattr(kobayashi_rank, "ord_eps", spy("ord_eps", kobayashi_rank.ord_eps))
+    monkeypatch.setattr(LambdaElement, "divisible_by", spy("divisible_by", LambdaElement.divisible_by))
+    return calls
+
+
+def test_towers_read_one_valuation_list(tower_calls):
+    # a matrix nabla evaluates det A once per level; a Coleman nabla adds
+    # the parity det of its closed form; neither asks is_special, and a
+    # unit-det tower tests no divisibility at all
+    assert not hasattr(kobayashi_rank, "is_special")
+    ctx = PrimeContext(3)
+    for n in (1, 2, 3):
+        a, _ = rand_special_matrix(ctx, random.Random(f"one-list-{n}"), n)
+        cd = _unit_coleman(ctx, random.Random(f"unit-coleman-3-{n}"), n)
+        before = dict(tower_calls)
+        assert nabla_matrix_tower(ctx, a, n).agrees is True
+        assert tower_calls["ord_eps"] - before["ord_eps"] == n + 1
+        before = dict(tower_calls)
+        assert nabla_coleman_tower(ctx, cd, n).agrees is True
+        assert tower_calls["ord_eps"] - before["ord_eps"] == n + 2
+        assert tower_calls["divisible_by"] == before["divisible_by"]
+    before = dict(tower_calls)
+    assert nabla_matrix_tower(ctx, LambdaMatrix(((ONE + X, THREE), (X, ONE))), 3).nabla == 0
+    assert tower_calls["divisible_by"] == before["divisible_by"]
+    assert tower_calls["is_special"] == 0
+
+
+def _cyclic_draws(rng, p, n):
+    """(name, k, relation columns) of square relations with a cyclic
+    module, many with Phi_i | det A at levels below n."""
+    ctx = PrimeContext(p)
+    for name, k, cols in _tower_draws(rng, p, n):
+        if len(cols) == k and _cyclic(p, k, cols):
+            yield name, k, cols
+
+    def phis():
+        g = ONE
+        for i in range(n):
+            g = g * cyclotomic_phi(ctx, i) ** rng.choice((0, 0, 1, 2))
+        return g
+
+    # Lambda/(f): mu <= 2 and Phi_i factors of multiplicity up to 2
+    yield "cyclic-phi", 1, ((_rand_unit_poly(rng, p, 3, bound=4) * p ** rng.randint(0, 2) * phis(),),)
+    # 2x2 with a unit entry, Phi_i factors on the other row or column
+    a = [list(row) for row in _rand_matrix(rng, 2, bound=3).rows]
+    a[0][0] = _rand_unit_poly(rng, p, 2, bound=4)
+    g = phis()
+    if rng.random() < 0.5:
+        a[1] = [e * g for e in a[1]]
+    else:
+        a[0][1], a[1][1] = a[0][1] * g, a[1][1] * g
+    if (a := LambdaMatrix(tuple(map(tuple, a)))).det:
+        yield "unit-entry", 2, a.columns
+    # 3x3 torsion whose A(0) mod p has rank 2
+    while True:
+        cols = [[_rand_poly(rng, 1, bound=3, nonzero=False) for _ in range(3)] for _ in range(2)]
+        third = [X * _rand_poly(rng, 1, bound=3) + p * rng.randint(-2, 2) for _ in range(3)]
+        g = phis()
+        cols = tuple(map(tuple, cols + [[e * g for e in third]]))
+        if _cyclic(p, 3, cols) and _minors(3, cols)[0]:
+            yield "torsion-3", 3, cols
+            return
+
+
+def test_cyclic_reading_matches_banded():
+    # square relations with a cyclic module: wherever the reading answers
+    # at level m, infinite levels below m included, the certified banded
+    # SNF gives the same length; where its exponent bound reaches N it
+    # declines; and the nabla, refusals included, equals the two-span one
+    rng = random.Random("cyclic-differential")
+    counts = {"answered": 0, "answered-infinite": 0, "declined": 0, "declined-raise": 0, "nabla-raise": 0}
+    names = set()
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
+        for _ in range(3):
+            for name, k, cols in _cyclic_draws(rng, p, n):
+                ctx = PrimeContext(p, precision=rng.choice((3, 4, 6, 10, 40)))
+                names.add(name)
+                det = _minors(k, cols)[0]
+                ords = [ord_eps(ctx, m, det) for m in range(n + 1)]
+                ranks = [rank_at_eps(ctx, m, cols, k) for m in range(n + 1)]
+                for m in range(n + 1):
+                    q_rank = sum(euler_phi_pk(p, j) * r for j, r in enumerate(ranks[: m + 1]))
+                    banded = _outcome(lambda: sum(certified_valuations(
+                        ctx, lambda_column_span(ctx, cols, m), q_rank, m)))
+                    read = _norm_length(ctx, ords[: m + 1], True)
+                    if read is None:
+                        counts["declined"] += 1
+                        counts["declined-raise"] += banded is PrecisionUnstable
+                    else:
+                        assert read == banded, (name, p, n, m, ctx.precision, cols)
+                        counts["answered"] += 1
+                        counts["answered-infinite"] += INFINITE in ords[: m + 1]
+                if ords[n] != INFINITE:
+                    got = _outcome(_brute_nabla, ctx, k, cols, n, [det], ords)
+                    assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (name, p, n, ctx.precision, cols)
+                    counts["nabla-raise"] += got is PrecisionUnstable
+    assert names >= {"cyclic", "torsion-1", "special", "cyclic-phi", "unit-entry", "torsion-3"}, names
+    assert min(counts.values()) > 0, counts
+
+
+def test_cyclic_towers_read_no_span(monkeypatch):
+    # cyclic towers take the reading at every level, infinite ones too,
+    # with no SNF; a non-cyclic tower at an infinite level reads a span
+    calls = []
+    snf = zp_modules._snf
+    monkeypatch.setattr(zp_modules, "_snf", lambda *args: calls.append(args) or snf(*args))
+    ctx = PrimeContext(3)
+    phi1 = cyclotomic_phi(ctx, 1)
+    towers = [
+        (1, ((THREE * X * phi1 * phi1 * (X + 2),),)),  # Phi_0 and Phi_1^2 divide f
+        (2, ((ONE + 3 * X, X * phi1), (X, (X + 2) * phi1))),  # unit entry, Phi_1 | det
+        (3, ((ONE, X, THREE), (2 + X, ONE, X), (X * phi1, 3 * X * phi1, X * X * phi1))),
+    ]
+    results = {(k, n): nabla_torsion_tower(ctx, TorsionTower(cols), n) for k, cols in towers for n in (2, 3)}
+    assert calls == []
+    a = LambdaMatrix.diagonal(phi1, phi1 * (X + 2))  # A(0) = 0 mod 3
+    assert nabla_matrix_tower(ctx, a, 2).nabla == 4
+    assert calls and not _cyclic(3, 2, a.columns)
+    for k, cols in towers:
+        assert _cyclic(3, k, cols)
+        for n in (2, 3):
+            res, oracle = results[k, n], _two_span_nabla(ctx, k, cols, n)
+            assert (res.ker_length, res.nabla) == (oracle.ker_length, oracle.nabla)
+    assert _two_span_nabla(ctx, 2, a.columns, 2).nabla == 4
