@@ -23,13 +23,22 @@ inside (Z_p[X]/P)^k, P the Weierstrass polynomial of d, on k lambda rows
 (zp_modules.weierstrass_span).  Otherwise it is read on the banded span
 of the relations in Lambda_m^k, on k p^m rows; mu > 0 must stay there,
 since when every minor has mu > 0, M_m / p has dimension at least p^m.
+The minor is chosen only when some level of the step reads a span, and
+both levels read their Weierstrass spans from one construction
+(zp_modules._weierstrass_spans): P is lifted once, and P and the
+generator columns X^s g_j mod P are built once per rung of the
+precision ladder; only the k lambda columns omega_m e_i differ between
+m = n and m = n - 1.
 
 Every rank comes from the cyclotomic rank profile r_m = rank of the
 relations at eps_m; for square relations r_m = k exactly where
-ord_{eps_m}(det A) is finite, so rank_at_eps runs only where det A
-vanishes at eps_m and for non-square relations.  Lambda_n x Q_p is the
-product of the fields Q_p(zeta_{p^m}), m <= n, so the level-m span has
-Q-rank R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
+ord_{eps_m}(det A) is finite, and r_m = k - 1 where it is infinite if
+M = Lambda^k / A is cyclic (then M = Lambda / (det A), see below, and
+M x Q_p(zeta_{p^m}) is one-dimensional).  So rank_at_eps runs only where
+det A vanishes at eps_m and M is not cyclic, and for non-square
+relations.  Lambda_n x Q_p is the product of the fields
+Q_p(zeta_{p^m}), m <= n, so the level-m span has Q-rank
+R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 (zp_modules.certified_valuations); the span on P has Q-rank
 k lambda - (k p^m - R_m).  The rational dimension downstairs is
 sum over m < n of phi(p^m) (k - r_m).
@@ -114,7 +123,7 @@ from .lambda_ring import (
     signed_degree,
 )
 from .special_matrices import ColemanData, assemble_fn, parity_reference
-from .zp_modules import certified_valuations, lambda_column_span, weierstrass_span
+from .zp_modules import _weierstrass_spans, certified_valuations, lambda_column_span
 
 
 @dataclass(frozen=True)
@@ -165,20 +174,23 @@ def direct_sum(left, right) -> TorsionTower:
 def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, ords) -> NablaResult:
     """nabla M_n from the relations, the caller's _minors of them ([det A]
     if square) and its _level_ords of det A ([] if not square)."""
-    # square relations have r_m = k exactly where ord_{eps_m}(det A) is finite
-    ranks = [k if ords and ords[m] != INFINITE else rank_at_eps(ctx, m, rel_cols, k) for m in range(n + 1)]
+    cyclic = bool(ords) and _cyclic(ctx.p, k, rel_cols)
+    # square relations have r_m = k exactly where ord_{eps_m}(det A) is
+    # finite, and r_m = k - 1 where it is not if M is cyclic
+    ranks = [
+        k if ords and ords[m] != INFINITE else k - 1 if cyclic else rank_at_eps(ctx, m, rel_cols, k)
+        for m in range(n + 1)
+    ]
     if ranks[n] < k:
         raise PhiDivides(f"relations drop rank at eps_{n}; step kernel is infinite")
     # R_m = sum_{j<=m} phi(p^j) r_j, the Q-rank of the level-m relation span
     profile = list(accumulate(euler_phi_pk(ctx.p, m) * r for m, r in enumerate(ranks)))
-    minor = _weierstrass_minor(ctx, minors)
-    cyclic = bool(ords) and _cyclic(ctx.p, k, rel_cols)
-    tors_n, tors_prev = (  # len tors M_m at m = n, n - 1; from the norm when it answers
-        t if (t := _norm_length(ctx, ords[: m + 1], cyclic)) is not None
-        else _tors_length(ctx, k, rel_cols, m, profile[m], minor)
-        for m in (n, n - 1)
-    )
-    ker_length = tors_n - tors_prev
+    # len tors M_m at m = n, n - 1; from the norm when it answers
+    tors = [_norm_length(ctx, ords[: m + 1], cyclic) for m in (n, n - 1)]
+    if None in tors:
+        read = _tors_reader(ctx, k, rel_cols, minors)
+        tors = [read(m, profile[m]) if t is None else t for m, t in zip((n, n - 1), tors)]
+    ker_length = tors[0] - tors[1]
     lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
     return NablaResult(n=n, ker_length=ker_length, coker_length=0, lower_rank=lower_rank,
                        nabla=ker_length + lower_rank)
@@ -242,17 +254,25 @@ def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
     )
 
 
-def _tors_length(ctx: PrimeContext, k: int, rel_cols, m: int, q_rank: int, minor) -> int:
-    """len tors M_m, M_m = Lambda_m^k / <relations> with Q-rank q_rank
-    (= R_m), read on the Weierstrass span of ``minor`` (lambda, d) when
-    lambda < p^m and on the banded span otherwise.  Both present M_m,
-    so they certify and refuse the same inputs; only the finite count
-    and the expected rank differ, both by k (p^m - lambda)."""
-    if minor is None or minor[0] >= ctx.p ** m:
-        return sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), q_rank, m))
-    lam, d = minor
-    rank = k * lam - (k * ctx.p ** m - q_rank)  # k lambda less the Q-rank of M_m
-    return sum(certified_valuations(ctx, lambda e: weierstrass_span(ctx, rel_cols, d, m, e), rank, m))
+def _tors_reader(ctx: PrimeContext, k: int, rel_cols, minors):
+    """A function (m, q_rank) -> len tors M_m, M_m = Lambda_m^k /
+    <relations> with Q-rank q_rank (= R_m), read on the Weierstrass span
+    of the _weierstrass_minor (lambda, d) of ``minors`` when lambda < p^m
+    and on the banded span otherwise.  Both present M_m, so they certify
+    and refuse the same inputs; only the finite count and the expected
+    rank differ, both by k (p^m - lambda).  The levels of one reader share
+    one zp_modules._weierstrass_spans, so P and the generator columns are
+    built once per rung."""
+    minor = _weierstrass_minor(ctx, minors)
+    spans = minor and _weierstrass_spans(ctx, rel_cols, minor[1])
+
+    def tors_length(m: int, q_rank: int) -> int:
+        if minor is None or minor[0] >= ctx.p ** m:
+            return sum(certified_valuations(ctx, lambda_column_span(ctx, rel_cols, m), q_rank, m))
+        rank = k * minor[0] - (k * ctx.p ** m - q_rank)  # k lambda less the Q-rank of M_m
+        return sum(certified_valuations(ctx, lambda e: spans(m, e), rank, m))
+
+    return tors_length
 
 
 def _require_step(n: int) -> None:

@@ -6,13 +6,19 @@ entry is encoded as valuation N.  Lengths of spans and quotients are read
 off these valuations.
 
 Presentations: a Z_p[X]-span of polynomial vectors inside (Z_p[X]/Q)^k,
-Q monic, is laid out shift-major on k deg Q rows (_shift_span).
+Q monic, is laid out shift-major on k deg Q rows (_shift_columns), each
+polynomial reduced mod Q in one top-down pass (_reduce).
 lambda_column_span takes Q = omega_n: k p^n rows, a banded matrix.
 weierstrass_span takes Q = P, the Weierstrass polynomial of a minor of
 the relations with mu = 0 (weierstrass_lift), adds the columns
-omega_n e_i, and presents the same quotient on k lambda rows.  _snf
-takes unit pivots in Weierstrass order, so the fill stays in the band,
-and divides a block left without a unit by p once per valuation phase.
+omega_n e_i, and presents the same quotient on k lambda rows.  A tower
+step reads two levels on one _weierstrass_spans: P is lifted once, its
+digits continued from rung to rung of the precision ladder, and each
+rung's P and generator columns serve both levels, which differ only in
+the columns omega_n e_i.  _snf takes unit pivots in Weierstrass order,
+so the fill stays in the band, updates only the columns not yet
+pivoted, and divides a block left without a unit by p once per
+valuation phase.
 
 Certificate: a span given by exact integer columns has Z_p elementary
 divisors p^{a_i}, one per unit of its Q-rank, and reducing mod p^e reads
@@ -29,6 +35,7 @@ rank profile of its relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidContext, PrecisionUnstable
 from .lambda_ring import LambdaElement, PrimeContext, _omega
@@ -71,6 +78,10 @@ def _snf(rows, p: int, e: int) -> list[int]:
     the columns finds every pivot of a phase.  When the residual block
     has no unit, every entry is divisible by p: the block is divided by
     p once and the running valuation rises, at most e times.
+
+    A pivot normalizes and clears, and a phase divides, only the columns
+    still to be read: no pivoted column is read again, so its stale
+    entries cannot change a valuation.
     """
     pe = p ** e
     m = [[x % pe for x in row] for row in rows]
@@ -82,18 +93,19 @@ def _snf(rows, p: int, e: int) -> list[int]:
     while live and cols:
         pe = p ** (e - v)
         rest = []
-        for c in cols:
+        for at, c in enumerate(cols):
             pi = next((i for i in live if m[i][c] % p), -1)
             if pi < 0:
                 rest.append(c)  # no unit here until the next phase
                 continue
             live.remove(pi)
-            rowp = m[pi]
-            if (unit := rowp[c]) != 1:
+            # the spans start sparse: touch only the pivot row's nonzero live columns
+            rowp, later = m[pi], chain(rest, cols[at + 1:])
+            if (unit := rowp[c]) == 1:
+                nonzero = [(j, x) for j in later if (x := rowp[j])]
+            else:
                 inv = pow(unit, -1, pe)
-                rowp = m[pi] = [x * inv % pe for x in rowp]
-            # the spans start sparse: touch only the pivot row's nonzero columns
-            nonzero = [(j, x) for j, x in enumerate(rowp) if x]
+                nonzero = [(j, x * inv % pe) for j in later if (x := rowp[j])]
             for i in live:
                 rowi = m[i]
                 if t := rowi[c]:
@@ -104,7 +116,9 @@ def _snf(rows, p: int, e: int) -> list[int]:
         if not any(m[i][c] for i in live for c in cols):
             break  # remaining block is zero
         for i in live:
-            m[i] = [x // p for x in m[i]]
+            row = m[i]
+            for c in cols:
+                row[c] //= p
         v += 1
     vals.extend([e] * (min(len(m), nc) - len(vals)))
     return vals
@@ -138,71 +152,105 @@ def certified_valuations(ctx: PrimeContext, span, rank: int, level: int | None =
     return vals
 
 
+def _low(pol) -> list[tuple[int, int]]:
+    """The (index, value) pairs of the nonzero lower coefficients of a
+    monic coefficient list."""
+    return [(j, c) for j, c in enumerate(pol[:-1]) if c]
+
+
 def _times_x(vec: list[int], low, q: int | None) -> list[int]:
     """X * vec mod a monic modulus of degree len(vec) whose lower
-    coefficients are the (index, value) pairs ``low``; mod q if given."""
+    coefficients are the (index, value) pairs ``low``; mod q if given
+    (vec is then reduced mod q already)."""
     nxt = [0] + vec[:-1]
     if top := vec[-1]:
         for j, c in low:
-            nxt[j] -= top * c
-        if q:
-            nxt = [x % q for x in nxt]
+            nxt[j] = (nxt[j] - top * c) % q if q else nxt[j] - top * c
     return nxt
 
 
 def _reduce(coeffs, low, width: int, q: int | None) -> list[int]:
     """The coefficient vector (length ``width``) of a polynomial mod the
-    monic modulus of _times_x, by Horner's rule; mod q if given."""
-    if not width:
-        return []
-    cut = max(len(coeffs) - width, 0)
-    acc = list(coeffs[cut:]) + [0] * (width - len(coeffs) + cut)
-    for c in reversed(coeffs[:cut]):
-        acc = _times_x(acc, low, q)
-        acc[0] += c
+    monic modulus of _times_x; mod q if given.  One pass from the top
+    coefficient down clears each coefficient in place into the ``width``
+    below it; only the cleared coefficient is reduced mod q on the way,
+    and one final % q reduces the result."""
+    acc = list(coeffs) + [0] * (width - len(coeffs))
+    for t in range(len(acc) - 1, width - 1, -1):
+        if c := (acc[t] % q if q else acc[t]):
+            base = t - width
+            for j, x in low:
+                acc[base + j] -= c * x
+    del acc[width:]
     return [x % q for x in acc] if q else acc
 
 
-def _shift_span(gens, modulus: LambdaElement, q: int | None = None) -> SpanPresentation:
-    """The columns X^s g_j mod a monic ``modulus``, 0 <= s < deg modulus:
-    the Z_p[X]-span of the generators inside (Z_p[X]/modulus)^k, with
-    exact integer coefficients, or reduced mod q if the modulus is only
-    known mod q.  Shift-major: coefficient t of entry i is row t*k + i,
-    and X^s g_j is column s*len(gens) + j.  X moves a vector down k rows,
-    so X^s g_j fills only the rows of coefficients s .. s + deg g_j until
-    the shift wraps past the modulus: a banded multiplication operator.
-    """
+def _shift_columns(gens, low, width: int, q: int | None) -> list[list[tuple[int, ...]]]:
+    """Per shift s < width, the columns X^s g_j of the polynomial vectors
+    ``gens`` mod the monic modulus of _times_x (and mod q, if given),
+    laid out shift-major: coefficient t of entry i is row t*k + i.  X
+    moves a column down k rows, so X^s g_j fills only the rows of
+    coefficients s .. s + deg g_j until the shift wraps past the modulus:
+    a banded multiplication operator."""
     gens = [tuple(g) for g in gens]
     if not gens:
         raise InvalidContext("need at least one generator")
     k = len(gens[0])
-    width = modulus.degree
-    low = [(j, c) for j, c in enumerate(modulus.coeffs[:width]) if c]
-    curs = []  # per generator, its k coefficient vectors times X^s
-    for gen in gens:
-        if len(gen) != k:
-            raise InvalidContext("generators of mixed rank")
-        curs.append([
-            _reduce(e.coeffs if isinstance(e, LambdaElement) else (e,), low, width, q)
-            for e in gen
-        ])
-    cols: list[tuple[int, ...]] = []
+    if any(len(gen) != k for gen in gens):
+        raise InvalidContext("generators of mixed rank")
+    coeffs = [[e.coeffs if isinstance(e, LambdaElement) else (e,) for e in gen] for gen in gens]
+    vecs = [[_reduce(c, low, width, q) for c in gen] for gen in coeffs]
     col = [0] * (k * width)
+    by_shift = []
     for s in range(width):
-        for cur in curs:
-            for i, vec in enumerate(cur):
+        group = []
+        for v in vecs:
+            for i, vec in enumerate(v):
                 col[i::k] = vec
-            cols.append(tuple(col))
+            group.append(tuple(col))
+        by_shift.append(group)
         if s < width - 1:
-            for cur in curs:
-                cur[:] = [_times_x(vec, low, q) for vec in cur]
-    return SpanPresentation(ambient_rank=k * width, columns=tuple(cols))
+            vecs = [[_times_x(vec, low, q) for vec in v] for v in vecs]
+    return by_shift
 
 
 def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:
     """Exact integer realization of the Lambda_n-span of polynomial
-    vectors inside Lambda_n^k = (Z_p[X]/omega_n)^k == Z_p^{k p^n}."""
-    return _shift_span(gens, _omega(ctx.p, level))
+    vectors inside Lambda_n^k = (Z_p[X]/omega_n)^k == Z_p^{k p^n}: the
+    columns X^s g_j mod omega_n, s < p^n, as column s*len(gens) + j."""
+    w = _omega(ctx.p, level).coeffs
+    by_shift = _shift_columns(gens, _low(w), len(w) - 1, None)
+    cols = tuple(c for group in by_shift for c in group)
+    return SpanPresentation(ambient_rank=len(cols[0]), columns=cols)
+
+
+def _lifter(d: LambdaElement, p: int):
+    """A function e -> the coefficient list of weierstrass_lift(d, p, e),
+    called with rising e.  Each call continues the digits where the last
+    one stopped: they are unique, so the lift to p^16 extends the lift
+    to p^8.  InvalidContext when mu(d) > 0."""
+    cs = d.coeffs
+    lam = next((i for i, c in enumerate(cs) if c % p), None)
+    if lam is None:
+        raise InvalidContext("mu > 0: the polynomial has no Weierstrass polynomial")
+    u = [c % p for c in cs[lam:2 * lam + 1]] + [0] * lam
+    inv = [pow(u[0], -1, p)]  # u^-1 mod (p, X^lambda)
+    for j in range(1, lam):
+        inv.append(-inv[0] * sum(u[a] * inv[j - a] for a in range(1, j + 1)) % p)
+    pol = [0] * lam + [1]
+    done = 1  # pol is P mod p^done
+
+    def lift(e: int) -> list[int]:
+        nonlocal done
+        for i in range(done, e):
+            pi = p ** i
+            t = [x // pi for x in _reduce(cs, _low(pol), lam, pi * p)]
+            for j in range(lam):
+                pol[j] += pi * (sum(t[a] * inv[j - a] for a in range(j + 1)) % p)
+        done = max(done, e)
+        return list(pol)
+
+    return lift
 
 
 def weierstrass_lift(d: LambdaElement, p: int, e: int) -> LambdaElement:
@@ -214,26 +262,41 @@ def weierstrass_lift(d: LambdaElement, p: int, e: int) -> LambdaElement:
     if d == P U (mod p^i), the remainder r of d mod P is divisible by
     p^i, and P + p^i (u^-1 r / p^i mod (p, X^lambda)) is P mod p^{i+1}.
     Each digit is unique, so the lift to p^16 reduces to the lift to
-    p^8.  The leading coefficient of d may be divisible by p (P then
-    drops the roots of d that are not in the maximal ideal).
+    p^8, and _weierstrass_spans continues one lift from rung to rung.
+    The leading coefficient of d may be divisible by p (P then drops the
+    roots of d that are not in the maximal ideal).
     InvalidContext when mu(d) > 0: no coefficient of d is a unit.
     """
-    cs = d.coeffs
-    lam = next((i for i, c in enumerate(cs) if c % p), None)
-    if lam is None:
-        raise InvalidContext("mu > 0: the polynomial has no Weierstrass polynomial")
-    u = [c % p for c in cs[lam:2 * lam + 1]] + [0] * lam
-    inv = [pow(u[0], -1, p)]  # u^-1 mod (p, X^lambda)
-    for j in range(1, lam):
-        inv.append(-inv[0] * sum(u[a] * inv[j - a] for a in range(1, j + 1)) % p)
-    pol = [0] * lam + [1]
-    for i in range(1, e):
-        pi = p ** i
-        low = [(j, c) for j, c in enumerate(pol[:lam]) if c]
-        t = [x // pi for x in _reduce(cs, low, lam, pi * p)]
-        for j in range(lam):
-            pol[j] += pi * (sum(t[a] * inv[j - a] for a in range(j + 1)) % p)
-    return LambdaElement(pol)
+    return LambdaElement(_lifter(d, p)(e))
+
+
+def _weierstrass_spans(ctx: PrimeContext, gens, d: LambdaElement):
+    """A function (level, e) -> weierstrass_span(ctx, gens, d, level, e).
+    P (one lift, continued from rung to rung) and the generator columns
+    X^s g_j mod P are built once per rung e and shared by every level
+    read at it; a level adds only its k lambda columns X^s omega_level e_i,
+    omega_level reduced mod P once."""
+    p, k, lift, rungs = ctx.p, len(gens[0]), _lifter(d, ctx.p), {}
+
+    def read(level: int, e: int) -> SpanPresentation:
+        if e not in rungs:
+            q, pol = p ** e, lift(e)
+            width, low = len(pol) - 1, _low(pol)
+            rungs[e] = q, width, low, _shift_columns(gens, low, width, q)
+        q, width, low, gen_cols = rungs[e]
+        w = _reduce(_omega(p, level).coeffs, low, width, q)
+        cols = []
+        for s, group in enumerate(gen_cols):
+            cols += group
+            for i in range(k):
+                col = [0] * (k * width)
+                col[i::k] = w
+                cols.append(tuple(col))
+            if s < width - 1:
+                w = _times_x(w, low, q)
+        return SpanPresentation(ambient_rank=k * width, columns=tuple(cols))
+
+    return read
 
 
 def weierstrass_span(ctx: PrimeContext, gens, d: LambdaElement, level: int, e: int) -> SpanPresentation:
@@ -246,8 +309,7 @@ def weierstrass_span(ctx: PrimeContext, gens, d: LambdaElement, level: int, e: i
     the generators and omega_level e_i.  So this span presents
     M_level = Lambda_level^k / <generators>, as lambda_column_span does,
     and its reading mod p^e is the reading of M_level / p^e.  Its Q-rank
-    is k lambda less the Q-rank of M_level.
+    is k lambda less the Q-rank of M_level.  Column s*(g + k) + j is
+    X^s times the j-th of the g generators and then of omega_level e_i.
     """
-    k, w = len(gens[0]), _omega(ctx.p, level)
-    omegas = [tuple(w if i == j else 0 for i in range(k)) for j in range(k)]
-    return _shift_span([*gens, *omegas], weierstrass_lift(d, ctx.p, e), ctx.p ** e)
+    return _weierstrass_spans(ctx, gens, d)(level, e)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import weierstrass_oracle
 
 from iwarank import kobayashi_rank, special_matrices, zp_modules
 from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
@@ -26,7 +27,7 @@ from iwarank.kobayashi_rank import (
     _minors,
     _norm_length,
     _special,
-    _tors_length,
+    _tors_reader,
     _weierstrass_minor,
     additivity_check,
     detect_stabilization,
@@ -65,6 +66,8 @@ from iwarank.zp_modules import (
     certified_valuations,
     finite_valuations,
     lambda_column_span,
+    weierstrass_lift,
+    weierstrass_span,
 )
 
 THREE = LambdaElement((3,))
@@ -342,7 +345,8 @@ def test_torsion_difference_matches_nested_quotient():
 
 @pytest.fixture
 def span_paths(monkeypatch):
-    """Counts of the span builders _tors_length calls, by path."""
+    """Counts of the spans a _tors_reader builds, by path: banded spans,
+    and reads of its Weierstrass spans (one per level and rung)."""
     calls = {"banded": 0, "weierstrass": 0}
 
     def spy(name, fn):
@@ -351,8 +355,9 @@ def span_paths(monkeypatch):
             return fn(*args)
         return counted
 
+    spans = kobayashi_rank._weierstrass_spans
     monkeypatch.setattr(kobayashi_rank, "lambda_column_span", spy("banded", lambda_column_span))
-    monkeypatch.setattr(kobayashi_rank, "weierstrass_span", spy("weierstrass", kobayashi_rank.weierstrass_span))
+    monkeypatch.setattr(kobayashi_rank, "_weierstrass_spans", lambda *args: spy("weierstrass", spans(*args)))
     return calls
 
 
@@ -381,19 +386,76 @@ def test_weierstrass_reading_matches_banded(span_paths):
         ctx = PrimeContext(p)
         for _ in range(2):
             for name, k, cols in _tower_draws(rng, p, n):
-                minor = _weierstrass_minor(ctx, _minors(k, cols))
+                minors = _minors(k, cols)
+                minor = _weierstrass_minor(ctx, minors)
+                read = _tors_reader(ctx, k, cols, minors)
                 for m in range(n + 1):
                     ranks = [rank_at_eps(ctx, j, cols, k) for j in range(m + 1)]
                     q_rank = sum(euler_phi_pk(p, j) * r for j, r in enumerate(ranks))
                     banded = sum(certified_valuations(ctx, lambda_column_span(ctx, cols, m), q_rank))
                     before = dict(span_paths)
-                    assert _tors_length(ctx, k, cols, m, q_rank, minor) == banded, (name, p, n, m)
+                    assert read(m, q_rank) == banded, (name, p, n, m)
                     on_p = minor is not None and minor[0] < p**m
                     assert span_paths["weierstrass"] - before["weierstrass"] == on_p
                     assert span_paths["banded"] - before["banded"] == (not on_p)
                     kind = "weierstrass" if on_p else "mu>0" if minor is None else "lambda>=p^m"
                     seen[kind] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_weierstrass_span_matches_one_level_oracle():
+    # the shared construction (one lift continued from rung to rung, P
+    # and the generator columns built once per rung, omega reduced once
+    # per span) gives the one-level, one-rung oracle's presentation,
+    # column for column, at both levels of every step
+    rng = random.Random("weierstrass-oracle")
+    count = 0
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
+        ctx = PrimeContext(p)
+        for _ in range(2):
+            for name, k, cols in _tower_draws(rng, p, n):
+                if (minor := _weierstrass_minor(ctx, _minors(k, cols))) is None:
+                    continue
+                d = minor[1]
+                shared = zp_modules._weierstrass_spans(ctx, cols, d)
+                for e in (8, 16):
+                    assert weierstrass_lift(d, p, e) == weierstrass_oracle.weierstrass_lift(d, p, e)
+                    for m in (n, n - 1):
+                        want = weierstrass_oracle.weierstrass_span(ctx, cols, d, m, e)
+                        assert shared(m, e) == want, (name, p, n, m, e)
+                        assert weierstrass_span(ctx, cols, d, m, e) == want
+                        count += 1
+    assert count > 400
+
+
+def test_one_lift_per_nabla_and_rung(monkeypatch):
+    # A = [[X, 0], [3^9, X]]: M_1 and M_2 both read on the Weierstrass
+    # span of det A = X^2, and each climbs to the rung e = 16; the lift
+    # runs once per rung (and continues its digits), not once per level
+    lifts, reads, digits = [], [], []
+    lifter, spans, reduce = zp_modules._lifter, kobayashi_rank._weierstrass_spans, zp_modules._reduce
+    a = LambdaMatrix(((X, ZERO), (LambdaElement.const(3**9), X)))
+
+    def counted_lifter(d, p):
+        lift = lifter(d, p)
+        return lambda e: lifts.append(e) or lift(e)
+
+    def counted_spans(*args):
+        read = spans(*args)
+        return lambda level, e: reads.append((level, e)) or read(level, e)
+
+    def counted_reduce(coeffs, *args):
+        digits.append(coeffs is a.det.coeffs)
+        return reduce(coeffs, *args)
+
+    monkeypatch.setattr(zp_modules, "_lifter", counted_lifter)
+    monkeypatch.setattr(zp_modules, "_reduce", counted_reduce)
+    monkeypatch.setattr(kobayashi_rank, "_weierstrass_spans", counted_spans)
+    res = nabla_matrix_tower(PrimeContext(3), a, 2)
+    assert res.agrees is True and res.nabla == 2
+    assert reads == [(2, 8), (2, 16), (1, 8), (1, 16)]
+    assert lifts == [8, 16]
+    assert sum(digits) == 15  # the digits of P mod 3^16, each lifted once
 
 
 def test_weierstrass_minor_mu():
@@ -407,9 +469,9 @@ def test_unit_minor_reads_zero_lengths(span_paths):
     # a unit minor (lambda = 0) presents M_m on no rows at all
     ctx = PrimeContext(5)
     cols = ((ONE + X, 3 * X), (X, 2 + X * X))
-    minor = _weierstrass_minor(ctx, _minors(2, cols))
-    assert minor[0] == 0
-    assert [_tors_length(ctx, 2, cols, m, 2 * 5**m, minor) for m in range(3)] == [0, 0, 0]
+    assert _weierstrass_minor(ctx, _minors(2, cols))[0] == 0
+    read = _tors_reader(ctx, 2, cols, _minors(2, cols))
+    assert [read(m, 2 * 5**m) for m in range(3)] == [0, 0, 0]
     assert span_paths == {"banded": 0, "weierstrass": 3}
     assert nabla_torsion_tower(ctx, TorsionTower(cols), 2).nabla == 0
 
@@ -450,14 +512,13 @@ def test_norm_reading_matches_snf():
                     cols[j] = [e * factor for e in cols[j]]
                 cols = tuple(map(tuple, cols))
                 minors = _minors(k, cols)
-                minor = _weierstrass_minor(ctx, minors)
                 ranks = [rank_at_eps(ctx, m, cols, k) for m in range(n + 1)]
                 for m in range(n + 1):
                     if any(r < k for r in ranks[: m + 1]):
                         break  # M_m and every later level are infinite
                     ords = [ord_eps(ctx, j, minors[0]) for j in range(m + 1)]
                     norm = _norm_length(ctx, ords, _cyclic(p, k, cols))
-                    snf = _outcome(_tors_length, ctx, k, cols, m, k * p**m, minor)
+                    snf = _outcome(_tors_reader(ctx, k, cols, minors), m, k * p**m)
                     where = (name, p, n, m, ctx.precision, cols)
                     if norm is not None:
                         assert snf == norm, where
@@ -549,9 +610,15 @@ def test_torsion_tower_builds_its_minor_once(ctx3, profile_calls):
 
 
 def test_rank_at_eps_only_where_det_vanishes(ctx3, profile_calls):
-    # det A = X (1 + X): Phi_0 divides it, no other Phi_m does
+    # det A = X (1 + X): Phi_0 divides it, no other Phi_m does; A(0) has
+    # rank 1 mod 3, so M is cyclic and r_0 = k - 1 needs no rank_at_eps
     res = nabla_matrix_tower(ctx3, LambdaMatrix.diagonal(X, ONE + X), 2)
     assert (res.lower_rank, res.nabla) == (1, 1)
+    assert profile_calls == {"rank_at_eps": [], "_poly_det": 0}
+    # det A = X^2 (1 + X) with A(0) = 0: not cyclic, so r_0 comes from
+    # rank_at_eps, at level 0 only
+    res = nabla_matrix_tower(ctx3, LambdaMatrix.diagonal(X, X * (ONE + X)), 2)
+    assert (res.lower_rank, res.nabla) == (2, 2)
     assert profile_calls == {"rank_at_eps": [0], "_poly_det": 0}
 
 

@@ -5,11 +5,16 @@ import random
 
 import pytest
 from rod_oracle import intersect_spans_mod, snf_with_transform
+from weierstrass_oracle import horner_reduce
 
 from iwarank.errors import InvalidContext, PrecisionUnstable
+from iwarank.kobayashi_rank import direct_sum
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, iwasawa_invariants, vp
+from iwarank.special_matrices import assemble_fn
+from iwarank.verify import _rand_summand, rand_coleman_data, rand_special_matrix
 from iwarank.zp_modules import (
     SpanPresentation,
+    _reduce,
     _snf,
     certified_valuations,
     finite_valuations,
@@ -134,6 +139,53 @@ class TestSnfKernel:
             d = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
             want = sorted(min(vp(int(d[i, i]), p), e) if d[i, i] else e for i in range(min(nr, nc)))
             assert _snf(m, p, e) == want, (p, e, m)
+
+    def test_matches_transform_kernel_on_real_spans(self):
+        # the spans the towers read: the banded 54 x 54 span of a
+        # minus_rank1 Coleman F_3 at p = 3, the 2 lambda x 4 lambda
+        # Weierstrass spans of special matrices at both levels of a step,
+        # and the banded span of a direct sum
+        rng = random.Random("snf-real-spans")
+        ctx3 = PrimeContext(3)
+        f3 = assemble_fn(ctx3, rand_coleman_data(ctx3, rng, "minus_rank1"), 3)
+        spans = [(3, lambda e: lambda_column_span(ctx3, f3.columns, 3))]
+        for p, n in ((3, 2), (3, 3), (5, 2), (7, 1)):
+            ctx = PrimeContext(p)
+            while True:
+                cols = rand_special_matrix(ctx, rng, n, max_deg=2)[0].columns
+                d = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
+                if iwasawa_invariants(ctx, d).mu == 0 and d.coeffs[0] % p == 0:
+                    break
+            for m in (n, n - 1):
+                spans.append((p, lambda e, ctx=ctx, cols=cols, d=d, m=m: weierstrass_span(ctx, cols, d, m, e)))
+        summed = direct_sum(_rand_summand(ctx3, rng, 2), _rand_summand(ctx3, rng, 2)).relation_columns()[1]
+        spans.append((3, lambda e: lambda_column_span(ctx3, summed, 2)))
+        shapes = set()
+        for p, span in spans:
+            for e in (1, 2, 8, 16, 40):
+                rows = span(e).rows_exact()
+                assert _snf(rows, p, e) == snf_with_transform(rows, p, e)[0], (p, e)
+            shapes.add((len(rows), len(rows[0])))
+        assert (54, 54) in shapes
+        assert any(c == 2 * r > 0 for r, c in shapes)  # 2 lambda rows, 4 lambda columns
+
+
+class TestReduce:
+    def test_matches_horner(self):
+        # one top-down pass against Horner's rule, exact and mod q, at
+        # widths 0-20, for inputs shorter and longer than the modulus
+        rng = random.Random("reduce-horner")
+        for width in range(21):
+            for _ in range(12):
+                p = rng.choice((3, 5, 7))
+                q = p ** rng.choice((1, 2, 8, 16))
+                pol = [rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(width)] + [1]
+                low = [(j, c) for j, c in enumerate(pol[:-1]) if c]
+                coeffs = tuple(rng.randint(-q, q) for _ in range(rng.randint(0, 3 * width + 5)))
+                assert _reduce(coeffs, low, width, q) == horner_reduce(coeffs, low, width, q)
+                small = [(j, c - p) for j, c in low][:4]  # small lower coefficients of either sign
+                short = coeffs[: width + 6]
+                assert _reduce(short, small, width, None) == horner_reduce(short, small, width, None)
 
 
 def span_length(span: SpanPresentation) -> int:
