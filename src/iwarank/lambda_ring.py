@@ -259,6 +259,22 @@ class LambdaElement:
         return cls(int(c) for c in coeffs)
 
 
+def _dot(u, v, w, z) -> LambdaElement:
+    """u*v + w*z in one coefficient list."""
+    out = [0] * max(len(u.coeffs) + len(v.coeffs), len(w.coeffs) + len(z.coeffs))
+    for a, b in ((u.coeffs, v.coeffs), (w.coeffs, z.coeffs)):
+        if b:
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in enumerate(b, i):
+                        out[j] += ai * bj
+    while out and out[-1] == 0:
+        out.pop()
+    r = object.__new__(LambdaElement)
+    object.__setattr__(r, "coeffs", tuple(out))
+    return r
+
+
 X = LambdaElement((0, 1))
 ONE = LambdaElement((1,))
 ZERO = LambdaElement()
@@ -321,11 +337,9 @@ class LambdaMatrix:
         )
 
     def __matmul__(self, other: "LambdaMatrix") -> "LambdaMatrix":
-        a, c = self.rows[0]
-        b, d = self.rows[1]
-        e, g = other.rows[0]
-        f, h = other.rows[1]
-        return LambdaMatrix(((a * e + c * f, a * g + c * h), (b * e + d * f, b * g + d * h)))
+        (a, c), (b, d) = self.rows
+        (e, g), (f, h) = other.rows
+        return LambdaMatrix(((_dot(a, e, c, f), _dot(a, g, c, h)), (_dot(b, e, d, f), _dot(b, g, d, h))))
 
     def scaled(self, s) -> "LambdaMatrix":
         return LambdaMatrix(tuple(tuple(s * e for e in row) for row in self.rows))

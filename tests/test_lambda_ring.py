@@ -1,6 +1,7 @@
 """Core ring layer: cyclotomic factors, omega towers, mu/lambda, reductions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,33 @@ class TestElementArithmetic:
     def test_matrix_json_roundtrip(self, ctx3):
         a = LambdaMatrix(((X, ONE), (cyclotomic_phi(ctx3, 1), ZERO)))
         assert LambdaMatrix.from_json_list(a.to_json_list()) == a
+
+    def test_matmul_equals_composed_product(self):
+        rng = random.Random(7)
+
+        def entry():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return ZERO
+            if kind == 1:
+                return LambdaElement.const(rng.randint(-9, 9))
+            bound = 2**200 if kind == 3 else 9
+            return LambdaElement([rng.randint(-bound, bound) for _ in range(rng.randint(1, 5))])
+
+        def matrix():
+            return LambdaMatrix(((entry(), entry()), (entry(), entry())))
+
+        # cancelling products strip to zero and to a lower degree
+        cases = [(LambdaMatrix(((X, X), (ONE, ONE + X))), LambdaMatrix(((X, ONE), (-X, -ONE))))]
+        cases += [(matrix(), matrix()) for _ in range(200)]
+        for m, o in cases:
+            (a, c), (b, d) = m.rows
+            (e, g), (f, h) = o.rows
+            got = m @ o
+            assert got == LambdaMatrix(((a * e + c * f, a * g + c * h), (b * e + d * f, b * g + d * h)))
+            for r in got.entries:
+                assert all(type(x) is int for x in r.coeffs)
+                assert not r.coeffs or r.coeffs[-1] != 0
 
     def test_matrix_det_convention(self):
         a = LambdaMatrix(((LambdaElement((1,)), LambdaElement((3,))),

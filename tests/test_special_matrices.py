@@ -6,7 +6,8 @@ import random
 import pytest
 from rod_oracle import rod_check_by_intersection
 
-from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
+from iwarank import special_matrices
+from iwarank.cyclo_eval import INFINITE, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
 from iwarank.errors import (
     DegenerateColeman,
     InvalidContext,
@@ -34,6 +35,7 @@ from iwarank.special_matrices import (
     parity_reference,
     rod_check,
 )
+from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
 
 
 def diag(a, b) -> LambdaMatrix:
@@ -184,6 +186,47 @@ class TestParityCongruence:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_holds_on_rank1_pair(self, ctx3, cd_rank1, n):
         assert parity_congruence_check(ctx3, cd_rank1, n)
+
+    @pytest.mark.parametrize("p,n_max", [(3, 4), (5, 2), (7, 2)])
+    def test_agrees_with_assembled_evaluation(self, p, n_max, cd_unit, cd_rank1):
+        # the check is a theorem; F_n evaluated at every eps_m must agree
+        ctx = PrimeContext(p)
+        rng = random.Random(p)
+        pairs = [rand_coleman_data(ctx, rng, kind) for kind in COLEMAN_KINDS for _ in range(3)]
+        for cd in pairs + [cd_unit, cd_rank1]:
+            for n in range(n_max + 1):
+                f = assemble_fn(ctx, cd, n)
+                assembled = all(
+                    matrices_proportional_at_eps(ctx, m, f, parity_reference(cd, m)) for m in range(n + 1)
+                )
+                assert parity_congruence_check(ctx, cd, n) is assembled is True
+
+    @pytest.mark.parametrize("n", [-1, 0, 2, 10**6])
+    def test_degenerate_pair_refused_before_level(self, ctx3, n):
+        for cd in (
+            ColemanData(col_plus=LambdaMatrix.identity(), col_minus=LambdaMatrix.identity()),
+            ColemanData(col_plus=diag(X, X), col_minus=LambdaMatrix(((ONE, ONE), (ONE, ONE)))),
+        ):
+            with pytest.raises(DegenerateColeman):
+                parity_congruence_check(ctx3, cd, n)
+
+    @pytest.mark.parametrize("n", [-1, 10, 10**6])
+    def test_level_refusals_match_assembly(self, ctx3, cd_unit, n):
+        # same exception and message as assembling F_n (3^10 is past the explicit cap)
+        with pytest.raises(InvalidContext) as want:
+            assemble_fn(ctx3, cd_unit, n)
+        with pytest.raises(InvalidContext) as got:
+            parity_congruence_check(ctx3, cd_unit, n)
+        assert str(got.value) == str(want.value)
+
+    def test_builds_no_fn(self, ctx3, cd_rank1, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("parity_congruence_check must not assemble F_n")
+
+        monkeypatch.setattr(special_matrices, "assemble_fn", forbidden)
+        monkeypatch.setattr(special_matrices, "omega_tower", forbidden)
+        monkeypatch.setattr(LambdaElement, "divmod_monic", forbidden)
+        assert parity_congruence_check(ctx3, cd_rank1, 4)
 
 
 class TestGoodBasis:
