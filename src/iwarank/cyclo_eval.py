@@ -10,6 +10,12 @@ ord(eps_m) = 1.  Writing r = f mod Phi_m on the power basis,
 because the terms r_i eps_m^i have valuations that differ mod
 phi(p^m) and so cannot cancel.  Level 0 uses eps_0 = 0, i.e. ord is
 v_p(f(0)).  The value is infinite exactly when Phi_m | f.
+
+Every question the package asks at eps_m is answered here from r: value
+and divisibility (CyclotomicPoint), valuation (ord_eps), the vanishing
+columns of a matrix (_vanishing_columns), rank (rank_at_eps) and
+proportionality (matrices_proportional_at_eps).  No other module
+divides by Phi_m.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ class CyclotomicPoint(Record):
 
     @classmethod
     def of(cls, ctx: PrimeContext, m: int, f: LambdaElement) -> "CyclotomicPoint":
-        if m < 0:
-            raise InvalidContext(f"level must be >= 0, got {m}")
         return cls(m, f.reduced_mod(cyclotomic_phi(ctx, m)))
 
     @property
@@ -73,6 +77,13 @@ class CyclotomicPoint(Record):
 def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):
     """Normalized valuation of f(eps_m); INFINITE iff Phi_m divides f."""
     return CyclotomicPoint.of(ctx, m, f).ord(ctx)
+
+
+def _vanishing_columns(ctx: PrimeContext, m: int, a: LambdaMatrix):
+    """Lazily, for each column of A, whether Phi_m divides both entries:
+    a column stops at its first entry that does not vanish, and any()
+    stops at the first column that does."""
+    return (all(CyclotomicPoint.of(ctx, m, e).is_zero for e in col) for col in a.columns)
 
 
 def matrix_rank_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix) -> int:
@@ -104,16 +115,10 @@ def matrices_proportional_at_eps(
     phi = cyclotomic_phi(ctx, m)
     fe = [e.reduced_mod(phi) for e in f.entries]
     ce = [e.reduced_mod(phi) for e in c.entries]
-    c_zero = all(e.is_zero for e in ce)
-    f_zero = all(e.is_zero for e in fe)
-    if c_zero:
-        return f_zero
-    if f_zero:
-        return False
-    ref = next(i for i, e in enumerate(ce) if not e.is_zero)
-    if fe[ref].is_zero:
-        return False
-    return all(
+    ref = next((i for i, e in enumerate(ce) if e), None)
+    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
+        return not any(fe)
+    return bool(fe[ref]) and all(
         (fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4)
     )
 

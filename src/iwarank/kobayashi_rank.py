@@ -19,12 +19,12 @@ len tors M_{n-1}: one reading of M_m at m = n and at m = n-1.
 
 Two presentations give that reading.  When some k x k minor d of the
 relations has mu = 0 and lambda < p^m (d of least lambda), M_m is read
-inside (Z_p[X]/P)^k, P the Weierstrass polynomial of d, on k lambda rows
-(zp_modules.weierstrass_span).  Otherwise it is read on the banded span
-of the relations in Lambda_m^k, on k p^m rows; mu > 0 must stay there,
-since when every minor has mu > 0, M_m / p has dimension at least p^m.
-The minor is chosen only when some level of the step reads a span, and
-both levels read their Weierstrass spans from one construction
+inside (Z_p[X]/P)^k, P the Weierstrass polynomial of d, on k lambda
+rows.  Otherwise it is read on the banded span of the relations in
+Lambda_m^k, on k p^m rows; mu > 0 must stay there, since when every
+minor has mu > 0, M_m / p has dimension at least p^m.  The minor is
+chosen only when some level of the step reads a span, and both levels
+read their Weierstrass spans from one construction
 (zp_modules._weierstrass_spans): P is lifted once, and P and the
 generator columns X^s g_j mod P are built once per rung of the
 precision ladder; only the k lambda columns omega_m e_i differ between
@@ -83,9 +83,10 @@ certifies or refuses, as before.
 Each tower computes ords for m <= n once, right after the explicit-cap
 check, and reads from it its own PhiDivides guard, the rank profile,
 the third reading, the closed forms and the specialness verdict: a level
-with ords[m] finite is fine whatever the entries, so columns are tested
-for Phi_m-divisibility only where ords[m] is infinite
-(special_matrices.is_special keeps the full per-level report).
+with ords[m] finite is fine whatever the entries, so columns are read
+only where ords[m] is infinite, up to the first that vanishes, by the
+reading special_matrices.is_special (the full per-level report) uses:
+cyclo_eval._vanishing_columns.
 
 Closed forms attached per tower kind:
 
@@ -102,7 +103,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 
-from .cyclo_eval import INFINITE, ord_eps, rank_at_eps
+from .cyclo_eval import INFINITE, _vanishing_columns, ord_eps, rank_at_eps
 from .errors import (
     InvalidContext,
     NotTorsion,
@@ -247,11 +248,9 @@ def _norm_length(ctx: PrimeContext, ords: list, cyclic: bool) -> int | None:
 
 def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
     """is_special(ctx, a, n).verdict from ords = [ord_{eps_m}(det A) for
-    m <= n]: columns are tested only where Phi_m divides det A."""
-    return all(
-        any(all(e.divisible_by(cyclotomic_phi(ctx, m)) for e in col) for col in a.columns)
-        for m, o in enumerate(ords) if o == INFINITE
-    )
+    m <= n]: columns are tested only where Phi_m divides det A, up to the
+    first that vanishes."""
+    return all(any(_vanishing_columns(ctx, m, a)) for m, o in enumerate(ords) if o == INFINITE)
 
 
 def _tors_reader(ctx: PrimeContext, k: int, rel_cols, minors):

@@ -25,6 +25,8 @@ from math import lcm
 
 from .cyclo_eval import (
     INFINITE,
+    CyclotomicPoint,
+    _vanishing_columns,
     crt_interpolate,
     matrix_rank_at_eps,
     ord_eps,
@@ -112,54 +114,45 @@ def parity_reference(cd: ColemanData, m: int) -> LambdaMatrix:
     return cd.col_minus if (m == 0 or m % 2 == 1) else cd.col_plus
 
 
-def is_special(ctx: PrimeContext, a: LambdaMatrix, n: int) -> SpecialReport:
-    """Column-divisibility report for every level m <= n."""
+def _column_levels(ctx: PrimeContext, a: LambdaMatrix, n: int) -> list:
+    """Per level m <= n: whether Phi_m divides det A, and for each column
+    whether it vanishes at eps_m.  SingularMatrix, then a negative level
+    or one past the explicit cap, are refused first."""
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: every level divides the determinant")
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
     cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
-    levels = []
-    for m in range(n + 1):
-        phi = cyclotomic_phi(ctx, m)
-        det_div = a.det.divisible_by(phi)
-        i_m = sum(
-            1
-            for j in (0, 1)
-            if a.rows[0][j].divisible_by(phi) and a.rows[1][j].divisible_by(phi)
-        )
-        ok = (not det_div) or i_m >= 1
-        levels.append(SpecialLevel(m=m, i_m=i_m, det_divisible=det_div, ok=ok))
-    return SpecialReport(n=n, per_level=tuple(levels), verdict=all(lv.ok for lv in levels))
+    return [
+        (CyclotomicPoint.of(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a)))
+        for m in range(n + 1)
+    ]
+
+
+def is_special(ctx: PrimeContext, a: LambdaMatrix, n: int) -> SpecialReport:
+    """Column-divisibility report for every level m <= n."""
+    levels = tuple(
+        SpecialLevel(m=m, i_m=sum(cols), det_divisible=det_div, ok=not det_div or any(cols))
+        for m, (det_div, cols) in enumerate(_column_levels(ctx, a, n))
+    )
+    return SpecialReport(n=n, per_level=levels, verdict=all(lv.ok for lv in levels))
 
 
 def factor_bd(ctx: PrimeContext, a: LambdaMatrix, n: int) -> BDFactorization:
     """A = B D with D = diag of the squarefree Phi-products (m <= n-1)
     dividing each column; exact division, no remainder."""
-    report = is_special(ctx, a, n)
-    if not report.verdict:
-        bad = [lv.m for lv in report.per_level if not lv.ok]
+    levels = _column_levels(ctx, a, n)
+    bad = [m for m, (det_div, cols) in enumerate(levels) if det_div and not any(cols)]
+    if bad:
         raise NotSpecial(f"column divisibility fails at levels {bad}")
-    d_diag = []
-    b_cols = []
-    for j in (0, 1):
-        col = (a.rows[0][j], a.rows[1][j])
-        dj = ONE
-        for m in range(n):
-            phi = cyclotomic_phi(ctx, m)
-            if col[0].divisible_by(phi) and col[1].divisible_by(phi):
-                dj = dj * phi
-        b_cols.append((col[0].exact_div(dj), col[1].exact_div(dj)))
-        d_diag.append(dj)
-    b = LambdaMatrix(((b_cols[0][0], b_cols[1][0]), (b_cols[0][1], b_cols[1][1])))
-    return BDFactorization(b=b, d=LambdaMatrix.diagonal(d_diag[0], d_diag[1]))
+    d = [ONE, ONE]
+    for m, (_, cols) in enumerate(levels[:n]):
+        d = [dj * cyclotomic_phi(ctx, m) if vanishes else dj for dj, vanishes in zip(d, cols)]
+    b_cols = [tuple(e.exact_div(dj) for e in a.column(j)) for j, dj in enumerate(d)]
+    return BDFactorization(b=LambdaMatrix(tuple(zip(*b_cols))), d=LambdaMatrix.diagonal(*d))
 
 
 def assemble_fn(ctx: PrimeContext, cd: ColemanData, n: int) -> LambdaMatrix:
     """The level-n coupling matrix
     F_n = omega-tilde_n^+ * col_minus + omega-tilde_n^- * col_plus."""
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
     tower = omega_tower(ctx, n)
     return cd.col_minus.scaled(tower.omega_tilde_plus) + cd.col_plus.scaled(
         tower.omega_tilde_minus
@@ -184,17 +177,9 @@ def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
 def _kernel_killer(ctx: PrimeContext, cd: ColemanData, m: int) -> tuple:
     """A 2x2 block over Z[X]/Phi_m, invertible there, whose first column
     spans the kernel of the (rank-one) parity reference at eps_m."""
-    phi = cyclotomic_phi(ctx, m)
-    c = parity_reference(cd, m)
-    a = c.rows[0][0].reduced_mod(phi)
-    c_ = c.rows[0][1].reduced_mod(phi)
-    b = c.rows[1][0].reduced_mod(phi)
-    d = c.rows[1][1].reduced_mod(phi)
-    if not (a.is_zero and c_.is_zero):
-        x, y = (-c_).reduced_mod(phi), a
-    else:
-        x, y = (-d).reduced_mod(phi), b
-    if not x.reduced_mod(phi).is_zero:
+    a, c, b, d = (CyclotomicPoint.of(ctx, m, e).rep for e in parity_reference(cd, m).entries)
+    x, y = (-c, a) if not (a.is_zero and c.is_zero) else (-d, b)
+    if not x.is_zero:
         return ((x, ZERO), (y, ONE))  # det = x
     return ((x, ONE), (y, ZERO))  # det = -y, nonzero since (x, y) != 0
 
@@ -242,13 +227,12 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
         )
         start = top + 1
         for m in range(max(1, start), n_max + 1):
-            phi = cyclotomic_phi(ctx, m)
-            if not b.det.divisible_by(phi):
+            if not CyclotomicPoint.of(ctx, m, b.det).is_zero:
                 continue
             omega_prev = omega_poly(ctx, m - 1)
             for alpha, beta, gamma, delta in product(range(ctx.p), repeat=4):
                 cand = b + LambdaMatrix(((alpha, gamma), (beta, delta))).scaled(omega_prev)
-                if not cand.det.divisible_by(phi):
+                if not CyclotomicPoint.of(ctx, m, cand.det).is_zero:
                     b = cand
                     break
             else:
@@ -281,8 +265,6 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     """
     if test_level <= n:
         raise InvalidContext(f"test_level must exceed n, got {test_level} <= {n}")
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
     cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
     for m in range(n + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:

@@ -28,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .cyclo_eval import INFINITE, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
+from .cyclo_eval import INFINITE, CyclotomicPoint, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
 from .errors import InvalidContext, NotCoprime, PhiDivides, PostconditionFailed, PrecisionUnstable
 from .growth_model import InvariantSet, degree_identities, delta_e, sha_growth
 from .kobayashi_rank import (
@@ -133,7 +133,7 @@ def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tup
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
     while True:
         b = _rand_matrix(rng, max_deg, bound=4)
-        if any(b.det.divisible_by(cyclotomic_phi(ctx, m)) for m in range(n + 1)):
+        if any(CyclotomicPoint.of(ctx, m, b.det).is_zero for m in range(n + 1)):
             continue
         levels = []
         diag = []
@@ -156,15 +156,14 @@ def rand_cyclic_poly(ctx: PrimeContext, rng, n: int, max_pow: int = 2) -> tuple:
         a = rng.randint(0, max_pow)
         ms = [m for m in range(4) if m != n and rng.random() < 0.35]
         u = _rand_unit_poly(rng, p, max_deg=4)
-        if any(u.divisible_by(cyclotomic_phi(ctx, m)) for m in range(n + 1)):
+        if any(CyclotomicPoint.of(ctx, m, u).is_zero for m in range(n + 1)):
             continue
         f = LambdaElement.const(p**a)
         for m in ms:
             f = f * cyclotomic_phi(ctx, m)
         f = f * u
-        if f.divisible_by(cyclotomic_phi(ctx, n)):
-            continue
-        return f, ord_eps(ctx, n, f)
+        if (o := ord_eps(ctx, n, f)) != INFINITE:
+            return f, o
 
 
 def rand_unit_resultant_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 2) -> LambdaMatrix:
@@ -318,7 +317,7 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
         return MatrixTower(matrix=a)
     while True:
         m = _rand_matrix(rng, 2, bound=3)
-        if not m.det.divisible_by(cyclotomic_phi(ctx, n)):
+        if not CyclotomicPoint.of(ctx, n, m.det).is_zero:
             return TorsionTower(columns=m.columns)
 
 

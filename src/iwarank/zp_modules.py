@@ -9,16 +9,15 @@ Presentations: a Z_p[X]-span of polynomial vectors inside (Z_p[X]/Q)^k,
 Q monic, is laid out shift-major on k deg Q rows (_shift_columns), each
 polynomial reduced mod Q in one top-down pass (_reduce).
 lambda_column_span takes Q = omega_n: k p^n rows, a banded matrix.
-weierstrass_span takes Q = P, the Weierstrass polynomial of a minor of
-the relations with mu = 0 (weierstrass_lift), adds the columns
-omega_n e_i, and presents the same quotient on k lambda rows.  A tower
-step reads two levels on one _weierstrass_spans: P is lifted once, its
-digits continued from rung to rung of the precision ladder, and each
-rung's P and generator columns serve both levels, which differ only in
-the columns omega_n e_i.  _snf takes unit pivots in Weierstrass order,
-so the fill stays in the band, updates only the columns not yet
-pivoted, and divides a block left without a unit by p once per
-valuation phase.
+_weierstrass_spans takes Q = P, the Weierstrass polynomial of a minor of
+the relations with mu = 0 (_lifter), adds the columns omega_n e_i, and
+presents the same quotient on k lambda rows.  A tower step reads two
+levels on one _weierstrass_spans: P is lifted once, its digits continued
+from rung to rung of the precision ladder, and each rung's P and
+generator columns serve both levels, which differ only in the columns
+omega_n e_i.  _snf takes unit pivots in Weierstrass order, so the fill
+stays in the band, updates only the columns not yet pivoted, and
+divides a block left without a unit by p once per valuation phase.
 
 Certificate: a span given by exact integer columns has Z_p elementary
 divisors p^{a_i}, one per unit of its Q-rank, and reducing mod p^e reads
@@ -225,10 +224,19 @@ def lambda_column_span(ctx: PrimeContext, gens, level: int) -> SpanPresentation:
 
 
 def _lifter(d: LambdaElement, p: int):
-    """A function e -> the coefficient list of weierstrass_lift(d, p, e),
-    called with rising e.  Each call continues the digits where the last
-    one stopped: they are unique, so the lift to p^16 extends the lift
-    to p^8.  InvalidContext when mu(d) > 0."""
+    """A function e -> the Weierstrass polynomial P of d mod p^e, as its
+    coefficient list in [0, p^e): monic of degree lambda(d), P ==
+    X^lambda (mod p), and d == P U (mod p^e) with U(0) a unit
+    (Washington, GTM 83, section 7.1).  The leading coefficient of d may
+    be divisible by p (P then drops the roots of d outside the maximal
+    ideal).  InvalidContext when mu(d) > 0: no coefficient is a unit.
+
+    Hensel lift of d == X^lambda u (mod p), one p-adic digit at a time:
+    if d == P U (mod p^i), the remainder r of d mod P is divisible by
+    p^i, and P + p^i (u^-1 r / p^i mod (p, X^lambda)) is P mod p^{i+1}.
+    Each digit is unique, so the lift to p^16 extends the lift to p^8,
+    and each call (with rising e) continues where the last one stopped.
+    """
     cs = d.coeffs
     lam = next((i for i, c in enumerate(cs) if c % p), None)
     if lam is None:
@@ -253,29 +261,25 @@ def _lifter(d: LambdaElement, p: int):
     return lift
 
 
-def weierstrass_lift(d: LambdaElement, p: int, e: int) -> LambdaElement:
-    """The Weierstrass polynomial P of d mod p^e, coefficients in
-    [0, p^e): monic of degree lambda(d), P == X^lambda (mod p), and
-    d == P U (mod p^e) with U(0) a unit (Washington, GTM 83, section 7.1).
-
-    Hensel lift of d == X^lambda u (mod p), one p-adic digit at a time:
-    if d == P U (mod p^i), the remainder r of d mod P is divisible by
-    p^i, and P + p^i (u^-1 r / p^i mod (p, X^lambda)) is P mod p^{i+1}.
-    Each digit is unique, so the lift to p^16 reduces to the lift to
-    p^8, and _weierstrass_spans continues one lift from rung to rung.
-    The leading coefficient of d may be divisible by p (P then drops the
-    roots of d that are not in the maximal ideal).
-    InvalidContext when mu(d) > 0: no coefficient of d is a unit.
-    """
-    return LambdaElement(_lifter(d, p)(e))
-
-
 def _weierstrass_spans(ctx: PrimeContext, gens, d: LambdaElement):
-    """A function (level, e) -> weierstrass_span(ctx, gens, d, level, e).
+    """A function (level, e) -> the span of the generators and of
+    omega_level e_i inside (Z/p^e[X]/P)^k == (Z/p^e)^{k lambda}, P the
+    Weierstrass polynomial (_lifter) of a k x k minor d of the generators
+    with mu(d) = 0.
+
+    adj A = d I puts d e_i in the generators' span, and d = P U with U a
+    unit mod omega_level (U(0) is a unit), so P e_i lies in the span of
+    the generators and omega_level e_i.  So this span presents
+    M_level = Lambda_level^k / <generators>, as lambda_column_span does,
+    and its reading mod p^e is the reading of M_level / p^e.  Its Q-rank
+    is k lambda less the Q-rank of M_level.  Column s*(g + k) + j is
+    X^s times the j-th of the g generators and then of omega_level e_i.
+
     P (one lift, continued from rung to rung) and the generator columns
     X^s g_j mod P are built once per rung e and shared by every level
     read at it; a level adds only its k lambda columns X^s omega_level e_i,
-    omega_level reduced mod P once."""
+    omega_level reduced mod P once.
+    """
     p, k, lift, rungs = ctx.p, len(gens[0]), _lifter(d, ctx.p), {}
 
     def read(level: int, e: int) -> SpanPresentation:
@@ -297,19 +301,3 @@ def _weierstrass_spans(ctx: PrimeContext, gens, d: LambdaElement):
         return SpanPresentation(ambient_rank=k * width, columns=tuple(cols))
 
     return read
-
-
-def weierstrass_span(ctx: PrimeContext, gens, d: LambdaElement, level: int, e: int) -> SpanPresentation:
-    """The span of the generators and of omega_level e_i inside
-    (Z/p^e[X]/P)^k == (Z/p^e)^{k lambda}, P the Weierstrass polynomial
-    of a k x k minor d of the generators with mu(d) = 0.
-
-    adj A = d I puts d e_i in the generators' span, and d = P U with U a
-    unit mod omega_level (U(0) is a unit), so P e_i lies in the span of
-    the generators and omega_level e_i.  So this span presents
-    M_level = Lambda_level^k / <generators>, as lambda_column_span does,
-    and its reading mod p^e is the reading of M_level / p^e.  Its Q-rank
-    is k lambda less the Q-rank of M_level.  Column s*(g + k) + j is
-    X^s times the j-th of the g generators and then of omega_level e_i.
-    """
-    return _weierstrass_spans(ctx, gens, d)(level, e)

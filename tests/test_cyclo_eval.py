@@ -9,6 +9,7 @@ must equal the Bareiss rank of the explicit Lambda_m-span.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,15 @@ from iwarank.cyclo_eval import (
     ord_json,
     rank_at_eps,
 )
-from iwarank.errors import DuplicateLevel, InvalidContext
+from iwarank.errors import DuplicateLevel, InvalidContext, PhiDivides
+from iwarank.kobayashi_rank import (
+    TorsionTower,
+    additivity_check,
+    nabla_coleman_tower,
+    nabla_cyclic,
+    nabla_matrix_tower,
+    nabla_torsion_tower,
+)
 from iwarank.lambda_ring import (
     ONE,
     X,
@@ -38,6 +47,14 @@ from iwarank.lambda_ring import (
     euler_phi_pk,
     omega_tower,
     vp,
+)
+from iwarank.special_matrices import factor_bd, good_basis_transform, is_special
+from iwarank.verify import (
+    COLEMAN_KINDS,
+    _rand_summand,
+    rand_coleman_data,
+    rand_cyclic_poly,
+    rand_special_matrix,
 )
 from iwarank.zp_modules import lambda_column_span
 
@@ -307,3 +324,40 @@ class TestCrtInterpolate:
         # F = 1/2 mod X and F = 1 mod Phi_1, checked after clearing denominators
         assert (LambdaElement.const(2) * num - LambdaElement.const(den)).reduced_mod(X).is_zero
         assert (num - LambdaElement.const(den)).reduced_mod(phi).is_zero
+
+
+def test_only_cyclo_eval_divides_by_phi(monkeypatch):
+    # every question at eps_m is asked through cyclo_eval: on small draws,
+    # the specialness, factorization, good-basis, tower and additivity
+    # entry points and the generators call divisible_by and reduced_mod
+    # only from cyclo_eval
+    callers = set()
+
+    def spy(fn):
+        def called(self, divisor):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return fn(self, divisor)
+        return called
+
+    for name in ("divisible_by", "reduced_mod"):
+        monkeypatch.setattr(LambdaElement, name, spy(getattr(LambdaElement, name)))
+    rng = random.Random("phi-boundary")
+    for p, n in ((3, 1), (3, 2), (5, 1)):
+        ctx = PrimeContext(p)
+        a, _ = rand_special_matrix(ctx, rng, n)
+        f, _ = rand_cyclic_poly(ctx, rng, n)
+        assert is_special(ctx, a, n).verdict
+        fact = factor_bd(ctx, a, n)
+        assert fact.b @ fact.d == a
+        assert nabla_matrix_tower(ctx, a, n).agrees is True
+        assert nabla_cyclic(ctx, f, n).agrees is True
+        nabla_torsion_tower(ctx, TorsionTower(columns=a.columns), n)
+        additivity_check(ctx, _rand_summand(ctx, rng, n), _rand_summand(ctx, rng, n), n)
+        for kind in COLEMAN_KINDS:
+            cd = rand_coleman_data(ctx, rng, kind)
+            moved = cd.transformed(good_basis_transform(ctx, cd, n))
+            try:
+                nabla_coleman_tower(ctx, moved, n)
+            except PhiDivides:
+                pass
+    assert callers == {"iwarank.cyclo_eval"}

@@ -6,10 +6,12 @@ import pytest
 import weierstrass_oracle
 
 from iwarank import kobayashi_rank, special_matrices, zp_modules
-from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
+from iwarank.cli import parse_matrix_arg
+from iwarank.cyclo_eval import INFINITE, CyclotomicPoint, ord_eps, rank_at_eps
 from iwarank.errors import (
     DegenerateColeman,
     InvalidContext,
+    NotSpecial,
     NotTorsion,
     PhiDivides,
     PrecisionUnstable,
@@ -50,7 +52,15 @@ from iwarank.lambda_ring import (
     euler_phi_pk,
     omega_poly,
 )
-from iwarank.special_matrices import ColemanData, assemble_fn, good_basis_transform, is_special
+from iwarank.special_matrices import (
+    BDFactorization,
+    ColemanData,
+    SpecialLevel,
+    assemble_fn,
+    factor_bd,
+    good_basis_transform,
+    is_special,
+)
 from iwarank.verify import (
     COLEMAN_KINDS,
     _rand_matrix,
@@ -66,8 +76,6 @@ from iwarank.zp_modules import (
     certified_valuations,
     finite_valuations,
     lambda_column_span,
-    weierstrass_lift,
-    weierstrass_span,
 )
 
 THREE = LambdaElement((3,))
@@ -406,8 +414,8 @@ def test_weierstrass_reading_matches_banded(span_paths):
 def test_weierstrass_span_matches_one_level_oracle():
     # the shared construction (one lift continued from rung to rung, P
     # and the generator columns built once per rung, omega reduced once
-    # per span) gives the one-level, one-rung oracle's presentation,
-    # column for column, at both levels of every step
+    # per span) gives the one-level, one-rung oracle's lift and
+    # presentation, column for column, at both levels of every step
     rng = random.Random("weierstrass-oracle")
     count = 0
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
@@ -419,11 +427,11 @@ def test_weierstrass_span_matches_one_level_oracle():
                 d = minor[1]
                 shared = zp_modules._weierstrass_spans(ctx, cols, d)
                 for e in (8, 16):
-                    assert weierstrass_lift(d, p, e) == weierstrass_oracle.weierstrass_lift(d, p, e)
+                    want = weierstrass_oracle.weierstrass_lift(d, p, e)
+                    assert LambdaElement(zp_modules._lifter(d, p)(e)) == want
                     for m in (n, n - 1):
                         want = weierstrass_oracle.weierstrass_span(ctx, cols, d, m, e)
                         assert shared(m, e) == want, (name, p, n, m, e)
-                        assert weierstrass_span(ctx, cols, d, m, e) == want
                         count += 1
     assert count > 400
 
@@ -676,12 +684,11 @@ def test_refusal_order(fn, arg, n, alone, second, first, message):
     assert type(exc.value) is first and str(exc.value) == message
 
 
-def test_special_verdict_matches_is_special():
-    # the towers' verdict, read from ords, equals is_special's on special
-    # draws, on Coleman F_n before and after the good-basis move, and on
-    # draws where Phi_m divides det A but (as a rule) no column does
+def _verdict_draws():
+    """(ctx, n, A): special draws, Coleman F_n before and after the
+    good-basis move, and draws where Phi_m divides det A but (as a rule)
+    no column does."""
     rng = random.Random("special-verdict")
-    seen = {True: 0, False: 0}
     for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)):
         ctx = PrimeContext(p)
         draws = [rand_special_matrix(ctx, rng, n, max_deg=2)[0] for _ in range(6)]
@@ -695,18 +702,72 @@ def test_special_verdict_matches_is_special():
             phi = cyclotomic_phi(ctx, rng.randint(0, n))
             draws.append(LambdaMatrix((tuple(e * phi for e in a.rows[0]), a.rows[1])))
         for a in draws:
-            ords = [ord_eps(ctx, m, a.det) for m in range(n + 1)]
-            verdict = is_special(ctx, a, n).verdict
-            assert _special(ctx, a, ords) is verdict, (p, n, a)
-            seen[verdict] += 1
+            yield ctx, n, a
+
+
+def test_special_verdict_matches_is_special():
+    # the towers' verdict, read from ords, equals is_special's
+    seen = {True: 0, False: 0}
+    for ctx, n, a in _verdict_draws():
+        ords = [ord_eps(ctx, m, a.det) for m in range(n + 1)]
+        verdict = is_special(ctx, a, n).verdict
+        assert _special(ctx, a, ords) is verdict, (ctx.p, n, a)
+        seen[verdict] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _special_by_division(ctx, a, n):
+    """is_special's per-level report and factor_bd's (B, D) (None when A
+    is not special), read with divisible_by(cyclotomic_phi(...))."""
+    levels, d = [], [ONE, ONE]
+    for m in range(n + 1):
+        phi = cyclotomic_phi(ctx, m)
+        det_div = a.det.divisible_by(phi)
+        cols = [a.rows[0][j].divisible_by(phi) and a.rows[1][j].divisible_by(phi) for j in (0, 1)]
+        levels.append(SpecialLevel(m=m, i_m=sum(cols), det_divisible=det_div, ok=not det_div or any(cols)))
+        if m < n:
+            d = [dj * phi if c else dj for dj, c in zip(d, cols)]
+    if not all(lv.ok for lv in levels):
+        return tuple(levels), None
+    b = [[a.rows[i][j].exact_div(d[j]) for j in (0, 1)] for i in (0, 1)]
+    return tuple(levels), BDFactorization(b=LambdaMatrix(b), d=LambdaMatrix.diagonal(*d))
+
+
+_GOLDEN_SPECIAL = (
+    ("[[X, 1], [X, X+1]]", 1),
+    ("[[X^2+3X+3, X], [0, X]]", 2),
+    ("[[X^2+3X+3, 1], [0, 1]]", 2),
+    ("diag(X, X)", 1),
+    ("diag(X, X)", 3),
+)
+
+
+def test_special_reading_matches_division():
+    # is_special's full report and factor_bd's (B, D), both from one
+    # column reading per level, equal a reading by division on the
+    # verdict draws and the golden examples
+    ctx3 = PrimeContext(3)
+    draws = [*_verdict_draws(), *((ctx3, n, parse_matrix_arg(a)) for a, n in _GOLDEN_SPECIAL)]
+    counts = set()
+    for ctx, n, a in draws:
+        levels, fact = _special_by_division(ctx, a, n)
+        report = is_special(ctx, a, n)
+        assert report.per_level == levels and report.verdict is (fact is not None), (ctx.p, n, a)
+        if fact is None:
+            with pytest.raises(NotSpecial) as exc:
+                factor_bd(ctx, a, n)
+            assert str(exc.value) == f"column divisibility fails at levels {[lv.m for lv in levels if not lv.ok]}"
+        else:
+            assert factor_bd(ctx, a, n) == fact, (ctx.p, n, a)
+        counts.update(lv.i_m for lv in levels)
+    assert counts == {0, 1, 2}
 
 
 @pytest.fixture
 def tower_calls(monkeypatch):
     """Calls of is_special, of kobayashi_rank's ord_eps and of
-    divisible_by."""
-    calls = {"is_special": 0, "ord_eps": 0, "divisible_by": 0}
+    CyclotomicPoint.of (one per ord_eps, the rest test column entries)."""
+    calls = {"is_special": 0, "ord_eps": 0, "point": 0}
 
     def spy(name, fn):
         def counted(*args):
@@ -716,16 +777,20 @@ def tower_calls(monkeypatch):
 
     monkeypatch.setattr(special_matrices, "is_special", spy("is_special", special_matrices.is_special))
     monkeypatch.setattr(kobayashi_rank, "ord_eps", spy("ord_eps", kobayashi_rank.ord_eps))
-    monkeypatch.setattr(LambdaElement, "divisible_by", spy("divisible_by", LambdaElement.divisible_by))
+    monkeypatch.setattr(CyclotomicPoint, "of", classmethod(spy("point", CyclotomicPoint.of.__func__)))
     return calls
 
 
 def test_towers_read_one_valuation_list(tower_calls):
     # a matrix nabla evaluates det A once per level; a Coleman nabla adds
     # the parity det of its closed form; neither asks is_special, and a
-    # unit-det tower tests no divisibility at all
+    # unit-det tower tests no column
     assert not hasattr(kobayashi_rank, "is_special")
     ctx = PrimeContext(3)
+
+    def entries_tested(before):
+        return tower_calls["point"] - before["point"] - (tower_calls["ord_eps"] - before["ord_eps"])
+
     for n in (1, 2, 3):
         a, _ = rand_special_matrix(ctx, random.Random(f"one-list-{n}"), n)
         cd = _unit_coleman(ctx, random.Random(f"unit-coleman-3-{n}"), n)
@@ -735,10 +800,15 @@ def test_towers_read_one_valuation_list(tower_calls):
         before = dict(tower_calls)
         assert nabla_coleman_tower(ctx, cd, n).agrees is True
         assert tower_calls["ord_eps"] - before["ord_eps"] == n + 2
-        assert tower_calls["divisible_by"] == before["divisible_by"]
+        assert entries_tested(before) == 0
     before = dict(tower_calls)
     assert nabla_matrix_tower(ctx, LambdaMatrix(((ONE + X, THREE), (X, ONE))), 3).nabla == 0
-    assert tower_calls["divisible_by"] == before["divisible_by"]
+    assert entries_tested(before) == 0
+    # Phi_0 divides det diag(X, 1 + X) and the column (X, 0) vanishes: the
+    # verdict reads its two entries and stops, never reading (0, 1 + X)
+    before = dict(tower_calls)
+    assert nabla_matrix_tower(ctx, LambdaMatrix.diagonal(X, ONE + X), 1).agrees is True
+    assert entries_tested(before) == 2
     assert tower_calls["is_special"] == 0
 
 

@@ -7,13 +7,21 @@ import pytest
 from rod_oracle import rod_check_by_intersection
 
 from iwarank import special_matrices
-from iwarank.cyclo_eval import INFINITE, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
+from iwarank.cyclo_eval import (
+    INFINITE,
+    CyclotomicPoint,
+    matrices_proportional_at_eps,
+    matrix_rank_at_eps,
+    ord_eps,
+    rank_at_eps,
+)
 from iwarank.errors import (
     DegenerateColeman,
     InvalidContext,
     NotCoprime,
     NotSpecial,
     PrecisionUnstable,
+    SingularMatrix,
 )
 from iwarank.lambda_ring import (
     ONE,
@@ -23,10 +31,12 @@ from iwarank.lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     cyclotomic_phi,
+    omega_poly,
     omega_tower,
 )
 from iwarank.special_matrices import (
     ColemanData,
+    _kernel_killer,
     assemble_fn,
     factor_bd,
     good_basis_transform,
@@ -354,3 +364,77 @@ class TestReports:
         fact = factor_bd(ctx3, diag(X, X), 1)
         d = fact.to_json_dict()
         assert "b" in d and "d" in d
+
+
+_CTX3 = PrimeContext(3)
+_UNIT_PAIR = ColemanData(col_plus=LambdaMatrix.diagonal(X, X), col_minus=LambdaMatrix.identity())
+_BOUND = "exceeds the explicit-construction bound 20000; use degree bookkeeping for large levels"
+_LEVEL_CALLS = {
+    "cyclotomic_phi": lambda n: cyclotomic_phi(_CTX3, n),
+    "omega_poly": lambda n: omega_poly(_CTX3, n),
+    "omega_tower": lambda n: omega_tower(_CTX3, n),
+    "ord_eps": lambda n: ord_eps(_CTX3, n, X + 1),
+    "CyclotomicPoint.of": lambda n: CyclotomicPoint.of(_CTX3, n, X + 1),
+    "rank_at_eps": lambda n: rank_at_eps(_CTX3, n, LambdaMatrix.identity().columns, 2),
+    "is_special": lambda n: is_special(_CTX3, diag(X, X), n),
+    "factor_bd": lambda n: factor_bd(_CTX3, diag(X, X), n),
+    "assemble_fn": lambda n: assemble_fn(_CTX3, _UNIT_PAIR, n),
+    "parity_congruence_check": lambda n: parity_congruence_check(_CTX3, _UNIT_PAIR, n),
+    "rod_check": lambda n: rod_check(_CTX3, LambdaMatrix.identity(), n, n + 1),
+    "good_basis_transform": lambda n: good_basis_transform(_CTX3, _UNIT_PAIR, n),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 10, 10**6])
+@pytest.mark.parametrize("name", list(_LEVEL_CALLS))
+def test_level_refusal_messages(name, n):
+    # a negative level and one past the explicit cap are refused with the
+    # same exception and message everywhere, whichever check raises them
+    with pytest.raises(InvalidContext) as exc:
+        _LEVEL_CALLS[name](n)
+    negative = "n_max" if name == "good_basis_transform" else "level"
+    want = f"{negative} must be >= 0, got {n}" if n < 0 else f"p^n = 3^{n} {_BOUND}"
+    assert type(exc.value) is InvalidContext and str(exc.value) == want
+
+
+@pytest.mark.parametrize("fn", [is_special, factor_bd])
+@pytest.mark.parametrize("n", [-1, 10])
+def test_singular_refused_before_level(fn, n):
+    with pytest.raises(SingularMatrix) as exc:
+        fn(_CTX3, LambdaMatrix(((ONE, X), (ONE, X))), n)
+    assert str(exc.value) == "det A = 0: every level divides the determinant"
+
+
+def _kernel_killer_by_division(ctx, cd, m):
+    """The kernel-killing block as first written: each entry of the
+    parity reference reduced mod Phi_m, and the chosen residues reduced
+    again."""
+    phi = cyclotomic_phi(ctx, m)
+    c = parity_reference(cd, m)
+    a = c.rows[0][0].reduced_mod(phi)
+    c_ = c.rows[0][1].reduced_mod(phi)
+    b = c.rows[1][0].reduced_mod(phi)
+    d = c.rows[1][1].reduced_mod(phi)
+    if not (a.is_zero and c_.is_zero):
+        x, y = (-c_).reduced_mod(phi), a
+    else:
+        x, y = (-d).reduced_mod(phi), b
+    if not x.reduced_mod(phi).is_zero:
+        return ((x, ZERO), (y, ONE))
+    return ((x, ONE), (y, ZERO))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_kernel_killer_matches_division(p):
+    # reading the residues once through cyclo_eval gives the same block at
+    # every level of the drawn rank profiles, rank-one levels included
+    ctx = PrimeContext(p)
+    rng = random.Random(f"kernel-killer-{p}")
+    rank_one = 0
+    for kind in COLEMAN_KINDS:
+        for _ in range(2):
+            cd = rand_coleman_data(ctx, rng, kind)
+            for m in range(4):
+                assert _kernel_killer(ctx, cd, m) == _kernel_killer_by_division(ctx, cd, m), (kind, m)
+                rank_one += matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) == 1
+    assert rank_one >= 6
