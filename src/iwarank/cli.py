@@ -43,6 +43,7 @@ from .kobayashi_rank import (
     nabla_torsion_tower,
 )
 from .lambda_ring import (
+    DEFAULT_PRECISION,
     MAX_EXPLICIT_LENGTH,
     LambdaElement,
     LambdaMatrix,
@@ -62,8 +63,6 @@ from .special_matrices import (
     rod_check,
 )
 from .verify import SUITE_NAMES, run_suites
-
-DEFAULT_PRECISION = 40
 
 # Largest total coefficient size, in bits, that one ``^`` may produce.
 MAX_POWER_BITS = 1 << 20
@@ -263,7 +262,7 @@ def _add_flags(parser, flags):
 _COMMON = (
     _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)"),
     _flag("--precision", type=int, default=None,
-          help="p-adic working precision (default 40; IWK_PRECISION env overrides the default)"),
+          help=f"p-adic working precision (default {DEFAULT_PRECISION}; IWK_PRECISION env overrides the default)"),
     _flag("--margin", type=int, default=8, help="accepted and echoed in the envelope; no computation reads it"),
     _flag("--seed", type=int, default=0, help="seed recorded in the output and used by verify"),
 )

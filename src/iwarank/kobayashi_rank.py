@@ -118,7 +118,7 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     Record,
-    cyclotomic_phi,
+    check_level,
     euler_phi_pk,
     iwasawa_invariants,
     signed_degree,
@@ -199,9 +199,9 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, ords) -> N
 
 def _level_ords(ctx: PrimeContext, n: int, det: LambdaElement | None) -> list:
     """[ord_{eps_m}(det) for m <= n], the one valuation list of a nabla
-    ([] when det is None: the relations are not square); a level past
-    the explicit cap is refused first."""
-    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
+    ([] when det is None: the relations are not square); a negative
+    level or one past the explicit cap is refused first."""
+    check_level(ctx.p, n)
     return [] if det is None else [ord_eps(ctx, m, det) for m in range(n + 1)]
 
 

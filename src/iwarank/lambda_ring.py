@@ -30,6 +30,9 @@ from .errors import InvalidContext, ZeroElement
 # bookkeeping (signed_degree below) covers the large-level needs.
 MAX_EXPLICIT_LENGTH = 20_000
 
+# p-adic digits N of the finite quotients over Z/p^N, unless asked otherwise
+DEFAULT_PRECISION = 40
+
 
 # Miller-Rabin with the prime bases 2..41 decides primality exactly
 # below this bound (Sorenson & Webster 2015).
@@ -80,7 +83,7 @@ class PrimeContext:
     validated and echoed in the CLI envelope but read by no computation."""
 
     p: int
-    precision: int = 40
+    precision: int = DEFAULT_PRECISION
     margin: int = 8
 
     def __post_init__(self):
@@ -400,7 +403,11 @@ class OmegaTower(Record):
     omega_tilde_minus: LambdaElement
 
 
-def _check_explicit_size(p: int, n: int):
+def check_level(p: int, n: int):
+    """Refuse a negative level, then one past the explicit-construction
+    cap (InvalidContext)."""
+    if n < 0:
+        raise InvalidContext(f"level must be >= 0, got {n}")
     # p^n >= 2^n passes the bound once n reaches the bound's bit length,
     # so a large n is refused without building its power
     if n >= MAX_EXPLICIT_LENGTH.bit_length() or p ** n > MAX_EXPLICIT_LENGTH:
@@ -412,9 +419,9 @@ def _check_explicit_size(p: int, n: int):
 
 @lru_cache(maxsize=None)
 def _phi(p: int, m: int) -> LambdaElement:
+    check_level(p, m)  # a refused level raises, and lru_cache keeps no entry for it
     if m == 0:
         return X
-    _check_explicit_size(p, m)
     q = p ** (m - 1)
     # Phi_m = sum_{k<p} (1+X)^{k*q}: the geometric sum telescoping
     # ((1+X)^{p^m} - 1) / ((1+X)^{p^{m-1}} - 1).
@@ -428,7 +435,7 @@ def _phi(p: int, m: int) -> LambdaElement:
 
 @lru_cache(maxsize=None)
 def _omega(p: int, n: int) -> LambdaElement:
-    _check_explicit_size(p, n)
+    check_level(p, n)
     pn = p ** n
     return LambdaElement([0] + [comb(pn, j) for j in range(1, pn + 1)])
 
@@ -436,16 +443,14 @@ def _omega(p: int, n: int) -> LambdaElement:
 def cyclotomic_phi(ctx: PrimeContext, m: int) -> LambdaElement:
     """The level-m cyclotomic factor: Phi_0 = X and, for m >= 1, the
     minimal polynomial of zeta_{p^m} - 1 (distinguished of degree
-    p^m - p^{m-1})."""
-    if m < 0:
-        raise InvalidContext(f"level must be >= 0, got {m}")
+    p^m - p^{m-1}); a negative level or one past the explicit cap is
+    refused."""
     return _phi(ctx.p, m)
 
 
 def omega_poly(ctx: PrimeContext, n: int) -> LambdaElement:
-    """omega_n = (1+X)^{p^n} - 1."""
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
+    """omega_n = (1+X)^{p^n} - 1; a negative level or one past the
+    explicit cap is refused."""
     return _omega(ctx.p, n)
 
 
@@ -466,9 +471,7 @@ def signed_degree(p: int, n: int, sign: str) -> int:
 
 def omega_tower(ctx: PrimeContext, n: int) -> OmegaTower:
     """Explicit construction of omega_n and its signed split at level n."""
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
-    _check_explicit_size(ctx.p, n)
+    check_level(ctx.p, n)
     tilde_plus = ONE
     tilde_minus = ONE
     for m in range(1, n + 1):

@@ -45,7 +45,7 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     Record,
-    _check_explicit_size,
+    check_level,
     cyclotomic_phi,
     omega_poly,
     omega_tower,
@@ -120,7 +120,7 @@ def _column_levels(ctx: PrimeContext, a: LambdaMatrix, n: int) -> list:
     or one past the explicit cap, are refused first."""
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: every level divides the determinant")
-    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
+    check_level(ctx.p, n)
     return [
         (CyclotomicPoint.of(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a)))
         for m in range(n + 1)
@@ -168,9 +168,7 @@ def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
     At m = 0 both are powers of Phi_j(0) = p, and X divides col_plus.
     """
     cd.validate()
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
-    _check_explicit_size(ctx.p, n)
+    check_level(ctx.p, n)
     return True
 
 
@@ -196,7 +194,7 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     cd.validate()
     if n_max < 0:
         raise InvalidContext(f"n_max must be >= 0, got {n_max}")
-    cyclotomic_phi(ctx, n_max)  # refuse a level past the explicit cap up front
+    check_level(ctx.p, n_max)
     rank_one = [
         m
         for m in range(n_max + 1)
@@ -265,7 +263,7 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
     """
     if test_level <= n:
         raise InvalidContext(f"test_level must exceed n, got {test_level} <= {n}")
-    cyclotomic_phi(ctx, n)  # refuse a level past the explicit cap up front
+    check_level(ctx.p, n)
     for m in range(n + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:
             raise NotCoprime(f"Phi_{m} divides det B")

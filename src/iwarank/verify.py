@@ -6,6 +6,19 @@ against the matching closed form or structural property, and reports
 per-sweep outcomes.  A nonzero failure count anywhere flips the suite
 verdict; precision instability raises instead of reporting.
 
+A generated draw carries the answer its construction predicts, so no
+sweep compares the library with a second call of the library:
+
+  special matrices  A = B D: the levels m of the Phi_m put in each column
+                    of D give the rank profile rank A(eps_m) = 2 - i_m
+  cyclic towers     f = p^a prod_{m in S} Phi_m u (n not in S, u(0) a
+                    unit): ord_{eps_n} f = a phi(p^n) + sum_{m in S}
+                    phi(p^{min(m, n)}), since u(eps_n) is a unit and
+                    ord_{eps_n} Phi_m = phi(p^{min(m, n)}) for m != n
+                    (Kobayashi's norm computation, Invent. Math. 152)
+  torsion towers    f = p^a prod_{m in S} Phi_m g, g distinguished:
+                    mu = a and lambda = sum_{m in S} phi(p^m) + deg g
+
 Suites:
 
   thm-app    special 2x2 matrices: brute nabla == ord_{eps_n}(det), plus
@@ -13,8 +26,11 @@ Suites:
   lemma-3.3  cyclic towers: brute nabla == ord_{eps_n}(f); square torsion
              towers: stabilized nabla == lambda + (p^n - p^{n-1}) mu
   additivity block-diagonal joins and constant finite systems
-  parity     Coleman data: parity congruences, good-basis transforms,
-             specialness of F_n B, and the signed closed form
+  parity     Coleman data: parity congruences, good-basis transforms and
+             the signed closed form.  good_basis_transform checks before
+             it returns that det B vanishes at no eps_m and that F_n B is
+             special at every level; a draw whose transform raises
+             PostconditionFailed counts as a good-basis failure
   rod        span saturation against omega_n at a higher level, and
              refusal when a Phi_m (m <= n) divides det B
   degrees    reduced signed-product degree identities
@@ -26,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cyclo_eval import INFINITE, CyclotomicPoint, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
@@ -43,6 +60,7 @@ from .kobayashi_rank import (
     nabla_tower,
 )
 from .lambda_ring import (
+    DEFAULT_PRECISION,
     ONE,
     X,
     LambdaElement,
@@ -50,14 +68,13 @@ from .lambda_ring import (
     PrimeContext,
     Record,
     cyclotomic_phi,
-    iwasawa_invariants,
+    euler_phi_pk,
     omega_poly,
 )
 from .special_matrices import (
     ColemanData,
     assemble_fn,
     good_basis_transform,
-    is_special,
     parity_reference,
     rod_check,
 )
@@ -94,11 +111,9 @@ def _sweep(name: str, count: int, trial, **details) -> CheckOutcome:
     return CheckOutcome(name=name, ok=not failures, details=out)
 
 
-def _suite_rng(seed: int, name: str) -> random.Random:
-    return random.Random(f"{seed}:{name}")
-
-
 def _scaled(count: int, scale: float) -> int:
+    if not math.isfinite(count * scale):
+        raise InvalidContext(f"scale {scale} overflows the sweep count {count}")
     return max(1, round(count * scale))
 
 
@@ -128,6 +143,14 @@ def _rand_matrix(rng, max_deg: int, bound: int = 5) -> LambdaMatrix:
             return m
 
 
+def _phi_product(ctx: PrimeContext, ms, a: int = 0) -> LambdaElement:
+    """p^a * prod_{m in ms} Phi_m."""
+    f = LambdaElement.const(ctx.p**a)
+    for m in ms:
+        f = f * cyclotomic_phi(ctx, m)
+    return f
+
+
 def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tuple:
     """A = B D with D diagonal squarefree Phi-products over m <= n-1 and
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
@@ -135,56 +158,34 @@ def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tup
         b = _rand_matrix(rng, max_deg, bound=4)
         if any(CyclotomicPoint.of(ctx, m, b.det).is_zero for m in range(n + 1)):
             continue
-        levels = []
-        diag = []
-        for _ in (0, 1):
-            chosen = sorted(m for m in range(n) if rng.random() < 0.45)
-            dj = ONE
-            for m in chosen:
-                dj = dj * cyclotomic_phi(ctx, m)
-            levels.append(tuple(chosen))
-            diag.append(dj)
-        a = b @ LambdaMatrix.diagonal(diag[0], diag[1])
-        return a, tuple(levels)
+        levels = tuple(tuple(m for m in range(n) if rng.random() < 0.45) for _ in (0, 1))
+        return b @ LambdaMatrix.diagonal(*(_phi_product(ctx, js) for js in levels)), levels
 
 
-def rand_cyclic_poly(ctx: PrimeContext, rng, n: int, max_pow: int = 2) -> tuple:
+def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
     """f = p^a * (product of Phi_m, m != n) * unit-constant polynomial,
-    with the predicted ord_{eps_n} carried along."""
+    with its ord_{eps_n} predicted from that construction (module
+    docstring)."""
     p = ctx.p
-    while True:
-        a = rng.randint(0, max_pow)
-        ms = [m for m in range(4) if m != n and rng.random() < 0.35]
-        u = _rand_unit_poly(rng, p, max_deg=4)
-        if any(CyclotomicPoint.of(ctx, m, u).is_zero for m in range(n + 1)):
-            continue
-        f = LambdaElement.const(p**a)
-        for m in ms:
-            f = f * cyclotomic_phi(ctx, m)
-        f = f * u
-        if (o := ord_eps(ctx, n, f)) != INFINITE:
-            return f, o
+    a = rng.randint(0, 2)
+    ms = [m for m in range(4) if m != n and rng.random() < 0.35]
+    f = _phi_product(ctx, ms, a) * _rand_unit_poly(rng, p, max_deg=4)
+    return f, a * euler_phi_pk(p, n) + sum(euler_phi_pk(p, min(m, n)) for m in ms)
 
 
-def rand_unit_resultant_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 2) -> LambdaMatrix:
+def rand_unit_resultant_matrix(ctx: PrimeContext, rng, n: int) -> LambdaMatrix:
     """Random 2x2 matrix whose determinant is a unit at eps_m for every
     m <= n."""
     while True:
-        b = _rand_matrix(rng, max_deg, bound=3)
+        b = _rand_matrix(rng, 2, bound=3)
         if all(ord_eps(ctx, m, b.det) == 0 for m in range(n + 1)):
             return b
 
 
 def _rand_unimodular(rng) -> LambdaMatrix:
     c = rng.randint(-2, 2)
-    kind = rng.randrange(4)
-    if kind == 0:
-        return LambdaMatrix(((1, c), (0, 1)))
-    if kind == 1:
-        return LambdaMatrix(((1, 0), (c, 1)))
-    if kind == 2:
-        return LambdaMatrix(((0, 1), (-1, 0)))
-    return LambdaMatrix(((-1, 0), (0, 1)))
+    shapes = (((1, c), (0, 1)), ((1, 0), (c, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, 1)))
+    return LambdaMatrix(shapes[rng.randrange(4)])
 
 
 # kind -> the levels where the parity reference drops rank, with the rank
@@ -196,6 +197,9 @@ COLEMAN_KINDS = {
     "plus_rank1": {2: 1},
     "minus_rank0": {1: 0},
 }
+
+# kind -> (m, d): the first column of col_minus is Phi_m (g0, g1), deg g_i <= d
+_MINUS_COLUMN = {"minus_rank1": (1, 2), "minus_rank1_m0": (0, 3)}
 
 
 def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanData:
@@ -211,31 +215,21 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
     if kind not in COLEMAN_KINDS:
         raise ValueError(f"unknown Coleman kind {kind!r}")
     p = ctx.p
-    phi1 = cyclotomic_phi(ctx, 1)
-    w1 = omega_poly(ctx, 1)
     wanted = {m: 2 for m in range(4)} | COLEMAN_KINDS[kind]
     while True:
         col_plus = _rand_matrix(rng, 3, bound=4).scaled(X)
         col_minus = _rand_matrix(rng, 4, bound=4)
-        if kind == "minus_rank1":
-            g0 = _rand_poly(rng, 2, bound=3)
-            g1 = _rand_poly(rng, 2, bound=3)
-            col_minus = LambdaMatrix(
-                ((phi1 * g0, col_minus.rows[0][1]), (phi1 * g1, col_minus.rows[1][1]))
-            )
-        elif kind == "minus_rank1_m0":
-            g0 = _rand_poly(rng, 3, bound=3)
-            g1 = _rand_poly(rng, 3, bound=3)
-            col_minus = LambdaMatrix(
-                ((X * g0, col_minus.rows[0][1]), (X * g1, col_minus.rows[1][1]))
-            )
+        if kind in _MINUS_COLUMN:
+            m, deg = _MINUS_COLUMN[kind]
+            g0, g1 = (cyclotomic_phi(ctx, m) * _rand_poly(rng, deg, bound=3) for _ in range(2))
+            col_minus = LambdaMatrix(((g0, col_minus.rows[0][1]), (g1, col_minus.rows[1][1])))
         elif kind == "plus_rank1":
             # det = Phi_2, as Phi_2 = sum_{k<p} (1 + omega_1)^k is p mod omega_1
+            w1 = omega_poly(ctx, 1)
             core = LambdaMatrix((((cyclotomic_phi(ctx, 2) - p).exact_div(w1), -1), (p, w1)))
-            inner = _rand_unimodular(rng) @ core @ _rand_unimodular(rng)
-            col_plus = inner.scaled(X)
+            col_plus = (_rand_unimodular(rng) @ core @ _rand_unimodular(rng)).scaled(X)
         elif kind == "minus_rank0":
-            col_minus = _rand_matrix(rng, 2, bound=3).scaled(phi1)
+            col_minus = _rand_matrix(rng, 2, bound=3).scaled(cyclotomic_phi(ctx, 1))
         if col_plus.det.is_zero or col_minus.det.is_zero:
             continue
         cd = ColemanData(col_plus, col_minus)
@@ -246,33 +240,50 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
             return cd
 
 
-def _sweep_thm_app(ctx: PrimeContext, rng, count: int, n: int) -> CheckOutcome:
-    def trial(_):
-        a, levels = rand_special_matrix(ctx, rng, n)
-        res = nabla_matrix_tower(ctx, a, n)
-        rank_ok = all(
-            matrix_rank_at_eps(ctx, m, a) == 2 - sum(1 for js in levels if m in js)
-            for m in range(n)
-        )
-        if res.agrees is True and rank_ok:
-            return []
-        return [{"matrix": a.to_json_list(), "result": res.to_json_dict()}]
-
-    return _sweep(f"special-p{ctx.p}-n{n}", count, trial)
+_SUITES = {}
 
 
-def suite_thm_app(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "thm-app")
+def _suite(name: str):
+    """Register body(rng, scale, precision) -> checks as the suite
+    ``name``: the registered suite_*(seed, scale, precision) seeds the RNG
+    from the seed and the name, and reports the body's checks."""
+
+    def register(body):
+        def suite(seed: int, scale: float = 1.0, precision: int = DEFAULT_PRECISION) -> SuiteReport:
+            checks = body(random.Random(f"{seed}:{name}"), scale, precision)
+            return SuiteReport(suite=name, seed=seed, checks=checks)
+
+        suite.__name__ = suite.__qualname__ = body.__name__
+        suite.__doc__ = body.__doc__
+        _SUITES[name] = suite
+        return suite
+
+    return register
+
+
+@_suite("thm-app")
+def suite_thm_app(rng, scale, precision):
     checks = []
-    for p, n_top, per in ((3, 3, 50), (5, 2, 50)):
+    for p, n_top in ((3, 3), (5, 2)):
         ctx = PrimeContext(p, precision=precision)
         for n in range(1, n_top + 1):
-            checks.append(_sweep_thm_app(ctx, rng, _scaled(per, scale), n))
-    return SuiteReport(suite="thm-app", seed=seed, checks=checks)
+            def trial(_):
+                a, levels = rand_special_matrix(ctx, rng, n)
+                res = nabla_matrix_tower(ctx, a, n)
+                rank_ok = all(
+                    matrix_rank_at_eps(ctx, m, a) == 2 - sum(1 for js in levels if m in js)
+                    for m in range(n)
+                )
+                if res.agrees is True and rank_ok:
+                    return []
+                return [{"matrix": a.to_json_list(), "result": res.to_json_dict()}]
+
+            checks.append(_sweep(f"special-p{p}-n{n}", _scaled(50, scale), trial))
+    return checks
 
 
-def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "lemma-3.3")
+@_suite("lemma-3.3")
+def suite_lemma_33(rng, scale, precision):
     ctx = PrimeContext(3, precision=precision)
     checks = []
     for n in (1, 2, 3):
@@ -289,22 +300,18 @@ def suite_lemma_33(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteR
         a = rng.randint(0, 2)
         ms = [m for m in (0, 1) if rng.random() < 0.5]
         g = LambdaElement([3 * rng.randint(-2, 2) for _ in range(rng.randint(0, 2))] + [1])
-        f = LambdaElement.const(3**a)
-        for m in ms:
-            f = f * cyclotomic_phi(ctx, m)
-        f = f * g
-        inv = iwasawa_invariants(ctx, f)
+        f = _phi_product(ctx, ms, a) * g
+        lambda_ = sum(euler_phi_pk(3, m) for m in ms) + g.degree  # and mu = a
         tower = TorsionTower(columns=((f,),))
         failures = []
         for n in (2, 3):
             res = nabla_torsion_tower(ctx, tower, n)
-            expected = inv.lambda_ + (3**n - 3 ** (n - 1)) * inv.mu
-            if not (res.closed_form == expected and res.agrees is True):
+            if not (res.closed_form == lambda_ + euler_phi_pk(3, n) * a and res.agrees is True):
                 failures.append({"f": f.to_json_dict(), "n": n})
         return failures
 
     checks.append(_sweep("torsion-stabilized", _scaled(12, scale), torsion_trial, levels=[2, 3]))
-    return SuiteReport(suite="lemma-3.3", seed=seed, checks=checks)
+    return checks
 
 
 def _rand_summand(ctx: PrimeContext, rng, n: int):
@@ -321,8 +328,8 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
             return TorsionTower(columns=m.columns)
 
 
-def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "additivity")
+@_suite("additivity")
+def suite_additivity(rng, scale, precision):
     ctx = PrimeContext(3, precision=precision)
 
     def trial(i):
@@ -332,7 +339,7 @@ def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40) -> Suit
 
     finite = TorsionTower(columns=((LambdaElement.const(3),), (X,)))
     zeros = [nabla_tower(ctx, finite, n).nabla for n in (1, 2)]
-    checks = [
+    return [
         _sweep("direct-sums", _scaled(20, scale), trial),
         CheckOutcome(
             name="constant-finite-zero",
@@ -340,7 +347,6 @@ def suite_additivity(seed: int, scale: float = 1.0, precision: int = 40) -> Suit
             details={"nabla": zeros},
         ),
     ]
-    return SuiteReport(suite="additivity", seed=seed, checks=checks)
 
 
 _PARITY_DRAWS = (
@@ -352,16 +358,12 @@ _PARITY_DRAWS = (
 )
 
 
-def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "parity")
+@_suite("parity")
+def suite_parity(rng, scale, precision):
     ctx = PrimeContext(3, precision=precision)
     n_max = 3
-    congr_fail = 0
-    basis_fail = 0
-    closed_fail = 0
-    closed_applicable = 0
-    total = 0
-    example = None
+    total = applicable = 0
+    failed = []  # (check, example or None), in draw order
     for kind, base in _PARITY_DRAWS:
         for _ in range(_scaled(base, scale)):
             total += 1
@@ -369,61 +371,39 @@ def suite_parity(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
             # the library's parity_congruence_check is a theorem; this tests the arithmetic
             f = assemble_fn(ctx, cd, n_max)
             if not all(matrices_proportional_at_eps(ctx, m, f, parity_reference(cd, m)) for m in range(n_max + 1)):
-                congr_fail += 1
+                failed.append(("parity-congruence", None))
                 continue
             try:
-                b = good_basis_transform(ctx, cd, n_max)
-                good = all(ord_eps(ctx, m, b.det) != INFINITE for m in range(n_max + 1)) and all(
-                    is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict for n in range(1, n_max + 1)
-                )
-                error = {}
-            except PostconditionFailed as exc:  # the transform's own check failed
-                good, error = False, {"error": str(exc)}
-            if not good:
-                basis_fail += 1
-                if example is None:
-                    example = {"kind": kind, "data": cd.to_json_dict(), **error}
+                moved = cd.transformed(good_basis_transform(ctx, cd, n_max))
+            except PostconditionFailed as exc:
+                failed.append(("good-basis-special", {"kind": kind, "data": cd.to_json_dict(), "error": str(exc)}))
                 continue
-            moved = cd.transformed(b)
             for n in (2, 3):
                 # det F_n(eps_n) is det C_n(eps_n) times a nonzero square
                 if ord_eps(ctx, n, parity_reference(moved, n).det) == INFINITE:
                     continue
-                closed_applicable += 1
+                applicable += 1
                 res = nabla_coleman_tower(ctx, moved, n)
                 if res.agrees is not True:
-                    closed_fail += 1
-                    if example is None:
-                        example = {
-                            "kind": kind,
-                            "n": n,
-                            "data": cd.to_json_dict(),
-                            "result": res.to_json_dict(),
-                        }
+                    example = {"kind": kind, "n": n, "data": cd.to_json_dict(), "result": res.to_json_dict()}
+                    failed.append(("signed-closed-form", example))
+    fails = Counter(check for check, _ in failed)
     checks = [
-        CheckOutcome(
-            name="parity-congruence",
-            ok=congr_fail == 0,
-            details={"count": total, "failures": congr_fail},
-        ),
-        CheckOutcome(
-            name="good-basis-special",
-            ok=basis_fail == 0,
-            details={"count": total, "failures": basis_fail},
-        ),
-        CheckOutcome(
-            name="signed-closed-form",
-            ok=closed_fail == 0 and closed_applicable > 0,
-            details={"applicable": closed_applicable, "failures": closed_fail},
-        ),
+        CheckOutcome(name=check, ok=not fails[check] and count > 0, details={key: count, "failures": fails[check]})
+        for check, key, count in (
+            ("parity-congruence", "count", total),
+            ("good-basis-special", "count", total),
+            ("signed-closed-form", "applicable", applicable),
+        )
     ]
-    if example is not None:
-        checks.append(CheckOutcome(name="first-failure", ok=False, details=example))
-    return SuiteReport(suite="parity", seed=seed, checks=checks)
+    examples = [example for _, example in failed if example is not None]
+    if examples:
+        checks.append(CheckOutcome(name="first-failure", ok=False, details=examples[0]))
+    return checks
 
 
-def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "rod")
+@_suite("rod")
+def suite_rod(rng, scale, precision):
     ctx = PrimeContext(3, precision=precision)
     checks = []
     for kind in ("saturation", "not-coprime"):
@@ -440,10 +420,11 @@ def suite_rod(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport
                 return [] if ok else [{"b": b.to_json_list()}]
 
             checks.append(_sweep(f"{kind}-n{n}", _scaled(10, scale), trial, test_level=n + 1))
-    return SuiteReport(suite="rod", seed=seed, checks=checks)
+    return checks
 
 
-def suite_degrees(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
+@_suite("degrees")
+def suite_degrees(rng, scale, precision):
     checks = []
     for p in (3, 5, 7):
         ctx = PrimeContext(p, precision=precision)
@@ -455,21 +436,18 @@ def suite_degrees(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRe
                 details={"rows": rows},
             )
         )
-    return SuiteReport(suite="degrees", seed=seed, checks=checks)
+    return checks
 
 
-def suite_growth(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
-    rng = _suite_rng(seed, "growth")
-    checks = []
+@_suite("growth")
+def suite_growth(rng, scale, precision):
     zero = InvariantSet(p=3, lambda_plus=0, lambda_minus=0, mu_plus=0, mu_minus=0, r_inf=0)
     table = sha_growth(zero, range(1, 5), baseline=(0, 0))
     deltas = tuple(r.delta_e for r in table.rows)
-    checks.append(
-        CheckOutcome(
-            name="frozen-deltas",
-            ok=deltas == (0, 6, 12, 42),
-            details={"deltas": list(deltas)},
-        )
+    frozen = CheckOutcome(
+        name="frozen-deltas",
+        ok=deltas == (0, 6, 12, 42),
+        details={"deltas": list(deltas)},
     )
 
     def trial(_):
@@ -492,16 +470,15 @@ def suite_growth(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteRep
             prev = row.e_n
         return failures
 
-    checks.append(_sweep("telescoping", _scaled(10, scale), trial))
-    return SuiteReport(suite="growth", seed=seed, checks=checks)
+    return [frozen, _sweep("telescoping", _scaled(10, scale), trial)]
 
 
-def suite_precision(seed: int, scale: float = 1.0, precision: int = 40) -> SuiteReport:
+@_suite("precision")
+def suite_precision(rng, scale, precision):
     """Drive a special-matrix sweep at a precision far too low for the
     lengths involved (fixed at 3 digits regardless of the requested
     precision): the engine must raise PrecisionUnstable before reporting
     any value that disagrees with the closed form."""
-    rng = _suite_rng(seed, "precision")
     low = PrimeContext(3, precision=3)
     candidates = [rand_special_matrix(low, rng, 2, max_deg=3)[0] for _ in range(30)]
     # kernel of this one carries an elementary divisor of valuation 3,
@@ -522,37 +499,26 @@ def suite_precision(seed: int, scale: float = 1.0, precision: int = 40) -> Suite
         if res.agrees is False:
             lied = True
             break
-    checks = [
+    return [
         CheckOutcome(
             name="low-precision-raises",
             ok=raised and not lied,
             details={"completed_before_raise": completed, "raised": raised, "lied": lied},
         )
     ]
-    return SuiteReport(suite="precision", seed=seed, checks=checks)
 
 
-_SUITES = {
-    "thm-app": suite_thm_app,
-    "lemma-3.3": suite_lemma_33,
-    "additivity": suite_additivity,
-    "parity": suite_parity,
-    "rod": suite_rod,
-    "degrees": suite_degrees,
-    "growth": suite_growth,
-    "precision": suite_precision,
-}
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(
-    names, seed: int = 0, scale: float = 1.0, precision: int = 40
+    names, seed: int = 0, scale: float = 1.0, precision: int = DEFAULT_PRECISION
 ) -> list[SuiteReport]:
     """Run the named suites (or all of them for "all") with a shared
-    seed; unknown names raise KeyError, a scale that is not finite
-    InvalidContext."""
+    seed; unknown names raise KeyError, a scale that is not finite or
+    that overflows a sweep count InvalidContext."""
     if not math.isfinite(scale):
         raise InvalidContext(f"scale must be finite, got {scale}")
     if names == "all" or names == ["all"]:
-        names = list(SUITE_NAMES)
+        names = SUITE_NAMES
     return [_SUITES[name](seed, scale, precision) for name in names]

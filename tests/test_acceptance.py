@@ -6,7 +6,11 @@ elementary divisors fell short of the exact rank would raise
 PrecisionUnstable and fail the criterion outright); rod_check reads no
 length, since saturation is a theorem once det B is coprime to omega_n.
 Run with `pytest tests/test_acceptance.py -v`; it takes a few seconds.
+The last test pins every seed-0 report byte for byte.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -56,6 +60,21 @@ def parity_report():
 @pytest.fixture(scope="module")
 def rod_report():
     return suite_rod(seed=0)
+
+
+@pytest.fixture(scope="module")
+def degrees_report():
+    return suite_degrees(seed=0)
+
+
+@pytest.fixture(scope="module")
+def growth_report():
+    return suite_growth(seed=0)
+
+
+@pytest.fixture(scope="module")
+def precision_report():
+    return suite_precision(seed=0)
 
 
 def test_criterion_01_brute_force_nabla_equals_det_ord(thm_app_report):
@@ -136,28 +155,26 @@ def test_criterion_07_span_saturation(rod_report):
         assert total >= 20
 
 
-def test_criterion_08_signed_degree_identities():
+def test_criterion_08_signed_degree_identities(degrees_report):
     """deg omega-tilde_n^+ == s_{n-1} (odd n) and
     deg omega-tilde_n^- == s_{n-1} - 1 (even n), n <= 8, p in {3,5,7}."""
-    report = suite_degrees(seed=0)
-    _assert_clean(report)
-    assert {c.name for c in report.checks} == {
+    _assert_clean(degrees_report)
+    assert {c.name for c in degrees_report.checks} == {
         "signed-degrees-p3", "signed-degrees-p5", "signed-degrees-p7",
     }
-    for c in report.checks:
+    for c in degrees_report.checks:
         assert len(c.details["rows"]) == 8
 
 
-def test_criterion_09_growth_table_regression():
+def test_criterion_09_growth_table_regression(growth_report):
     """Zero invariants at p=3 give the delta sequence (0, 6, 12, 42) for
     n = 1..4; every generated table telescopes exactly."""
-    report = suite_growth(seed=0)
-    _assert_clean(report)
-    assert _check(report, "frozen-deltas").details["deltas"] == [0, 6, 12, 42]
+    _assert_clean(growth_report)
+    assert _check(growth_report, "frozen-deltas").details["deltas"] == [0, 6, 12, 42]
 
 
 def test_criterion_10_precision_protocol(
-    thm_app_report, lemma_report, additivity_report, parity_report, rod_report
+    thm_app_report, lemma_report, additivity_report, parity_report, rod_report, precision_report
 ):
     """All lengths behind criteria 1-7 were certified at N = 40 (rod_check
     reads none: it checks the coprimality that proves saturation) — any
@@ -168,8 +185,29 @@ def test_criterion_10_precision_protocol(
         thm_app_report, lemma_report, additivity_report, parity_report, rod_report
     ):
         _assert_clean(report)
-    drill = suite_precision(seed=0)
-    c = _check(drill, "low-precision-raises")
+    c = _check(precision_report, "low-precision-raises")
     assert c.ok, c.details
     assert c.details["raised"] is True
     assert c.details["lied"] is False
+
+
+# SHA-256 of json.dumps(report.to_json_dict(), sort_keys=True) for every
+# suite at seed 0 and scale 1: any change to a draw, a count or a
+# reported number moves one of these
+REPORT_DIGESTS = {
+    "thm_app": "b6179c742d891882c38b575e4db29d3a39891411a9b5d0a5a3bf21784051e181",
+    "lemma": "f2ba948c5145414d944184cfcf3906343fce214992024ab8a2f410706ccf6e75",
+    "additivity": "24f1144569a8ab4cf38e94dfa2215cedca1841f2c5c8bc4e78865eb490234ccc",
+    "parity": "945f50002c5db4f328afbd0edfd9a87494ad8af5bba6877614604e68a817c575",
+    "rod": "5ba79886048cfab45c9f3b2cdce3d0f2f5717d3cb3cc46c5f05c3b6754578028",
+    "degrees": "1375268dad1c1e6e3ea6877726e5308b0437d6d85b107ccce86ef21204d16ab4",
+    "growth": "673a07f538f87e3ddd8512ea30529fb4c1e534b959f0ba4ab1e39d098a37a152",
+    "precision": "2464cd37eca2928a27be5b93e367c959f72ded299cb51d1e5178bcb905c1115a",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(REPORT_DIGESTS))
+def test_report_digest(request, fixture):
+    report = request.getfixturevalue(f"{fixture}_report")
+    blob = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == REPORT_DIGESTS[fixture]

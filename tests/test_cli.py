@@ -469,10 +469,13 @@ class TestNumericFlags:
     def test_levels(self, cmd, levels):
         assert quiet_exit(*cmd.format(*levels).split(), "-p", "3") in (0, 1, 2)
 
-    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0", "0.2"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "-1", "0", "0.2"])
     def test_verify_scale(self, capsys, scale):
         code, _, err = run(capsys, "verify", "--suite", "growth", "--scale", scale)
-        assert code == (2 if scale in ("nan", "inf") else 0), err
+        refused = scale in ("nan", "inf", "1e308")
+        assert code == (2 if refused else 0), err
+        if refused:
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("cmd", REFUSED_UP_FRONT)
     def test_refused_before_the_work(self, capsys, cmd):

@@ -37,10 +37,14 @@ class TestGenerators:
             assert is_special(ctx3, a, 2).verdict
             assert not a.det.divisible_by(cyclotomic_phi(ctx3, 2))
 
-    def test_cyclic_poly_prediction(self, ctx3, rng):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_cyclic_poly_prediction(self, p, n):
+        # the prediction comes from the construction, ord_eps from the ring
+        ctx, rng = PrimeContext(p), random.Random(f"cyclic-{p}-{n}")
         for _ in range(8):
-            f, expected = rand_cyclic_poly(ctx3, rng, 2)
-            assert ord_eps(ctx3, 2, f) == expected
+            f, expected = rand_cyclic_poly(ctx, rng, n)
+            assert ord_eps(ctx, n, f) == expected
 
     def test_unit_resultant_matrix(self, ctx3, rng):
         for _ in range(5):
