@@ -296,15 +296,12 @@ def _printable_level(p: int, n: int) -> int:
 
 
 def _specialize(ctx, a):
-    cd = _pair(a)
-    b = good_basis_transform(ctx, cd, a.n_max)
+    # good_basis_transform raises PostconditionFailed unless every F_n B is special
+    b = good_basis_transform(ctx, _pair(a), a.n_max)
     return {
         "b": b,
         "det_ords": {str(m): ord_json(ord_eps(ctx, m, b.det)) for m in range(a.n_max + 1)},
-        "special": {
-            str(n): is_special(ctx, assemble_fn(ctx, cd, n) @ b, n).verdict
-            for n in range(1, a.n_max + 1)
-        },
+        "special": {str(n): True for n in range(1, a.n_max + 1)},
     }
 
 
@@ -416,6 +413,8 @@ def main(argv=None) -> int:
         context = {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin}
         envelope = {"command": args.command, "context": context, "seed": args.seed, "result": result}
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    except BrokenPipeError:
+        raise  # not bad input: entrypoint ends the process quietly
     except (ExpressionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -432,7 +431,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: print nothing more, and exit as a
+        # process killed by SIGPIPE would (128 + 13); devnull takes the
+        # flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

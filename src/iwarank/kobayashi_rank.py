@@ -80,13 +80,14 @@ the same length.  Elsewhere (relations not square, an infinite level of
 a non-cyclic M, or the bound reached) a presentation is read, and
 certifies or refuses, as before.
 
-Each tower computes ords for m <= n once, right after the explicit-cap
-check, and reads from it its own PhiDivides guard, the rank profile,
-the third reading, the closed forms and the specialness verdict: a level
-with ords[m] finite is fine whatever the entries, so columns are read
-only where ords[m] is infinite, up to the first that vanishes, by the
-reading special_matrices.is_special (the full per-level report) uses:
-cyclo_eval._vanishing_columns.
+Each tower checks its own inputs and then makes one call of
+_brute_nabla, which computes ords for m <= n once, right after the
+explicit-cap check, and raises every PhiDivides of the step; the rank
+profile, the third reading and the closed forms are read from ords.  The
+specialness verdict is read from it too, by special_matrices._special,
+beside the full per-level report is_special: a level with ords[m] finite
+is fine whatever the entries, so columns are read only where ords[m] is
+infinite, up to the first that vanishes.
 
 Closed forms attached per tower kind:
 
@@ -103,7 +104,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
 
-from .cyclo_eval import INFINITE, _vanishing_columns, ord_eps, rank_at_eps
+from .cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from .errors import (
     InvalidContext,
     NotTorsion,
@@ -123,7 +124,7 @@ from .lambda_ring import (
     iwasawa_invariants,
     signed_degree,
 )
-from .special_matrices import ColemanData, assemble_fn, parity_reference
+from .special_matrices import ColemanData, _special, assemble_fn, parity_reference
 from .zp_modules import _weierstrass_spans, certified_valuations, lambda_column_span
 
 
@@ -172,9 +173,17 @@ def direct_sum(left, right) -> TorsionTower:
     return TorsionTower(columns=cols)
 
 
-def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, ords) -> NablaResult:
-    """nabla M_n from the relations, the caller's _minors of them ([det A]
-    if square) and its _level_ords of det A ([] if not square)."""
+def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, subject: str | None = None):
+    """(nabla M_n, ords) from the relations and the caller's _minors of
+    them ([det A] if square), with ords = [ord_{eps_m}(det A) for m <= n]
+    ([] if not square) computed once check_level passes.  Every
+    PhiDivides of a step is raised here: naming ``subject`` as soon as
+    Phi_n divides det A, before any other work, or, with no subject (a
+    torsion tower), once the relations drop rank at eps_n."""
+    check_level(ctx.p, n)
+    ords = [ord_eps(ctx, m, minors[0]) for m in range(n + 1)] if len(rel_cols) == k else []
+    if subject and ords[n] == INFINITE:
+        raise PhiDivides(f"Phi_{n} divides {subject}; step kernel is infinite")
     cyclic = bool(ords) and _cyclic(ctx.p, k, rel_cols)
     # square relations have r_m = k exactly where ord_{eps_m}(det A) is
     # finite, and r_m = k - 1 where it is not if M is cyclic
@@ -194,15 +203,7 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, ords) -> N
     ker_length = tors[0] - tors[1]
     lower_rank = k * ctx.p ** (n - 1) - profile[n - 1]  # sum_{m<n} phi(p^m) (k - r_m)
     return NablaResult(n=n, ker_length=ker_length, coker_length=0, lower_rank=lower_rank,
-                       nabla=ker_length + lower_rank)
-
-
-def _level_ords(ctx: PrimeContext, n: int, det: LambdaElement | None) -> list:
-    """[ord_{eps_m}(det) for m <= n], the one valuation list of a nabla
-    ([] when det is None: the relations are not square); a negative
-    level or one past the explicit cap is refused first."""
-    check_level(ctx.p, n)
-    return [] if det is None else [ord_eps(ctx, m, det) for m in range(n + 1)]
+                       nabla=ker_length + lower_rank), ords
 
 
 def _minors(k: int, rel_cols) -> list[LambdaElement]:
@@ -246,13 +247,6 @@ def _norm_length(ctx: PrimeContext, ords: list, cyclic: bool) -> int | None:
     return sum(terms.values()) if bound < ctx.precision else None
 
 
-def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
-    """is_special(ctx, a, n).verdict from ords = [ord_{eps_m}(det A) for
-    m <= n]: columns are tested only where Phi_m divides det A, up to the
-    first that vanishes."""
-    return all(any(_vanishing_columns(ctx, m, a)) for m, o in enumerate(ords) if o == INFINITE)
-
-
 def _tors_reader(ctx: PrimeContext, k: int, rel_cols, minors):
     """A function (m, q_rank) -> len tors M_m, M_m = Lambda_m^k /
     <relations> with Q-rank q_rank (= R_m), read on the Weierstrass span
@@ -290,10 +284,8 @@ def nabla_cyclic(ctx: PrimeContext, f: LambdaElement, n: int) -> NablaResult:
     _require_step(n)
     if f.is_zero:
         raise ZeroElement("cyclic tower needs f != 0")
-    ords = _level_ords(ctx, n, f)
-    if ords[n] == INFINITE:
-        raise PhiDivides(f"Phi_{n} divides f; step kernel is infinite")
-    return _attach(_brute_nabla(ctx, 1, ((f,),), n, [f], ords), ords[n])
+    result, ords = _brute_nabla(ctx, 1, ((f,),), n, [f], "f")
+    return _attach(result, ords[n])
 
 
 def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> NablaResult:
@@ -305,9 +297,8 @@ def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> Nabla
     minors = _minors(k, cols)
     if not any(minors):
         raise NotTorsion("relations do not have full rank over Frac(Lambda)")
-    square = len(cols) == k
-    result = _brute_nabla(ctx, k, cols, n, minors, _level_ords(ctx, n, minors[0] if square else None))
-    if square:
+    result, _ = _brute_nabla(ctx, k, cols, n, minors)
+    if len(cols) == k:
         inv = iwasawa_invariants(ctx, minors[0])  # det of the square relations
         closed = inv.lambda_ + euler_phi_pk(ctx.p, n) * inv.mu
         return _attach(result, closed)
@@ -320,10 +311,7 @@ def nabla_matrix_tower(ctx: PrimeContext, a: LambdaMatrix, n: int) -> NablaResul
     _require_step(n)
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: the tower is not torsion")
-    ords = _level_ords(ctx, n, a.det)
-    if ords[n] == INFINITE:
-        raise PhiDivides(f"Phi_{n} divides det A; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, a.columns, n, [a.det], ords)
+    result, ords = _brute_nabla(ctx, 2, a.columns, n, [a.det], "det A")
     return _attach(result, ords[n]) if _special(ctx, a, ords) else result
 
 
@@ -337,10 +325,7 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     f = assemble_fn(ctx, cd, n)
     if f.det.is_zero:
         raise SingularMatrix(f"det F_{n} = 0")
-    ords = _level_ords(ctx, n, f.det)
-    if ords[n] == INFINITE:
-        raise PhiDivides(f"Phi_{n} divides det F_{n}; step kernel is infinite")
-    result = _brute_nabla(ctx, 2, f.columns, n, [f.det], ords)
+    result, ords = _brute_nabla(ctx, 2, f.columns, n, [f.det], f"det F_{n}")
     if not _special(ctx, f, ords):
         return result
     o = ord_eps(ctx, n, parity_reference(cd, n).det)

@@ -257,7 +257,7 @@ class LambdaElement:
         """From {"coeffs": [...]}, a coefficient list or one coefficient;
         each coefficient a non-bool int or an integer string."""
         coeffs = obj["coeffs"] if isinstance(obj, dict) else obj if isinstance(obj, list) else [obj]
-        if any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in coeffs):
+        if not isinstance(coeffs, list) or any(isinstance(c, bool) or not isinstance(c, (int, str)) for c in coeffs):
             raise ValueError(f"cannot decode polynomial from {obj!r}: coefficients must be integers")
         return cls(int(c) for c in coeffs)
 

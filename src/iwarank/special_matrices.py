@@ -136,6 +136,13 @@ def is_special(ctx: PrimeContext, a: LambdaMatrix, n: int) -> SpecialReport:
     return SpecialReport(n=n, per_level=levels, verdict=all(lv.ok for lv in levels))
 
 
+def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
+    """is_special(ctx, a, n).verdict from ords = [ord_{eps_m}(det A) for
+    m <= n]: columns are tested only where Phi_m divides det A, up to the
+    first that vanishes."""
+    return all(any(_vanishing_columns(ctx, m, a)) for m, o in enumerate(ords) if o == INFINITE)
+
+
 def factor_bd(ctx: PrimeContext, a: LambdaMatrix, n: int) -> BDFactorization:
     """A = B D with D = diag of the squarefree Phi-products (m <= n-1)
     dividing each column; exact division, no remainder."""

@@ -5,7 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +17,9 @@ from hypothesis import strategies as st
 
 import iwarank.growth_model
 from iwarank import cli, special_matrices
-from iwarank.special_matrices import SpecialReport
+from iwarank.special_matrices import SpecialReport, is_special
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -171,11 +177,13 @@ class TestPayloadGrammar:
             ["ord-eps", "-m", "1", "--poly", '{"coeffs": [true, 1]}'],
             ["special-check", "-n", "0", "--matrix",
              '[[{"coeffs":[1.9]},{"coeffs":[0]}],[{"coeffs":[0]},{"coeffs":[1]}]]'],
+            ["ord-eps", "-m", "0", "--poly", '{"coeffs": "30"}'],
         ],
-        ids=["float", "bool", "float-in-matrix"],
+        ids=["float", "bool", "float-in-matrix", "string"],
     )
     def test_non_integer_json_coefficient_is_exit2(self, capsys, argv):
-        # refused, not truncated to 2 + X, 1 + X or diag(1, 1)
+        # refused, not truncated to 2 + X, 1 + X or diag(1, 1), nor read
+        # digit by digit as 3 + 0 X
         code, out, err = run(capsys, argv[0], "-p", "3", *argv[1:])
         assert (code, out) == (2, "")
         assert err.startswith("error:")
@@ -415,6 +423,51 @@ class TestExitRule:
         )
         assert (code, out) == (1, "")
         assert err == "error: PostconditionFailed: internal: F_1 B is not special\n"
+
+    def test_specialize_reads_the_postcondition(self, capsys, monkeypatch):
+        # good_basis_transform asks is_special once per level n <= n_max;
+        # specialize reports those verdicts without asking again
+        calls = []
+
+        def spy(ctx, a, n):
+            calls.append(n)
+            return is_special(ctx, a, n)
+
+        monkeypatch.setattr(special_matrices, "is_special", spy)
+        monkeypatch.setattr(cli, "is_special", spy)
+        for n_max in range(1, 5):
+            calls.clear()
+            doc = run_json(capsys, "specialize", "--n-max", str(n_max),
+                           "--col-plus", "diag(X,X)", "--col-minus", "diag(1, X^2+3X+3)")
+            assert calls == list(range(1, n_max + 1))
+            assert doc["result"]["special"] == {str(n): True for n in range(1, n_max + 1)}
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the process quietly, with
+    the exit status of a process killed by SIGPIPE."""
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "-m", "2"],
+        # raw CSV, longer than the stream buffer
+        ["growth", "--base-n", "0", "--base-e", "0", "--n-to", "400", "--format", "csv"],
+    ], ids=["json", "csv"])
+    # buffered, a short output fails only when entrypoint flushes stdout;
+    # unbuffered, or past the buffer, the write inside main fails
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_broken_pipe_exits_141(self, argv, unbuffered):
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)  # closed before the process starts: every write fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from iwarank.cli import entrypoint; entrypoint()", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def quiet_exit(*argv) -> int:

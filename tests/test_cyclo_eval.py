@@ -22,6 +22,7 @@ from iwarank.cyclo_eval import (
     CyclotomicPoint,
     RationalPoly,
     crt_interpolate,
+    matrices_proportional_at_eps,
     matrix_rank_at_eps,
     ord_eps,
     ord_json,
@@ -234,6 +235,59 @@ class TestMatrixAtEps:
                 cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
             cols = [tuple(col) for col in cols]
             assert rank_profile(ctx, cols, k, m) == span_rank(ctx, cols, m), (p, m, cols)
+
+
+def proportional_by_cross_products(ctx, m, f, c) -> bool:
+    """Whether F(eps_m) is a nonzero multiple of C(eps_m), from cross
+    products against a reference entry of C, all mod Phi_m."""
+    phi = cyclotomic_phi(ctx, m)
+    fe = [e.reduced_mod(phi) for e in f.entries]
+    ce = [e.reduced_mod(phi) for e in c.entries]
+    ref = next((i for i, e in enumerate(ce) if e), None)
+    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
+        return not any(fe)
+    return bool(fe[ref]) and all(
+        (fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4)
+    )
+
+
+def test_proportional_matches_cross_products():
+    # the rank reading equals the cross-product one on draws with
+    # C(eps_m) = 0, F(eps_m) = 0, both, F a nonzero multiple of C plus
+    # Phi_m H (C mostly of rank one, as a parity reference is), and F, C
+    # drawn apart
+    rng = random.Random("proportional")
+    counts = {}
+
+    def entry():
+        return LambdaElement([rng.randint(-4, 4) for _ in range(rng.randint(1, 3))])
+
+    def matrix(rank_one=False):
+        a, b = entry(), entry()
+        if rank_one:  # the rows (a, b) and s (a, b)
+            s = entry()
+            return LambdaMatrix(((a, b), (s * a, s * b)))
+        return LambdaMatrix(((a, b), (entry(), entry())))
+
+    for p, m in ((3, 0), (3, 1), (3, 2), (5, 1), (7, 1)):
+        ctx = PrimeContext(p)
+        phi = cyclotomic_phi(ctx, m)
+        for _ in range(12):
+            c, h = matrix(rank_one=rng.random() < 0.7), matrix()
+            draws = {
+                "c-zero": (matrix(), c.scaled(phi)),
+                "both-zero": (h.scaled(phi), c.scaled(phi)),
+                "f-zero": (h.scaled(phi), c),
+                "multiple": (c.scaled(LambdaElement.const(rng.choice((1, -1, 2)) * p ** rng.randint(0, 2)) + X)
+                             + h.scaled(phi), c),
+                "apart": (matrix(), c),
+            }
+            for name, (f, c_draw) in draws.items():
+                want = proportional_by_cross_products(ctx, m, f, c_draw)
+                assert matrices_proportional_at_eps(ctx, m, f, c_draw) is want, (name, p, m, f, c_draw)
+                counts[name, want] = counts.get((name, want), 0) + 1
+    assert set(counts) == {("c-zero", False), ("both-zero", True), ("f-zero", False), ("multiple", True),
+                           ("apart", False)}, counts
 
 
 def rank_profile(ctx, columns, k, m) -> int:

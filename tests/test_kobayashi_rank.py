@@ -25,10 +25,8 @@ from iwarank.kobayashi_rank import (
     TorsionTower,
     _brute_nabla,
     _cyclic,
-    _level_ords,
     _minors,
     _norm_length,
-    _special,
     _tors_reader,
     _weierstrass_minor,
     additivity_check,
@@ -290,6 +288,14 @@ def _two_span_nabla(ctx, k, cols, n):
     return NablaResult(n=n, ker_length=ker, coker_length=0, lower_rank=lower, nabla=ker + lower)
 
 
+def _torsion_step(ctx, k, cols, n, minors):
+    """_brute_nabla's result with no subject, as a torsion tower calls it;
+    its ords are ord_eps of det A at every level, none when not square."""
+    result, ords = _brute_nabla(ctx, k, cols, n, minors)
+    assert ords == ([ord_eps(ctx, m, minors[0]) for m in range(n + 1)] if len(cols) == k else [])
+    return result
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -335,8 +341,7 @@ def test_torsion_difference_matches_nested_quotient():
             cols[-1] = [a + s * b for a, b in zip(cols[0], cols[1])]
         cols = [tuple(col) for col in cols]
         minors = _minors(k, cols)
-        ords = _level_ords(ctx, n, minors[0] if c == k else None)
-        got = _outcome(_brute_nabla, ctx, k, cols, n, minors, ords)
+        got = _outcome(_torsion_step, ctx, k, cols, n, minors)
         assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (p, n, k, ctx.precision, cols)
         kind = got if isinstance(got, type) else NablaResult
         counts[kind] = counts.get(kind, 0) + 1
@@ -684,6 +689,40 @@ def test_refusal_order(fn, arg, n, alone, second, first, message):
     assert type(exc.value) is first and str(exc.value) == message
 
 
+_PHI2 = cyclotomic_phi(_LO, 2)
+
+
+@pytest.mark.parametrize("fn, arg, subject, relations", [
+    (nabla_cyclic, X * _PHI2, "f", lambda ctx, f: ((f,),)),
+    # A(0) = 0 mod 3 and Phi_1 | det A below n: a non-cyclic M, which
+    # reads rank_at_eps at level 1 once the guard passes
+    (nabla_matrix_tower, LambdaMatrix.diagonal(_PHI1 * _PHI2, _PHI1), "det A", lambda ctx, a: a.columns),
+    # F_2 collapses to col_plus at eps_2 and to col_minus at eps_1
+    (nabla_coleman_tower, ColemanData(LambdaMatrix.diagonal(X, X * _PHI2), LambdaMatrix.diagonal(ONE, _PHI1)),
+     "det F_2", lambda ctx, cd: assemble_fn(ctx, cd, 2).columns),
+])
+def test_phi_guard_runs_before_the_step(monkeypatch, fn, arg, subject, relations):
+    # a tower naming its determinant is refused as soon as Phi_n divides
+    # it: no cyclicity test, rank profile or span reader has run; a
+    # torsion tower on the same relations names none, and is refused once
+    # its rank profile drops at eps_n
+    calls = []
+    for name in ("_cyclic", "rank_at_eps", "_tors_reader"):
+        def spy(*args, name=name, fn=getattr(kobayashi_rank, name)):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(kobayashi_rank, name, spy)
+    ctx = PrimeContext(3)
+    with pytest.raises(PhiDivides) as exc:
+        fn(ctx, arg, 2)
+    assert str(exc.value) == f"Phi_2 divides {subject}; step kernel is infinite"
+    assert calls == []
+    with pytest.raises(PhiDivides) as exc:
+        nabla_torsion_tower(ctx, TorsionTower(relations(ctx, arg)), 2)
+    assert str(exc.value) == "relations drop rank at eps_2; step kernel is infinite"
+    assert "_cyclic" in calls
+
+
 def _verdict_draws():
     """(ctx, n, A): special draws, Coleman F_n before and after the
     good-basis move, and draws where Phi_m divides det A but (as a rule)
@@ -711,7 +750,7 @@ def test_special_verdict_matches_is_special():
     for ctx, n, a in _verdict_draws():
         ords = [ord_eps(ctx, m, a.det) for m in range(n + 1)]
         verdict = is_special(ctx, a, n).verdict
-        assert _special(ctx, a, ords) is verdict, (ctx.p, n, a)
+        assert special_matrices._special(ctx, a, ords) is verdict, (ctx.p, n, a)
         seen[verdict] += 1
     assert min(seen.values()) > 0, seen
 
@@ -878,7 +917,7 @@ def test_cyclic_reading_matches_banded():
                         counts["answered"] += 1
                         counts["answered-infinite"] += INFINITE in ords[: m + 1]
                 if ords[n] != INFINITE:
-                    got = _outcome(_brute_nabla, ctx, k, cols, n, [det], ords)
+                    got = _outcome(_torsion_step, ctx, k, cols, n, [det])
                     assert got == _outcome(_two_span_nabla, ctx, k, cols, n), (name, p, n, ctx.precision, cols)
                     counts["nabla-raise"] += got is PrecisionUnstable
     assert names >= {"cyclic", "torsion-1", "special", "cyclic-phi", "unit-entry", "torsion-3"}, names

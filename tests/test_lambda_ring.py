@@ -224,7 +224,8 @@ class TestElementArithmetic:
     def test_json_coefficients_are_integers(self):
         assert LambdaElement.from_json_dict({"coeffs": ["-2", 1]}) == LambdaElement((-2, 1))
         assert LambdaElement.from_json_dict("3") == LambdaElement.from_json_dict([3]) == LambdaElement((3,))
-        for bad in ({"coeffs": [2.5, 1]}, {"coeffs": [True, 1]}, [1.0], False, 2.5, None, {"coeffs": ["2.5"]}):
+        for bad in ({"coeffs": [2.5, 1]}, {"coeffs": [True, 1]}, [1.0], False, 2.5, None, {"coeffs": ["2.5"]},
+                    {"coeffs": "12"}):
             with pytest.raises(ValueError):
                 LambdaElement.from_json_dict(bad)
 

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ["coleman_pipeline.py", "--n-max", "2", "--seed", "1"],
         ["growth_demo.py", "--n-to", "3"],
         ["rank_sweep.py", "-p", "3", "-n", "1", "--count", "3", "--seed", "1"],
+        ["code_lines.py"],
         # level 3 reads its torsion on the Weierstrass span
         pytest.param(
             ["rank_sweep.py", "-p", "3", "-n", "3", "--count", "3", "--seed", "1"],
