@@ -1,15 +1,14 @@
 """Count the code lines of the iwarank package: per module and in total,
 the non-blank lines outside comments and docstrings.
 
-    python scripts/code_lines.py [package_dir]
+    python scripts/code_lines.py
 
-package_dir defaults to src/iwarank next to this script.  A line counts
+The package is src/iwarank next to this script.  A line counts
 when some token on it is code; a string that spans lines counts on each
 of them, except a docstring (the leading string of a module, class or
 function), which counts on none.
 """
 
-import argparse
 import ast
 import io
 import tokenize
@@ -39,11 +38,8 @@ def code_lines(source: str) -> int:
     return len(lines - skip)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("package_dir", nargs="?", type=Path, default=PACKAGE)
-    args = parser.parse_args(argv)
-    counts = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(args.package_dir.glob("*.py"))}
+def main() -> int:
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     width = max(map(len, counts), default=5)
     for name, count in counts.items():
         print(f"{name:<{width}}  {count:>5}")

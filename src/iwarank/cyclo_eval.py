@@ -107,11 +107,20 @@ def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:
 def matrices_proportional_at_eps(
     ctx: PrimeContext, m: int, f: LambdaMatrix, c: LambdaMatrix
 ) -> bool:
-    """Whether F(eps_m) = scalar * C(eps_m) for some nonzero scalar: read
-    on the 4-entry vectors, exactly when F, C and [F | C] have one rank
-    at eps_m (both zero, or both nonzero and spanning one line)."""
-    systems = ((f.entries,), (c.entries,), (f.entries, c.entries))
-    return len({rank_at_eps(ctx, m, columns, 4) for columns in systems}) == 1
+    """Whether F(eps_m) = scalar * C(eps_m) for some nonzero scalar.
+
+    Decided integrally: cross products against a reference entry, all
+    mod Phi_m (an integral domain, so no division is needed).
+    """
+    phi = cyclotomic_phi(ctx, m)
+    fe = [e.reduced_mod(phi) for e in f.entries]
+    ce = [e.reduced_mod(phi) for e in c.entries]
+    ref = next((i for i, e in enumerate(ce) if e), None)
+    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
+        return not any(fe)
+    return bool(fe[ref]) and all(
+        (fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4)
+    )
 
 
 # -- rational polynomials and cyclotomic CRT --------------------------

@@ -96,7 +96,9 @@ Closed forms attached per tower kind:
   * 2x2 matrix:            ord_{eps_n}(det A)       when A is special rel n;
   * Coleman pair:          2 deg omega-tilde_n^sign + ord_{eps_n}(det Col^-sign),
                            sign = + for n odd, - for n even, when F_n is
-                           special rel n and the parity det survives at eps_n.
+                           special rel n (the parity det then survives at
+                           eps_n: Phi_n divides it exactly when it divides
+                           det F_n, which the guard has refused).
 """
 
 from __future__ import annotations
@@ -222,15 +224,13 @@ def _cyclic(p: int, k: int, rel_cols) -> bool:
     """Whether Lambda^k / A, A square, is cyclic: rank A(0) mod p >= k - 1
     (Nakayama, see above)."""
     rows = [[c[i].coeffs[0] % p if c[i] else 0 for c in rel_cols] for i in range(k)]
-    rank = 0
     for j in range(k):
         if (pivot := next((r for r in rows if r[j]), None)) is None:
             continue
-        rows.remove(pivot)
-        rank += 1
+        rows.remove(pivot)  # each pivot row leaves: k - len(rows) is the rank so far
         inv = pow(pivot[j], -1, p)
         rows = [[(x - r[j] * inv * y) % p for x, y in zip(r, pivot)] for r in rows]
-    return rank >= k - 1
+    return len(rows) <= 1
 
 
 def _norm_length(ctx: PrimeContext, ords: list, cyclic: bool) -> int | None:
@@ -273,9 +273,7 @@ def _require_step(n: int) -> None:
         raise InvalidContext(f"tower steps start at n = 1, got {n}")
 
 
-def _attach(result: NablaResult, closed: int | None) -> NablaResult:
-    if closed is None:
-        return result
+def _attach(result: NablaResult, closed: int) -> NablaResult:
     return replace(result, closed_form=closed, agrees=(result.nabla == closed))
 
 
@@ -318,8 +316,10 @@ def nabla_matrix_tower(ctx: PrimeContext, a: LambdaMatrix, n: int) -> NablaResul
 def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResult:
     """nabla of the level-n Coleman step Lambda^2/(columns of F_n); the
     closed form 2 deg omega-tilde_n^sign + ord_{eps_n}(det Col^opp) is
-    attached when F_n is special and the opposite-parity determinant
-    does not vanish at eps_n."""
+    attached when F_n is special.  det Col^opp cannot vanish at eps_n
+    once the PhiDivides guard passes: F_n(eps_n) is a nonzero multiple of
+    Col^opp(eps_n) (parity_congruence_check), so Phi_n divides det F_n
+    exactly when it divides det Col^opp."""
     _require_step(n)
     cd.validate()
     f = assemble_fn(ctx, cd, n)
@@ -329,8 +329,6 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     if not _special(ctx, f, ords):
         return result
     o = ord_eps(ctx, n, parity_reference(cd, n).det)
-    if o == INFINITE:
-        return result
     return _attach(result, 2 * signed_degree(ctx.p, n, "+" if n % 2 else "-") + o)
 
 

@@ -230,8 +230,7 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
                 for row in rationals
             )
         )
-        start = top + 1
-        for m in range(max(1, start), n_max + 1):
+        for m in range(top + 1, n_max + 1):
             if not CyclotomicPoint.of(ctx, m, b.det).is_zero:
                 continue
             omega_prev = omega_poly(ctx, m - 1)

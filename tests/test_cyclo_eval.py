@@ -237,22 +237,16 @@ class TestMatrixAtEps:
             assert rank_profile(ctx, cols, k, m) == span_rank(ctx, cols, m), (p, m, cols)
 
 
-def proportional_by_cross_products(ctx, m, f, c) -> bool:
-    """Whether F(eps_m) is a nonzero multiple of C(eps_m), from cross
-    products against a reference entry of C, all mod Phi_m."""
-    phi = cyclotomic_phi(ctx, m)
-    fe = [e.reduced_mod(phi) for e in f.entries]
-    ce = [e.reduced_mod(phi) for e in c.entries]
-    ref = next((i for i, e in enumerate(ce) if e), None)
-    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
-        return not any(fe)
-    return bool(fe[ref]) and all(
-        (fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4)
-    )
+def proportional_by_ranks(ctx, m, f, c) -> bool:
+    """Whether F(eps_m) is a nonzero multiple of C(eps_m), read on the
+    4-entry vectors: F, C and [F | C] have one rank at eps_m (all zero,
+    or all spanning one line)."""
+    systems = ((f.entries,), (c.entries,), (f.entries, c.entries))
+    return len({rank_at_eps(ctx, m, columns, 4) for columns in systems}) == 1
 
 
-def test_proportional_matches_cross_products():
-    # the rank reading equals the cross-product one on draws with
+def test_proportional_matches_ranks():
+    # the cross-product reading equals the rank one on draws with
     # C(eps_m) = 0, F(eps_m) = 0, both, F a nonzero multiple of C plus
     # Phi_m H (C mostly of rank one, as a parity reference is), and F, C
     # drawn apart
@@ -283,7 +277,7 @@ def test_proportional_matches_cross_products():
                 "apart": (matrix(), c),
             }
             for name, (f, c_draw) in draws.items():
-                want = proportional_by_cross_products(ctx, m, f, c_draw)
+                want = proportional_by_ranks(ctx, m, f, c_draw)
                 assert matrices_proportional_at_eps(ctx, m, f, c_draw) is want, (name, p, m, f, c_draw)
                 counts[name, want] = counts.get((name, want), 0) + 1
     assert set(counts) == {("c-zero", False), ("both-zero", True), ("f-zero", False), ("multiple", True),

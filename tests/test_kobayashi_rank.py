@@ -1,5 +1,6 @@
 """Brute-force step ranks against their closed forms on the three tower shapes."""
 
+import itertools
 import random
 
 import pytest
@@ -721,6 +722,54 @@ def test_phi_guard_runs_before_the_step(monkeypatch, fn, arg, subject, relations
         nabla_torsion_tower(ctx, TorsionTower(relations(ctx, arg)), 2)
     assert str(exc.value) == "relations drop rank at eps_2; step kernel is infinite"
     assert "_cyclic" in calls
+
+
+def test_parity_det_survives_the_guard():
+    # nabla_coleman_tower attaches its closed form without asking whether
+    # det Col^opp vanishes at eps_n: F_n(eps_n) is a nonzero multiple of
+    # Col^opp(eps_n), so Phi_n divides det F_n exactly when it divides
+    # det Col^opp, and the PhiDivides guard refuses the first
+    rng = random.Random("parity-det")
+    seen = set()
+    for p in (3, 5):
+        ctx = PrimeContext(p)
+        for kind in COLEMAN_KINDS:
+            for _ in range(3):
+                cd = rand_coleman_data(ctx, rng, kind)
+                for n in (1, 2, 3):
+                    vanishes = ord_eps(ctx, n, special_matrices.parity_reference(cd, n).det) == INFINITE
+                    assert (ord_eps(ctx, n, assemble_fn(ctx, cd, n).det) == INFINITE) is vanishes, (p, kind, n)
+                    seen.add(vanishes)
+    assert seen == {True, False}
+
+
+def _int_det(rows) -> int:
+    return 1 if not rows else sum(
+        (-1) ** j * rows[0][j] * _int_det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(len(rows))
+    )
+
+
+def test_cyclic_matches_minors_mod_p():
+    # _cyclic reads rank A(0) mod p >= k - 1 by elimination; some
+    # (k-1)-minor of A(0) prime to p says the same
+    rng = random.Random("cyclic-minors")
+    seen = set()
+    for p in (3, 5):
+        for k in (1, 2, 3):
+            for _ in range(40):
+                cols = tuple(
+                    tuple(LambdaElement([rng.choice((0, 0, 1, p, p - 1, 2 * p)), rng.randint(-2, 2)]) for _ in range(k))
+                    for _ in range(k)
+                )
+                a0 = [[c[i].coeffs[0] if c[i] else 0 for c in cols] for i in range(k)]
+                want = any(
+                    _int_det([[a0[i][j] for j in picked] for i in kept]) % p
+                    for kept in itertools.combinations(range(k), k - 1)
+                    for picked in itertools.combinations(range(k), k - 1)
+                )
+                assert _cyclic(p, k, cols) is want, (p, cols)
+                seen.add((k, want))
+    assert seen == {(1, True), (2, True), (2, False), (3, True), (3, False)}
 
 
 def _verdict_draws():
