@@ -49,6 +49,7 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     X,
+    _past_cap,
     cyclotomic_phi,
     iwasawa_invariants,
     json_form,
@@ -285,14 +286,32 @@ def _invariants(a) -> InvariantSet:
     return InvariantSet(a.prime, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, a.r_inf)
 
 
-def _printable_level(p: int, n: int) -> int:
+def _printable_level(n: int, log10_answer: float) -> int:
     """n, refused up front when the answer at level n must print past the
-    interpreter's integer-string digit limit: every answer there holds or
-    exceeds s_{n-1} >= p^{n-2}."""
+    interpreter's integer-string digit limit; log10_answer bounds the
+    log10 of its largest integer from below."""
     limit = sys.get_int_max_str_digits()
-    if limit and (n - 2) * math.log10(p) >= limit:
+    if limit and log10_answer >= limit:
         raise InvalidContext(f"level {n}: the answer would print over {limit} digits")
     return n
+
+
+def _growth_level(p: int, n: int) -> int:
+    """Every growth answer at level n holds or exceeds s_{n-1} >= p^{n-2}."""
+    return _printable_level(n, (n - 2) * math.log10(p))
+
+
+def _binomial_level(p: int, n: int, k: int = 1, shift: int = 0) -> int:
+    """n, for an answer holding coefficients at least those of (1+X)^N,
+    N = k p^(n + shift): omega_n (k = 1), and
+    Phi_m = sum_{j<p} (1+X)^(j p^(m-1)), whose terms are all nonnegative
+    (k = p - 1, shift = -1).  The largest is C(N, N // 2) >= 2^N / (N + 1).
+    A level check_level refuses is passed on, so that its refusal comes
+    first."""
+    if n < 0 or _past_cap(p, n):
+        return n
+    big = k * p ** (n + shift)
+    return _printable_level(n, big * math.log10(2) - math.log10(big + 1))
 
 
 def _specialize(ctx, a):
@@ -306,7 +325,7 @@ def _specialize(ctx, a):
 
 
 def _growth(ctx, a):
-    inv, n_to = _invariants(a), _printable_level(a.prime, a.n_to)
+    inv, n_to = _invariants(a), _growth_level(a.prime, a.n_to)
     table = sha_growth(inv, range(a.base_n + 1, n_to + 1), (a.base_n, a.base_e))
     return table.to_csv() if a.format == "csv" else table
 
@@ -323,9 +342,10 @@ def _verify(ctx, a):
 # records, or a string printed raw.
 COMMANDS = (
     ("phi", "cyclotomic factor at level m", (_M,),
-     lambda ctx, a: {"m": a.m, "phi": cyclotomic_phi(ctx, a.m)}),
+     lambda ctx, a: {"m": a.m,
+                     "phi": cyclotomic_phi(ctx, _binomial_level(a.prime, a.m, a.prime - 1, -1))}),
     ("omega", "omega_n and its signed/reduced products", (_N,),
-     lambda ctx, a: omega_tower(ctx, a.n)),
+     lambda ctx, a: omega_tower(ctx, _binomial_level(a.prime, a.n))),
     ("invariants", "mu and lambda of a polynomial", (_POLY,),
      lambda ctx, a: iwasawa_invariants(ctx, parse_poly_arg(a.poly))),
     ("ord-eps", "valuation of f at eps_m", (_M, _POLY),
@@ -360,7 +380,7 @@ COMMANDS = (
      _growth),
     ("nabla-x", "X-side step rank from signed invariants", (*_INVARIANTS, _N),
      lambda ctx, a: {"n": a.n,
-                     "nabla_x": nabla_x_formula(_invariants(a), _printable_level(a.prime, a.n))}),
+                     "nabla_x": nabla_x_formula(_invariants(a), _growth_level(a.prime, a.n))}),
     ("verify", "seeded randomized verification sweeps",
      (_flag("--suite", choices=("all",) + SUITE_NAMES, default="all"),
       _flag("--scale", type=float, default=1.0, help="multiply every sweep count")),

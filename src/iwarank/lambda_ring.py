@@ -327,10 +327,6 @@ class LambdaMatrix:
     def entries(self):
         return (self.rows[0][0], self.rows[0][1], self.rows[1][0], self.rows[1][1])
 
-    @property
-    def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
     def __repr__(self):
         return f"[[{self.rows[0][0]!r}, {self.rows[0][1]!r}], [{self.rows[1][0]!r}, {self.rows[1][1]!r}]]"
 
@@ -403,14 +399,19 @@ class OmegaTower(Record):
     omega_tilde_minus: LambdaElement
 
 
+def _past_cap(p: int, n: int) -> bool:
+    """Whether p^n exceeds the explicit-construction cap.  p^n >= 2^n
+    passes it once n reaches the cap's bit length, so a large n is
+    decided without building its power."""
+    return n >= MAX_EXPLICIT_LENGTH.bit_length() or p ** n > MAX_EXPLICIT_LENGTH
+
+
 def check_level(p: int, n: int):
     """Refuse a negative level, then one past the explicit-construction
     cap (InvalidContext)."""
     if n < 0:
         raise InvalidContext(f"level must be >= 0, got {n}")
-    # p^n >= 2^n passes the bound once n reaches the bound's bit length,
-    # so a large n is refused without building its power
-    if n >= MAX_EXPLICIT_LENGTH.bit_length() or p ** n > MAX_EXPLICIT_LENGTH:
+    if _past_cap(p, n):
         raise InvalidContext(
             f"p^n = {p}^{n} exceeds the explicit-construction bound "
             f"{MAX_EXPLICIT_LENGTH}; use degree bookkeeping for large levels"

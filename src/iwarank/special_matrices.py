@@ -20,7 +20,6 @@ making every F_n B special, by CRT-gluing kernel-killing local blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import lcm
 
 from .cyclo_eval import (
@@ -47,7 +46,6 @@ from .lambda_ring import (
     Record,
     check_level,
     cyclotomic_phi,
-    omega_poly,
     omega_tower,
 )
 
@@ -193,10 +191,18 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     """An integer-polynomial B, invertible at every eps_m (m <= n_max),
     such that F_n B is special relative to n for all n <= n_max.
 
-    Local kernel-killing blocks at the rank-one levels are glued by CRT
-    (denominators are p-powers and get cleared), then a correction
-    omega_{m-1} * C with C in {0..p-1}^4 restores invertibility at the
-    levels above the glued range, lowest level first.
+    Local kernel-killing blocks at the rank-one levels, and identity
+    blocks at the other levels m <= top (top the highest rank-one level),
+    are glued by CRT; the p-power denominators are cleared by one integer
+    scale s.  Nothing else is needed.  Proof that det B is free of every
+    Phi_m, m <= n_max:
+      m <= top: B = s * block_m mod Phi_m, and every block is invertible
+        over Q[X]/Phi_m, so det B = s^2 det block_m != 0 there.  In
+        particular det B != 0.
+      m > top: CRT reduces each entry mod prod_{j <= top} Phi_j = omega_top,
+        of degree p^top, and scaling keeps degrees, so
+        deg det B <= 2 p^top - 2 < (p - 1) p^top <= deg Phi_m as p >= 3;
+        a nonzero polynomial of lower degree is not divisible by Phi_m.
     """
     cd.validate()
     if n_max < 0:
@@ -230,17 +236,6 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
                 for row in rationals
             )
         )
-        for m in range(top + 1, n_max + 1):
-            if not CyclotomicPoint.of(ctx, m, b.det).is_zero:
-                continue
-            omega_prev = omega_poly(ctx, m - 1)
-            for alpha, beta, gamma, delta in product(range(ctx.p), repeat=4):
-                cand = b + LambdaMatrix(((alpha, gamma), (beta, delta))).scaled(omega_prev)
-                if not CyclotomicPoint.of(ctx, m, cand.det).is_zero:
-                    b = cand
-                    break
-            else:
-                raise PostconditionFailed(f"no correction restored invertibility at level {m}")
     for m in range(n_max + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:
             raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")

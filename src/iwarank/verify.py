@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .cyclo_eval import INFINITE, CyclotomicPoint, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
-from .errors import InvalidContext, NotCoprime, PhiDivides, PostconditionFailed, PrecisionUnstable
+from .errors import InvalidContext, NotCoprime, PostconditionFailed, PrecisionUnstable
 from .growth_model import InvariantSet, degree_identities, delta_e, sha_growth
 from .kobayashi_rank import (
     CyclicTower,
@@ -493,8 +493,6 @@ def suite_precision(rng, scale, precision):
         except PrecisionUnstable:
             raised = True
             break
-        except PhiDivides:
-            continue
         completed += 1
         if res.agrees is False:
             lied = True

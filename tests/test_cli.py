@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import iwarank.growth_model
 from iwarank import cli, special_matrices
+from iwarank.lambda_ring import PrimeContext, cyclotomic_phi, omega_poly
 from iwarank.special_matrices import SpecialReport, is_special
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -213,7 +215,7 @@ class TestPayloadGrammar:
         doc = run_json(capsys, "ord-eps", "-p", "3", "-m", "1", "--poly", "(1+X)^243-1")
         assert doc["result"]["ord"] == "inf"
 
-    @pytest.mark.parametrize("bad", ["X +", "diag(X", "[[X]]", "X & Y", "Y"])
+    @pytest.mark.parametrize("bad", ["X +", "diag(X", "[[X]]", "X & Y", "Y", "X^-1"])
     def test_malformed_payloads(self, capsys, bad):
         code, _, err = run(capsys, "invariants", "-p", "3", "--poly", bad)
         if code == 0:  # matrices are not polynomials; all must fail
@@ -537,3 +539,112 @@ class TestNumericFlags:
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestCoefficientDigits:
+    """omega_n and Phi_m are refused before they are built when their
+    largest coefficient, at least C(N, N // 2) for N = p^n or (p-1) p^(m-1),
+    must print past the integer-string digit limit."""
+
+    # each built for one to two and a half minutes, then failed to print
+    UNPRINTABLE = [
+        ["omega", "-p", "5", "-n", "6"],
+        ["omega", "-p", "7", "-n", "5"],
+        ["phi", "-p", "7", "-m", "5"],
+        ["omega", "-p", "3", "-n", "9"],
+    ]
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("an unprintable level was built")
+
+        monkeypatch.setattr(cli, "omega_tower", forbidden)
+        monkeypatch.setattr(cli, "cyclotomic_phi", forbidden)
+
+    @pytest.fixture
+    def low_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the interpreter's least nonzero limit
+        yield 640
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("argv", UNPRINTABLE, ids=[" ".join(a[::2]) for a in UNPRINTABLE])
+    def test_refused_without_building(self, capsys, no_build, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: InvalidContext: level {argv[-1]}: the answer would print over {limit} digits\n"
+
+    @pytest.mark.parametrize("argv", [["omega", "-n", "10"], ["phi", "-m", "10"], ["phi", "-m", "-1"]])
+    def test_level_refusals_come_first(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "-p", "3")
+        assert code == 2 and err.startswith("error: InvalidContext: ")
+        assert "print" not in err
+
+    # SHA-256 of the bytes printed before the bound was added
+    PRINTABLE = [
+        (["omega", "-p", "5", "-n", "3"], "e9edd7a1f2a3707527c364591eddb0bd59d084c41474633a65db9cf2c65833e4"),
+        (["phi", "-p", "7", "-m", "3"], "492bf5da0ac376cd169ec68fcf946a2880d96a75dcb3bc6f01fb18ab240ef00b"),
+        (["omega", "-p", "3", "-n", "6"], "64a3c3617213fdea917dc32f2ca85c2061a65199ff9935b801f8dbd3af0f945f"),
+        (["phi", "-p", "3", "-m", "7"], "8413f49b21888423947a354c780820db4a28594d274820f8f0ce993ae2bff9f8"),
+    ]
+
+    @pytest.mark.parametrize("argv,digest", PRINTABLE, ids=[" ".join(a) for a, _ in PRINTABLE])
+    def test_printable_levels_unchanged(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_refusal_only_where_printing_fails(self, capsys, low_limit):
+        # every printed level has a largest coefficient of at least
+        # C(N, N // 2), and that alone has over 640 digits at the lowest
+        # refused level of each tower
+        refused = []
+        for p, top in ((3, 8), (5, 5), (7, 4)):
+            ctx = PrimeContext(p)
+            for name, flag, build, exponent in (
+                ("omega", "-n", lambda n: omega_poly(ctx, n), lambda n: p**n),
+                ("phi", "-m", lambda n: cyclotomic_phi(ctx, n), lambda n: (p - 1) * p ** (n - 1)),
+            ):
+                for n in range(1, top + 1):
+                    big = exponent(n)
+                    code, _, err = run(capsys, name, "-p", str(p), flag, str(n))
+                    if code == 0:
+                        assert max(build(n).coeffs) >= math.comb(big, big // 2)
+                        continue
+                    assert err.endswith("would print over 640 digits\n"), err
+                    assert math.comb(big, big // 2) >= 10**low_limit
+                    refused.append((name, p, n))
+                    break
+        assert refused == [("omega", 3, 7), ("phi", 3, 8), ("omega", 5, 5), ("phi", 5, 5), ("omega", 7, 4)]
+
+
+class TestColemanPaths:
+    """Coleman inputs that reach the tower's rarer exits."""
+
+    # det F_n carries Phi_1 Phi_3 with one column vanishing at each, but
+    # Phi_2 divides det F_2: special at n = 3, no step at n = 2
+    NOT_SPECIAL_BELOW = ["--col-plus", "[[X^4+3X^3+3X^2+3X, -X], [3X, X^4+3X^3+3X^2]]",
+                         "--col-minus", "diag(1,1)"]
+
+    def test_no_closed_form_when_not_special(self, capsys):
+        doc = run_json(capsys, "nabla", "coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "3")
+        result = doc["result"]
+        assert (result["nabla"], result["closed_form"], result["agrees"]) == (12, None, None)
+
+    def test_phi_divides_below(self, capsys):
+        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: PhiDivides: Phi_2 divides det F_2; step kernel is infinite\n"
+
+    def test_singular_fn(self, capsys):
+        # omega-tilde_1^+ col_minus + omega-tilde_1^- col_plus = 0 in the first column
+        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", "--col-plus", "diag(X,X)",
+                             "--col-minus", "diag(-X(X^2+3X+3), 1)", "-n", "1")
+        assert (code, out, err) == (2, "", "error: SingularMatrix: det F_1 = 0\n")
+
+    def test_singular_col_plus(self, capsys):
+        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", "--col-plus", "[[X,X],[X,X]]",
+                             "--col-minus", "diag(1,1)", "-n", "1")
+        assert (code, out, err) == (2, "", "error: DegenerateColeman: det col_plus is zero\n")

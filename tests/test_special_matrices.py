@@ -1,6 +1,8 @@
 """Column-divisibility reports, BD factorization, F_n assembly, parity
 congruence, the good-basis transform, and span saturation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,6 +26,7 @@ from iwarank.errors import (
     SingularMatrix,
 )
 from iwarank.lambda_ring import (
+    MAX_EXPLICIT_LENGTH,
     ONE,
     X,
     ZERO,
@@ -178,6 +181,11 @@ class TestColemanDataValidation:
         with pytest.raises(DegenerateColeman, match="det"):
             cd.validate()
 
+    def test_nonzero_det_col_plus_enforced(self):
+        cd = ColemanData(col_plus=LambdaMatrix(((X, X), (X, X))), col_minus=LambdaMatrix.identity())
+        with pytest.raises(DegenerateColeman, match="det col_plus is zero"):
+            cd.validate()
+
     def test_json_roundtrip(self, cd_rank1):
         assert ColemanData.from_json_dict(cd_rank1.to_json_dict()) == cd_rank1
 
@@ -271,6 +279,43 @@ class TestGoodBasis:
                          col_minus=LambdaMatrix(((ONE, ONE), (ONE, ONE))))
         with pytest.raises(DegenerateColeman):
             good_basis_transform(ctx3, cd, 2)
+
+    @pytest.mark.parametrize("p,n_max", [(3, 4), (5, 2), (7, 2)])
+    def test_glue_alone_clears_the_higher_levels(self, p, n_max):
+        # the degree proof in good_basis_transform's docstring: entries of
+        # degree < p^top = deg omega_top keep deg det B below every deg Phi_m,
+        # m > top, so no Phi_m divides det B however far up one looks
+        ctx = PrimeContext(p)
+        rng = random.Random(f"good-basis-degrees-{p}")
+        tops = set()
+        for kind in COLEMAN_KINDS:
+            for _ in range(2):
+                cd = rand_coleman_data(ctx, rng, kind)
+                b = good_basis_transform(ctx, cd, n_max)
+                rank_one = [m for m in range(n_max + 1)
+                            if matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) == 1]
+                top = max(rank_one, default=0)
+                tops.add(top)
+                assert all(e.degree < p**top for e in b.entries), (kind, top)
+                for m in range(top + 1, n_max + 3):
+                    if p**m <= MAX_EXPLICIT_LENGTH:
+                        assert ord_eps(ctx, m, b.det) != INFINITE, (kind, m)
+        assert tops == {0, 1, 2}
+
+    def test_outputs_pinned(self):
+        # SHA-256 of B on a fixed draw set (p in {3, 5}, every kind,
+        # n_max 0..3), computed when the transform still searched for
+        # corrections above the glued levels: the glue alone gives the same B
+        outputs = []
+        for p in (3, 5):
+            ctx = PrimeContext(p)
+            rng = random.Random(f"good-basis-pin-{p}")
+            for kind in COLEMAN_KINDS:
+                for _ in range(3):
+                    cd = rand_coleman_data(ctx, rng, kind)
+                    outputs += [good_basis_transform(ctx, cd, n_max).to_json_list() for n_max in range(4)]
+        digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+        assert digest == "3101f2be855db274a61b502dcf8d96670a321f8945a9c5fd0d6f18f5a4a31c2b"
 
 
 class TestRodCheck:

@@ -7,7 +7,7 @@ import pytest
 from iwarank import special_matrices, verify
 from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
 from iwarank.kobayashi_rank import nabla_coleman_tower
-from iwarank.lambda_ring import PrimeContext, cyclotomic_phi
+from iwarank.lambda_ring import LambdaMatrix, PrimeContext, cyclotomic_phi
 from iwarank.special_matrices import (
     SpecialReport,
     assemble_fn,
@@ -128,6 +128,24 @@ class TestReports:
         check = next(c for c in suite_growth(seed=0, scale=0.2).checks if c.name == "telescoping")
         assert (check.ok, check.details["count"], check.details["failures"]) == (False, 2, 10)
         assert set(check.details["example"]) == {"invariants", "n"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_precision_drill_candidates_have_a_finite_step(self, monkeypatch, seed):
+        # each drawn candidate is special with det free of Phi_m for m <= 2,
+        # and diag(27, 1) has no Phi factor, so no candidate can raise
+        # PhiDivides at n = 2
+        drawn = []
+
+        def recording(ctx, rng, n, max_deg=3):
+            drawn.append((ctx, rand_special_matrix(ctx, rng, n, max_deg)[0]))
+            return drawn[-1][1], None
+
+        monkeypatch.setattr(verify, "rand_special_matrix", recording)
+        (report,) = run_suites(["precision"], seed=seed)
+        assert report.ok
+        assert len(drawn) == 30
+        for ctx, a in drawn + [(drawn[0][0], LambdaMatrix.diagonal(27, 1))]:
+            assert ord_eps(ctx, 2, a.det) != INFINITE
 
     def test_failed_transform_postcondition_is_a_basis_failure(self, monkeypatch):
         # good_basis_transform checks F_n B with is_special; when that
