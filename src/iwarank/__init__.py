@@ -14,15 +14,12 @@ PrecisionUnstable instead of answering.
 from .cyclo_eval import (
     INFINITE,
     CyclotomicPoint,
-    RationalPoly,
-    crt_interpolate,
     matrices_proportional_at_eps,
     matrix_rank_at_eps,
     ord_eps,
 )
 from .errors import (
     DegenerateColeman,
-    DuplicateLevel,
     InvalidContext,
     IwarankError,
     NotCoprime,

@@ -205,8 +205,11 @@ def _maybe_file(text: str) -> str:
     if not isinstance(text, str):  # argparse turns "--poly=--" into []
         raise ExpressionError("empty payload")
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except UnicodeDecodeError:
+            raise ExpressionError(f"payload file {text[1:]!r} is not UTF-8 text") from None
     return text
 
 

@@ -14,19 +14,18 @@ v_p(f(0)).  The value is infinite exactly when Phi_m | f.
 Every question the package asks at eps_m is answered here from r: value
 and divisibility (CyclotomicPoint), valuation (ord_eps), the vanishing
 columns of a matrix (_vanishing_columns), rank (rank_at_eps) and
-proportionality (matrices_proportional_at_eps).  No other module
-divides by Phi_m.
+proportionality (matrices_proportional_at_eps); _glue lifts 2x2 blocks
+given at several levels to one matrix.  No other module divides by
+Phi_m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, inf, lcm
+from math import inf
 
-from .errors import DuplicateLevel, InvalidContext
 from .exactlinalg import _minor_rank
 from .lambda_ring import (
-    ONE,
     ZERO,
     LambdaElement,
     LambdaMatrix,
@@ -123,78 +122,36 @@ def matrices_proportional_at_eps(
     )
 
 
-# -- rational polynomials and cyclotomic CRT --------------------------
+def _glue(ctx: PrimeContext, blocks: dict) -> LambdaMatrix:
+    """The integer-polynomial B with B = s K_m mod Phi_m at every listed
+    level m (blocks maps m to the 2x2 K_m), B = s I at the other levels
+    m <= top (top the highest listed), every entry of degree < p^top, and
+    s = p^(top - v).
 
+    With lower(m) = p^m omega_top / omega_m and lower(-1) = 0, lower(m)
+    is p^top mod Phi_j for j <= m (Phi_i = p mod Phi_j for i > j) and 0
+    for m < j <= top, so u_m = lower(m) - lower(m-1) is p^top times the
+    idempotent of level m in Q[X]/omega_top, and the u_m (m <= top) sum
+    to lower(top) = p^top.  Hence
 
-@dataclass(frozen=True)
-class RationalPoly:
-    """numerator / denominator with integer numerator, positive integer
-    denominator, and gcd(content(numerator), denominator) = 1."""
+        p^top I + sum over listed m of (K_m - I) u_m   mod omega_top
 
-    numerator: LambdaElement
-    denominator: int
-
-    @classmethod
-    def make(cls, numerator: LambdaElement, denominator: int = 1) -> "RationalPoly":
-        if denominator == 0:
-            raise ZeroDivisionError("zero denominator")
-        if denominator < 0:
-            numerator, denominator = -numerator, -denominator
-        if numerator.is_zero:
-            return cls(numerator, 1)
-        g = gcd(numerator.content_gcd(), denominator)
-        if g > 1:
-            numerator = LambdaElement(c // g for c in numerator.coeffs)
-            denominator //= g
-        return cls(numerator, denominator)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "numerator": self.numerator.to_json_dict(),
-            "denominator": str(self.denominator),
-        }
-
-
-def crt_interpolate(ctx: PrimeContext, points) -> RationalPoly:
-    """The unique F in Q[X] of degree < sum deg Phi_{m_i} with
-    F = x_i mod Phi_{m_i} at every listed level m_i.
-
-    Let t be the top listed level.  Q[X]/omega_t is the product of the
-    fields Q[X]/Phi_j (j <= t), and the idempotent of the levels <= m is
-
-        (omega_t / omega_m) / p^(t-m),   omega_t / omega_m = prod_{m<j<=t} Phi_j,
-
-    because Phi_j(eps_i) = p for i < j.  Differences of consecutive ones
-    give the idempotent e_m of level m, and F is sum x_i e_{m_i} reduced
-    mod prod Phi_{m_i}.  All arithmetic is on integer numerators over
-    the one denominator lcm(value denominators) * p^t, which the output's
-    denominator therefore divides.
+    is p^top K_m mod Phi_m at listed levels and p^top I at the others;
+    B is that divided by p^v, the largest power of p (v <= top) dividing
+    every entry.
     """
-    values = {}
-    for m, value in points:
-        if m in values:
-            raise DuplicateLevel(f"level {m} listed twice")
-        if isinstance(value, RationalPoly):
-            values[m] = value
-        elif isinstance(value, LambdaElement):
-            values[m] = RationalPoly(value, 1)
-        else:
-            values[m] = RationalPoly(LambdaElement.const(int(value)), 1)
-    if not values:
-        raise InvalidContext("need at least one interpolation point")
-    p = ctx.p
-    t = max(values)
-    omega_t = omega_poly(ctx, t)
+    p, top = ctx.p, max(blocks)
+    omega_top = omega_poly(ctx, top)
 
     def lower(m: int) -> LambdaElement:
-        # p^t times the idempotent of the levels <= m
-        return omega_t.exact_div(omega_poly(ctx, m)) * p**m if m >= 0 else ZERO
+        return omega_top.exact_div(omega_poly(ctx, m)) * p**m if m >= 0 else ZERO
 
-    den = lcm(*(v.denominator for v in values.values()))
-    acc = ZERO
-    modulus = ONE
-    for m, v in values.items():
-        idem = lower(m) - lower(m - 1)
-        acc = acc + v.numerator * (den // v.denominator) * idem
-        modulus = modulus * cyclotomic_phi(ctx, m)
-    return RationalPoly.make(acc.reduced_mod(modulus), den * p**t)
+    acc = LambdaMatrix.identity().scaled(p**top)
+    minus_i = LambdaMatrix.identity().scaled(-1)
+    for m, k in blocks.items():
+        acc = acc + (k + minus_i).scaled(lower(m) - lower(m - 1))
+    rows = [[e.reduced_mod(omega_top) for e in row] for row in acc.rows]
+    v = min([top] + [vp(c, p) for row in rows for e in row for c in e.coeffs if c])
+    return LambdaMatrix(
+        tuple(tuple(LambdaElement(c // p**v for c in e.coeffs) for e in row) for row in rows)
+    )

@@ -27,10 +27,6 @@ class ZeroElement(IwarankError):
     """An operation needed a nonzero ring element (e.g. mu/lambda of 0)."""
 
 
-class DuplicateLevel(IwarankError):
-    """Two interpolation points were given at the same cyclotomic level."""
-
-
 class PrecisionUnstable(IwarankError):
     """A length read off at working precision N is not certified: its
     count of finite elementary divisors falls short of the exact rank (a

@@ -71,7 +71,7 @@ R = Z_p[X]/(w), inside prod_{j in T} O_j.  For i < j,
 Phi_j == Phi_1(0) = p mod Phi_i, as (1+X)^{p^{j-1}} == 1 mod omega_i; so
 p lies in (Phi_i, Phi_j), and the product over i != j puts p^{|T|-1}
 in (Phi_j, w / Phi_j).  So p^{|T|-1} e_j lies in R for every CRT
-idempotent e_j (compare cyclo_eval.crt_interpolate), and as
+idempotent e_j (compare cyclo_eval._glue), and as
 |T| <= m + 1, p^m prod_j O_j lies in R.  With
 a = max_j ceil(t_j / phi(p^j)), p^a / (f/g) lies in prod_j O_j, so
 p^{m+a} = (f/g) y with y in R: p^{m+a} kills tors M_m, every elementary

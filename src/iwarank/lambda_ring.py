@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from math import comb, gcd
+from math import comb
 
 from .errors import InvalidContext, ZeroElement
 
@@ -240,12 +240,6 @@ class LambdaElement:
         if not r.is_zero:
             raise ValueError("division not exact")
         return q
-
-    def content_gcd(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     # -- serialization ------------------------------------------------
 

@@ -14,20 +14,18 @@ coupling matrix is
 which at eps_m collapses to a nonzero scalar multiple of Col^- (m odd or
 m = 0) or Col^+ (m even >= 2), because exactly one signed product
 vanishes there.  good_basis_transform produces a single invertible B
-making every F_n B special, by CRT-gluing kernel-killing local blocks.
+making every F_n B special, by gluing kernel-killing local blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .cyclo_eval import (
     INFINITE,
     CyclotomicPoint,
+    _glue,
     _vanishing_columns,
-    crt_interpolate,
-    matrix_rank_at_eps,
     ord_eps,
 )
 from .errors import (
@@ -177,30 +175,36 @@ def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
     return True
 
 
-def _kernel_killer(ctx: PrimeContext, cd: ColemanData, m: int) -> tuple:
-    """A 2x2 block over Z[X]/Phi_m, invertible there, whose first column
-    spans the kernel of the (rank-one) parity reference at eps_m."""
+def _kernel_killer(ctx: PrimeContext, cd: ColemanData, m: int):
+    """Where the parity reference has rank one at eps_m, a 2x2 block over
+    Z[X]/Phi_m, invertible there, whose first column spans its kernel;
+    None at rank 0 or 2.  The rank and the block are read from the same
+    four residues: rank 0 when all vanish, 2 when their determinant does
+    not."""
     a, c, b, d = (CyclotomicPoint.of(ctx, m, e).rep for e in parity_reference(cd, m).entries)
+    if not (a or b or c or d) or not CyclotomicPoint.of(ctx, m, a * d - c * b).is_zero:
+        return None
     x, y = (-c, a) if not (a.is_zero and c.is_zero) else (-d, b)
     if not x.is_zero:
-        return ((x, ZERO), (y, ONE))  # det = x
-    return ((x, ONE), (y, ZERO))  # det = -y, nonzero since (x, y) != 0
+        return LambdaMatrix(((x, ZERO), (y, ONE)))  # det = x
+    return LambdaMatrix(((x, ONE), (y, ZERO)))  # det = -y, nonzero since (x, y) != 0
 
 
 def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> LambdaMatrix:
     """An integer-polynomial B, invertible at every eps_m (m <= n_max),
     such that F_n B is special relative to n for all n <= n_max.
 
-    Local kernel-killing blocks at the rank-one levels, and identity
-    blocks at the other levels m <= top (top the highest rank-one level),
-    are glued by CRT; the p-power denominators are cleared by one integer
-    scale s.  Nothing else is needed.  Proof that det B is free of every
-    Phi_m, m <= n_max:
+    Local kernel-killing blocks at the rank-one levels, and the identity
+    at the other levels m <= top (top the highest rank-one level), are
+    glued by cyclo_eval._glue: a sum of p^top times idempotents, reduced
+    mod omega_top and divided by the largest common p-power, so
+    B = s * block_m mod Phi_m for one power s of p.  Nothing else is
+    needed.  Proof that det B is free of every Phi_m, m <= n_max:
       m <= top: B = s * block_m mod Phi_m, and every block is invertible
         over Q[X]/Phi_m, so det B = s^2 det block_m != 0 there.  In
         particular det B != 0.
-      m > top: CRT reduces each entry mod prod_{j <= top} Phi_j = omega_top,
-        of degree p^top, and scaling keeps degrees, so
+      m > top: every entry is reduced mod prod_{j <= top} Phi_j = omega_top,
+        of degree p^top, and the division keeps degrees, so
         deg det B <= 2 p^top - 2 < (p - 1) p^top <= deg Phi_m as p >= 3;
         a nonzero polynomial of lower degree is not divisible by Phi_m.
     """
@@ -208,34 +212,8 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     if n_max < 0:
         raise InvalidContext(f"n_max must be >= 0, got {n_max}")
     check_level(ctx.p, n_max)
-    rank_one = [
-        m
-        for m in range(n_max + 1)
-        if matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) == 1
-    ]
-    if not rank_one:
-        b = LambdaMatrix.identity()
-    else:
-        top = max(rank_one)
-        identity_block = ((ONE, ZERO), (ZERO, ONE))
-        blocks = {
-            m: _kernel_killer(ctx, cd, m) if m in rank_one else identity_block
-            for m in range(top + 1)
-        }
-        rationals = [
-            [
-                crt_interpolate(ctx, [(m, blocks[m][i][j]) for m in range(top + 1)])
-                for j in (0, 1)
-            ]
-            for i in (0, 1)
-        ]
-        scale = lcm(*(r.denominator for row in rationals for r in row))
-        b = LambdaMatrix(
-            tuple(
-                tuple(r.numerator * (scale // r.denominator) for r in row)
-                for row in rationals
-            )
-        )
+    blocks = {m: k for m in range(n_max + 1) if (k := _kernel_killer(ctx, cd, m)) is not None}
+    b = _glue(ctx, blocks) if blocks else LambdaMatrix.identity()
     for m in range(n_max + 1):
         if ord_eps(ctx, m, b.det) == INFINITE:
             raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")

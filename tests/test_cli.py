@@ -158,6 +158,22 @@ class TestPayloadGrammar:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ord-eps", "-m", "1", "--poly"),
+            ("special-check", "-n", "1", "--matrix"),
+            ("specialize", "--n-max", "1", "--col-minus", "diag(1,X)", "--col-plus"),
+        ],
+        ids=["poly", "matrix", "col-plus"],
+    )
+    def test_non_utf8_file_is_exit2(self, capsys, tmp_path, argv):
+        path = tmp_path / "payload.bin"
+        path.write_bytes(bytes(range(128, 256)))
+        code, _, err = run(capsys, *argv, f"@{path}")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("bad", ['{"foo": 1}', '{"coeffs": ["x"]}', '{"coeffs": [1e400]}'])
     def test_malformed_json_poly_is_exit2(self, capsys, bad):
         code, _, err = run(capsys, "invariants", "-p", "3", "--poly", bad)

@@ -1,4 +1,4 @@
-"""Valuations at eps_m, exact ranks, and CRT interpolation.
+"""Valuations at eps_m, exact ranks, and the glue of local blocks.
 
 The library reads ord_eps off the power-basis coefficients of f mod Phi_m
 (Phi_m is Eisenstein, so eps_m is a uniformizer); the oracle here is
@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 from iwarank.cyclo_eval import (
     INFINITE,
     CyclotomicPoint,
-    RationalPoly,
-    crt_interpolate,
+    _glue,
     matrices_proportional_at_eps,
     matrix_rank_at_eps,
     ord_eps,
     ord_json,
     rank_at_eps,
 )
-from iwarank.errors import DuplicateLevel, InvalidContext, PhiDivides
+from iwarank.errors import InvalidContext, PhiDivides
 from iwarank.kobayashi_rank import (
     TorsionTower,
     additivity_check,
@@ -313,24 +312,39 @@ class TestCyclotomicPointType:
         assert CyclotomicPoint.of(ctx3, 1, cyclotomic_phi(ctx3, 1)).is_zero
 
 
-class TestCrtInterpolate:
-    def test_single_constant(self, ctx3):
-        out = crt_interpolate(ctx3, [(0, 5)])
-        assert out.numerator == LambdaElement((5,))
-        assert out.denominator == 1
+class TestGlue:
+    @staticmethod
+    def assert_glued(ctx, blocks, b):
+        # B = s K_m mod Phi_m at the listed levels and s I at the others
+        # up to top, every entry of degree < p^top, and s = p^(top - v)
+        # with v maximal: below v = top, some coefficient is prime to p
+        p, top = ctx.p, max(blocks)
+        assert all(e.degree < p**top for e in b.entries)
+        targets = {m: blocks.get(m, LambdaMatrix.identity()) for m in range(top + 1)}
 
-    def test_zero_solution(self, ctx3):
-        out = crt_interpolate(ctx3, [(0, 0), (1, 0)])
-        assert out.numerator.is_zero
+        def congruent(s):
+            return all(
+                (e - k * s).reduced_mod(cyclotomic_phi(ctx, m)).is_zero
+                for m, target in targets.items()
+                for e, k in zip(b.entries, target.entries)
+            )
 
-    def test_frozen_idempotent(self, ctx3):
-        out = crt_interpolate(ctx3, [(0, 1), (1, 0)])
-        assert out.numerator == cyclotomic_phi(ctx3, 1)
-        assert out.denominator == 3
+        primitive = any(c % p for e in b.entries for c in e.coeffs)
+        assert any(congruent(p ** (top - v)) for v in (range(top + 1) if primitive else [top]))
 
-    def test_duplicate_level_rejected(self, ctx3):
-        with pytest.raises(DuplicateLevel):
-            crt_interpolate(ctx3, [(1, ONE), (1, X)])
+    def test_single_level_is_its_block(self, ctx3):
+        k = LambdaMatrix(((5, 1), (0, 2)))
+        assert _glue(ctx3, {0: k}) == k
+
+    def test_identity_blocks_glue_to_identity(self, ctx3):
+        assert _glue(ctx3, {m: LambdaMatrix.identity() for m in (0, 1, 2)}) == LambdaMatrix.identity()
+
+    def test_frozen_block(self, ctx3):
+        # 3 I + (K - I)(3 - Phi_1) mod omega_1, by hand: s = 3, v = 0
+        k = LambdaMatrix(((X, ZERO), (ONE, ONE)))
+        b = LambdaMatrix(((LambdaElement((3, 6, 1)), ZERO), (LambdaElement((0, -3, -1)), 3)))
+        assert _glue(ctx3, {1: k}) == b
+        self.assert_glued(ctx3, {1: k}, b)
 
     @pytest.mark.parametrize(
         "p,levels",
@@ -347,31 +361,21 @@ class TestCrtInterpolate:
     )
     @settings(max_examples=30, deadline=None)
     @given(
-        vals=st.lists(
-            st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=2),
-            min_size=3,
-            max_size=3,
-        )
+        coeffs=st.lists(
+            st.lists(st.integers(min_value=-9, max_value=9), max_size=3), min_size=12, max_size=12
+        ),
+        shift=st.integers(min_value=0, max_value=4),
     )
-    def test_congruences_exact(self, p, levels, vals):
+    def test_congruences_exact(self, p, levels, coeffs, shift):
+        # random integer blocks, scaled by p^shift so the common p-power
+        # reaches and passes top
         ctx = PrimeContext(p)
-        points = [(m, LambdaElement(v)) for m, v in zip(levels, vals)]
-        out = crt_interpolate(ctx, points)
-        bound = sum(euler_phi_pk(p, m) for m, _ in points)
-        assert out.numerator.is_zero or out.numerator.degree < bound
-        for m, target in points:
-            phi = cyclotomic_phi(ctx, m)
-            diff = out.numerator - LambdaElement.const(out.denominator) * target
-            assert diff.reduced_mod(phi).is_zero
-
-    def test_rational_values_accepted(self, ctx3):
-        half = RationalPoly.make(ONE, 2)
-        out = crt_interpolate(ctx3, [(0, half), (1, ONE)])
-        phi = cyclotomic_phi(ctx3, 1)
-        num, den = out.numerator, out.denominator
-        # F = 1/2 mod X and F = 1 mod Phi_1, checked after clearing denominators
-        assert (LambdaElement.const(2) * num - LambdaElement.const(den)).reduced_mod(X).is_zero
-        assert (num - LambdaElement.const(den)).reduced_mod(phi).is_zero
+        e = [LambdaElement(c) * p**shift for c in coeffs]
+        blocks = {
+            m: LambdaMatrix(((e[4 * i], e[4 * i + 1]), (e[4 * i + 2], e[4 * i + 3])))
+            for i, m in enumerate(levels)
+        }
+        self.assert_glued(ctx, blocks, _glue(ctx, blocks))
 
 
 def test_only_cyclo_eval_divides_by_phi(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from iwarank import cli
 from iwarank.cli import parse_matrix_arg
-from iwarank.cyclo_eval import CyclotomicPoint, RationalPoly
+from iwarank.cyclo_eval import CyclotomicPoint
 from iwarank.growth_model import GrowthRow, InvariantSet, sha_growth
 from iwarank.kobayashi_rank import NablaResult
 from iwarank.lambda_ring import (
@@ -47,7 +47,6 @@ RECORDS = {
         [CheckOutcome("frozen-deltas", True, {"deltas": [0, 6]}), CheckOutcome("telescoping", False)],
     ),
     "IwasawaInvariants": lambda: iwasawa_invariants(CTX, LambdaElement((27, 0, 9))),
-    "RationalPoly": lambda: RationalPoly.make(LambdaElement((2, -4)), -6),
 }
 
 RECORD_JSON = {
@@ -64,7 +63,6 @@ RECORD_JSON = {
     'CheckOutcome': "{\"details\": {\"count\": 2, \"example\": {\"n\": 3}, \"failures\": 1}, \"name\": \"telescoping\", \"ok\": false}",
     'SuiteReport': "{\"checks\": [{\"details\": {\"deltas\": [0, 6]}, \"name\": \"frozen-deltas\", \"ok\": true}, {\"details\": {}, \"name\": \"telescoping\", \"ok\": false}], \"ok\": false, \"seed\": 3, \"suite\": \"growth\"}",
     'IwasawaInvariants': "{\"lambda\": 2, \"mu\": 2}",
-    'RationalPoly': "{\"denominator\": \"3\", \"numerator\": {\"coeffs\": [\"-1\", \"2\"]}}",
 }
 
 

@@ -3,7 +3,6 @@ message: every one is raised before any work on the refused input."""
 
 import pytest
 
-from iwarank.cyclo_eval import RationalPoly, crt_interpolate
 from iwarank.errors import InvalidContext, ZeroElement
 from iwarank.growth_model import InvariantSet, degree_identities, s_sequence, sha_growth
 from iwarank.kobayashi_rank import CyclicTower, nabla_tower, tower_sweep
@@ -13,9 +12,6 @@ from iwarank.zp_modules import SpanPresentation, lambda_column_span
 CTX = PrimeContext(3)
 
 REFUSALS = [
-    # cyclo_eval
-    ("zero-denominator", lambda: RationalPoly.make(X, 0), ZeroDivisionError, "zero denominator"),
-    ("crt-no-points", lambda: crt_interpolate(CTX, []), InvalidContext, "need at least one interpolation point"),
     # growth_model
     ("s-negative", lambda: s_sequence(3, -1), InvalidContext, "s_n needs n >= 0, got -1"),
     ("growth-negative-baseline",
