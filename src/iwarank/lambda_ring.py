@@ -15,13 +15,24 @@ factors Phi_m by parity of m:
 
 with omega-tilde the same products without the leading X, and the
 conventions omega_0^{+/-} = X, tilde_0^{+/-} = 1.
+
+No product of factors is multiplied out.  For m >= 1,
+Phi_m = sum_{k<p} (1+X)^{k p^{m-1}}, and the exponents
+sum_m k_m p^{m-1} over a set S of distinct levels are distinct base-p
+numbers, so
+
+    prod_{m in S} Phi_m = sum_{t in T(S)} (1+X)^t,
+
+T(S) the t whose base-p digits are zero except at the positions m - 1,
+m in S (times X when 0 is in S).  Each row (1+X)^t is built by
+C(t, j+1) = C(t, j)(t-j)/(j+1), so a product costs sum_{t in T(S)} t
+coefficient steps; omega_n is the single row of (1+X)^{p^n} - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from math import comb
 
 from .errors import InvalidContext, ZeroElement
 
@@ -143,7 +154,8 @@ class LambdaElement:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its integer (zero as 0), since __eq__ equates them
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __repr__(self):
         if self.is_zero:
@@ -412,27 +424,41 @@ def check_level(p: int, n: int):
         )
 
 
+def _rows(ts) -> LambdaElement:
+    """sum_{t in ts} (1+X)^t, each binomial row by C(t, j+1) = C(t, j)(t-j)/(j+1)."""
+    out = [0] * (max(ts) + 1)
+    for t in ts:
+        c = 1
+        for j in range(t + 1):
+            out[j] += c
+            c = c * (t - j) // (j + 1)
+    return LambdaElement(out)
+
+
+@lru_cache(maxsize=None)
+def _phi_product(p: int, levels: tuple) -> LambdaElement:
+    """prod_{m in levels} Phi_m over distinct levels: the rows (1+X)^t
+    over the digit patterns t (module docstring), times X when 0 is a
+    level."""
+    for m in levels:
+        check_level(p, m)  # a refused level raises, and lru_cache keeps no entry for it
+    if 0 in levels:
+        return LambdaElement((0,) + _phi_product(p, tuple(m for m in levels if m)).coeffs)
+    ts = [0]
+    for m in levels:
+        ts = [t + k * p ** (m - 1) for t in ts for k in range(p)]
+    return _rows(ts)
+
+
 @lru_cache(maxsize=None)
 def _phi(p: int, m: int) -> LambdaElement:
-    check_level(p, m)  # a refused level raises, and lru_cache keeps no entry for it
-    if m == 0:
-        return X
-    q = p ** (m - 1)
-    # Phi_m = sum_{k<p} (1+X)^{k*q}: the geometric sum telescoping
-    # ((1+X)^{p^m} - 1) / ((1+X)^{p^{m-1}} - 1).
-    out = [0] * ((p - 1) * q + 1)
-    for k in range(p):
-        kq = k * q
-        for j in range(kq + 1):
-            out[j] += comb(kq, j)
-    return LambdaElement(out)
+    return _phi_product(p, (m,))
 
 
 @lru_cache(maxsize=None)
 def _omega(p: int, n: int) -> LambdaElement:
     check_level(p, n)
-    pn = p ** n
-    return LambdaElement([0] + [comb(pn, j) for j in range(1, pn + 1)])
+    return _rows([p ** n]) - 1
 
 
 def cyclotomic_phi(ctx: PrimeContext, m: int) -> LambdaElement:
@@ -467,20 +493,14 @@ def signed_degree(p: int, n: int, sign: str) -> int:
 def omega_tower(ctx: PrimeContext, n: int) -> OmegaTower:
     """Explicit construction of omega_n and its signed split at level n."""
     check_level(ctx.p, n)
-    tilde_plus = ONE
-    tilde_minus = ONE
-    for m in range(1, n + 1):
-        if m % 2 == 0:
-            tilde_plus = tilde_plus * _phi(ctx.p, m)
-        else:
-            tilde_minus = tilde_minus * _phi(ctx.p, m)
+    plus, minus = tuple(range(2, n + 1, 2)), tuple(range(1, n + 1, 2))
     return OmegaTower(
         n=n,
         omega_n=_omega(ctx.p, n),
-        omega_plus=X * tilde_plus,
-        omega_minus=X * tilde_minus,
-        omega_tilde_plus=tilde_plus,
-        omega_tilde_minus=tilde_minus,
+        omega_plus=_phi_product(ctx.p, (0, *plus)),
+        omega_minus=_phi_product(ctx.p, (0, *minus)),
+        omega_tilde_plus=_phi_product(ctx.p, plus),
+        omega_tilde_minus=_phi_product(ctx.p, minus),
     )
 
 

@@ -42,8 +42,8 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     Record,
+    _phi_product,
     check_level,
-    cyclotomic_phi,
     omega_tower,
 )
 
@@ -146,9 +146,10 @@ def factor_bd(ctx: PrimeContext, a: LambdaMatrix, n: int) -> BDFactorization:
     bad = [m for m, (det_div, cols) in enumerate(levels) if det_div and not any(cols)]
     if bad:
         raise NotSpecial(f"column divisibility fails at levels {bad}")
-    d = [ONE, ONE]
-    for m, (_, cols) in enumerate(levels[:n]):
-        d = [dj * cyclotomic_phi(ctx, m) if vanishes else dj for dj, vanishes in zip(d, cols)]
+    d = [
+        _phi_product(ctx.p, tuple(m for m, (_, cols) in enumerate(levels[:n]) if cols[j]))
+        for j in (0, 1)
+    ]
     b_cols = [tuple(e.exact_div(dj) for e in a.column(j)) for j, dj in enumerate(d)]
     return BDFactorization(b=LambdaMatrix(tuple(zip(*b_cols))), d=LambdaMatrix.diagonal(*d))
 

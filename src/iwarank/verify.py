@@ -67,6 +67,7 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     Record,
+    _phi_product,
     cyclotomic_phi,
     euler_phi_pk,
     omega_poly,
@@ -143,14 +144,6 @@ def _rand_matrix(rng, max_deg: int, bound: int = 5) -> LambdaMatrix:
             return m
 
 
-def _phi_product(ctx: PrimeContext, ms, a: int = 0) -> LambdaElement:
-    """p^a * prod_{m in ms} Phi_m."""
-    f = LambdaElement.const(ctx.p**a)
-    for m in ms:
-        f = f * cyclotomic_phi(ctx, m)
-    return f
-
-
 def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tuple:
     """A = B D with D diagonal squarefree Phi-products over m <= n-1 and
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
@@ -159,7 +152,7 @@ def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tup
         if any(CyclotomicPoint.of(ctx, m, b.det).is_zero for m in range(n + 1)):
             continue
         levels = tuple(tuple(m for m in range(n) if rng.random() < 0.45) for _ in (0, 1))
-        return b @ LambdaMatrix.diagonal(*(_phi_product(ctx, js) for js in levels)), levels
+        return b @ LambdaMatrix.diagonal(*(_phi_product(ctx.p, js) for js in levels)), levels
 
 
 def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
@@ -168,8 +161,8 @@ def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
     docstring)."""
     p = ctx.p
     a = rng.randint(0, 2)
-    ms = [m for m in range(4) if m != n and rng.random() < 0.35]
-    f = _phi_product(ctx, ms, a) * _rand_unit_poly(rng, p, max_deg=4)
+    ms = tuple(m for m in range(4) if m != n and rng.random() < 0.35)
+    f = _phi_product(p, ms) * _rand_unit_poly(rng, p, max_deg=4) * p**a
     return f, a * euler_phi_pk(p, n) + sum(euler_phi_pk(p, min(m, n)) for m in ms)
 
 
@@ -298,9 +291,9 @@ def suite_lemma_33(rng, scale, precision):
 
     def torsion_trial(_):
         a = rng.randint(0, 2)
-        ms = [m for m in (0, 1) if rng.random() < 0.5]
+        ms = tuple(m for m in (0, 1) if rng.random() < 0.5)
         g = LambdaElement([3 * rng.randint(-2, 2) for _ in range(rng.randint(0, 2))] + [1])
-        f = _phi_product(ctx, ms, a) * g
+        f = _phi_product(ctx.p, ms) * g * ctx.p**a
         lambda_ = sum(euler_phi_pk(3, m) for m in ms) + g.degree  # and mu = a
         tower = TorsionTower(columns=((f,),))
         failures = []

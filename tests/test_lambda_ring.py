@@ -1,5 +1,6 @@
 """Core ring layer: cyclotomic factors, omega towers, mu/lambda, reductions."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwarank import lambda_ring
 from iwarank.errors import InvalidContext, ZeroElement
 from iwarank.lambda_ring import (
     MAX_PRIME,
@@ -16,6 +18,7 @@ from iwarank.lambda_ring import (
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
+    _phi_product,
     cyclotomic_phi,
     euler_phi_pk,
     is_odd_prime,
@@ -43,6 +46,11 @@ def binomial_expansion(p: int, n: int) -> LambdaElement:
     """(1+X)^{p^n} - 1 straight from binomial coefficients."""
     q = p**n
     return LambdaElement([math.comb(q, k) for k in range(q + 1)]) - ONE
+
+
+def quotient_phi(p: int, m: int) -> LambdaElement:
+    """Phi_m = omega_m / omega_{m-1} (X at m = 0), by one exact division."""
+    return X if m == 0 else binomial_expansion(p, m).exact_div(binomial_expansion(p, m - 1))
 
 
 class TestCyclotomicPhi:
@@ -114,6 +122,59 @@ class TestOmegaTower:
     def test_negative_level_rejected(self, ctx3):
         with pytest.raises(InvalidContext):
             omega_poly(ctx3, -1)
+
+
+class TestPhiProduct:
+    """The digit-pattern sum of binomial rows against multiplied factors."""
+
+    @pytest.mark.parametrize("p,top", [(3, 5), (5, 3), (7, 3), (11, 2)])
+    def test_every_subset_of_levels(self, p, top):
+        ctx = PrimeContext(p)
+        phis = [quotient_phi(p, m) for m in range(top + 1)]
+        assert phis == [cyclotomic_phi(ctx, m) for m in range(top + 1)]
+        subsets = [s for r in range(top + 2) for s in itertools.combinations(range(top + 1), r)]
+        for levels in subsets:
+            product = ONE
+            for m in levels:
+                product = product * phis[m]
+            assert _phi_product(p, levels) == product, levels
+        assert len(subsets) == 2 ** (top + 1)
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 30) if is_odd_prime(p)])
+    def test_omega_is_a_power_of_one_plus_x(self, p):
+        ctx = PrimeContext(p)
+        for n in itertools.takewhile(lambda n: p**n <= 729, itertools.count()):
+            assert omega_poly(ctx, n) == (ONE + X) ** p**n - ONE
+
+    @pytest.mark.parametrize("p,m", [(3, 7), (5, 4), (7, 4), (11, 3)])
+    def test_phi_times_omega_below_is_omega(self, p, m):
+        ctx = PrimeContext(p)
+        assert cyclotomic_phi(ctx, m) * omega_poly(ctx, m - 1) == omega_poly(ctx, m)
+
+    def test_refused_level_leaves_no_entry(self):
+        before = lambda_ring._phi_product.cache_info().currsize
+        for levels in ((1, -1), (0, 99)):
+            with pytest.raises(InvalidContext):
+                _phi_product(3, levels)
+        assert lambda_ring._phi_product.cache_info().currsize == before
+
+    def test_builders_multiply_and_divide_nothing(self, monkeypatch):
+        # the wide products are sums of binomial rows, never schoolbook
+        # products or quotients of Phi factors
+        for cache in (lambda_ring._phi, lambda_ring._omega, lambda_ring._phi_product):
+            cache.cache_clear()
+        calls = []
+        for name in ("__mul__", "__rmul__", "divmod_monic"):
+            def spy(*args, _name=name, _original=getattr(LambdaElement, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(LambdaElement, name, spy)
+        ctx = PrimeContext(3)
+        for n in range(7):
+            cyclotomic_phi(ctx, n)
+            omega_poly(ctx, n)
+            omega_tower(ctx, n)
+        assert calls == []
 
 
 class TestContext:
@@ -212,6 +273,13 @@ class TestElementArithmetic:
         prod = f * g
         assert prod.divisible_by(g)
         assert prod.exact_div(g) == f
+
+    def test_constants_hash_like_their_integers(self):
+        for c in range(-3, 4):
+            assert hash(LambdaElement.const(c)) == hash(c)
+            assert len({LambdaElement.const(c), c}) == len({c, LambdaElement.const(c)}) == 1
+        assert hash(ZERO) == hash(0)
+        assert len({ONE, 1}) == len({ZERO, 0}) == 1
 
     def test_divisible_by_negative_case(self):
         assert not LambdaElement((1, 1)).divisible_by(LambdaElement((0, 1)))
