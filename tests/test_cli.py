@@ -604,6 +604,10 @@ class TestCoefficientDigits:
         (["phi", "-p", "7", "-m", "3"], "492bf5da0ac376cd169ec68fcf946a2880d96a75dcb3bc6f01fb18ab240ef00b"),
         (["omega", "-p", "3", "-n", "6"], "64a3c3617213fdea917dc32f2ca85c2061a65199ff9935b801f8dbd3af0f945f"),
         (["phi", "-p", "3", "-m", "7"], "8413f49b21888423947a354c780820db4a28594d274820f8f0ce993ae2bff9f8"),
+        # the largest printable levels at p = 3, as printed while Phi_m was
+        # one math.comb per coefficient and the signed products were multiplied
+        (["phi", "-p", "3", "-m", "9"], "ac6fb918d1058987a44a980ab3f15d459c42238c14ea226482312799a35ea7e9"),
+        (["omega", "-p", "3", "-n", "8"], "a008f5a6a834aaf3dd9f9283bd5b8ff90b95b2bb8704c6ff6172131f919d13d8"),
     ]
 
     @pytest.mark.parametrize("argv,digest", PRINTABLE, ids=[" ".join(a) for a, _ in PRINTABLE])
