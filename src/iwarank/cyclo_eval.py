@@ -14,9 +14,12 @@ v_p(f(0)).  The value is infinite exactly when Phi_m | f.
 Every question the package asks at eps_m is answered here from r: value
 and divisibility (CyclotomicPoint), valuation (ord_eps), the vanishing
 columns of a matrix (_vanishing_columns), rank (rank_at_eps) and
-proportionality (matrices_proportional_at_eps); _glue lifts 2x2 blocks
-given at several levels to one matrix.  No other module divides by
-Phi_m.
+proportionality (matrices_proportional_at_eps, three ranks); _glue lifts
+2x2 blocks given at several levels to one matrix.  No other module
+divides by Phi_m.  Every rank is one minor-rank reading
+(exactlinalg._minor_rank) over the residue field Q_p(zeta_{p^m}) of
+Lambda at eps_m, the same reading kobayashi_rank takes over F_p at the
+closed point (p, X).
 """
 
 from __future__ import annotations
@@ -99,27 +102,17 @@ def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:
     Q-rank of the matrix's Lambda_n-span is sum phi(p^m) rank_at_eps(m).
     """
     phi = cyclotomic_phi(ctx, m)
-    red = [tuple(e.reduced_mod(phi) for e in col) for col in columns]
-    return _minor_rank(red, k, lambda f: f.reduced_mod(phi))
+    return _minor_rank(columns, k, lambda f: f.reduced_mod(phi))
 
 
 def matrices_proportional_at_eps(
     ctx: PrimeContext, m: int, f: LambdaMatrix, c: LambdaMatrix
 ) -> bool:
-    """Whether F(eps_m) = scalar * C(eps_m) for some nonzero scalar.
-
-    Decided integrally: cross products against a reference entry, all
-    mod Phi_m (an integral domain, so no division is needed).
-    """
-    phi = cyclotomic_phi(ctx, m)
-    fe = [e.reduced_mod(phi) for e in f.entries]
-    ce = [e.reduced_mod(phi) for e in c.entries]
-    ref = next((i for i, e in enumerate(ce) if e), None)
-    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
-        return not any(fe)
-    return bool(fe[ref]) and all(
-        (fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4)
-    )
+    """Whether F(eps_m) = scalar * C(eps_m) for some nonzero scalar: the
+    entry vectors of F, of C and of both together have one rank at eps_m
+    (0 when both vanish; 1 when both are nonzero and proportional)."""
+    fv, cv = f.entries, c.entries
+    return rank_at_eps(ctx, m, (fv,), 4) == rank_at_eps(ctx, m, (cv,), 4) == rank_at_eps(ctx, m, (fv, cv), 4)
 
 
 def _glue(ctx: PrimeContext, blocks: dict) -> LambdaMatrix:

@@ -1,5 +1,8 @@
-"""Exact ranks of relation matrices, over Frac(Lambda) or mod Phi_m, from
-polynomial determinants: truncated p-adic data is never trusted here."""
+"""The package's one rank reading: the rank of a relation matrix at a
+point of Lambda, over the residue field there, as the size of its largest
+minor that does not vanish: mod Phi_m (at eps_m) or mod (p, X) (at the
+closed point).  Minors are exact polynomial determinants of the reduced
+entries: truncated p-adic data is never trusted here."""
 
 from __future__ import annotations
 
@@ -26,7 +29,10 @@ def _poly_det(rows) -> LambdaElement:
 
 def _minor_rank(columns, k: int, reduce) -> int:
     """Size of the largest minor of the k x c polynomial matrix with the
-    given columns whose determinant ``reduce`` does not send to zero."""
+    given columns that ``reduce``, a ring map onto a domain, does not send
+    to zero: ``reduce`` is applied to the entries and then to each minor
+    of them."""
+    columns = [[reduce(e) for e in col] for col in columns]
     for size in range(min(k, len(columns)), 0, -1):
         for pick in combinations(range(len(columns)), size):
             for rows in combinations(range(k), size):

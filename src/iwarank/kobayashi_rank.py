@@ -36,8 +36,11 @@ ord_{eps_m}(det A) is finite, and r_m = k - 1 where it is infinite if
 M = Lambda^k / A is cyclic (then M = Lambda / (det A), see below, and
 M x Q_p(zeta_{p^m}) is one-dimensional).  So rank_at_eps runs only where
 det A vanishes at eps_m and M is not cyclic, and for non-square
-relations.  Lambda_n x Q_p is the product of the fields
-Q_p(zeta_{p^m}), m <= n, so the level-m span has Q-rank
+relations.  Every rank here is one minor-rank reading
+(exactlinalg._minor_rank) over a residue field of Lambda: r_m over
+Q_p(zeta_{p^m}) at eps_m, and rank A(0) over F_p at (p, X).
+Lambda_n x Q_p is the product of the fields Q_p(zeta_{p^m}), m <= n,
+so the level-m span has Q-rank
 R_m = sum_{j<=m} phi(p^j) r_j, which certifies its SNF reading
 (zp_modules.certified_valuations); the span on P has Q-rank
 k lambda - (k p^m - R_m).  The rational dimension downstairs is
@@ -55,7 +58,8 @@ lattice L is its inverse absolute value, and each field is totally
 ramified, so v_p N(x) = ord_{eps_j}(x) (Kobayashi; Washington, GTM 83,
 ch. 13).  M cyclic: Lambda is local with maximal ideal (p, X), so by
 Nakayama M is cyclic iff F_p^k / A(0) has dimension <= 1, i.e.
-rank A(0) mod p >= k - 1 (decided once per nabla), and then
+rank A(0) mod p >= k - 1 (decided once per nabla, and only when some
+ords[j] is infinite), and then
 M = Lambda / Fitt_0(M) = Lambda / (f), f = det A.  With
 g = prod_{i in S} Phi_i = gcd(f, omega_m) and w = omega_m / g,
 multiplication by g embeds the finite Lambda / (w, f/g) in
@@ -114,7 +118,7 @@ from .errors import (
     SingularMatrix,
     ZeroElement,
 )
-from .exactlinalg import _poly_det
+from .exactlinalg import _minor_rank, _poly_det
 from .lambda_ring import (
     ZERO,
     LambdaElement,
@@ -186,7 +190,8 @@ def _brute_nabla(ctx: PrimeContext, k: int, rel_cols, n: int, minors, subject: s
     ords = [ord_eps(ctx, m, minors[0]) for m in range(n + 1)] if len(rel_cols) == k else []
     if subject and ords[n] == INFINITE:
         raise PhiDivides(f"Phi_{n} divides {subject}; step kernel is infinite")
-    cyclic = bool(ords) and _cyclic(ctx.p, k, rel_cols)
+    # cyclicity is read only where it is used: at a level with ords infinite
+    cyclic = INFINITE in ords and _cyclic(ctx.p, k, rel_cols)
     # square relations have r_m = k exactly where ord_{eps_m}(det A) is
     # finite, and r_m = k - 1 where it is not if M is cyclic
     ranks = [
@@ -222,15 +227,8 @@ def _weierstrass_minor(ctx: PrimeContext, minors) -> tuple[int, LambdaElement] |
 
 def _cyclic(p: int, k: int, rel_cols) -> bool:
     """Whether Lambda^k / A, A square, is cyclic: rank A(0) mod p >= k - 1
-    (Nakayama, see above)."""
-    rows = [[c[i].coeffs[0] % p if c[i] else 0 for c in rel_cols] for i in range(k)]
-    for j in range(k):
-        if (pivot := next((r for r in rows if r[j]), None)) is None:
-            continue
-        rows.remove(pivot)  # each pivot row leaves: k - len(rows) is the rank so far
-        inv = pow(pivot[j], -1, p)
-        rows = [[(x - r[j] * inv * y) % p for x, y in zip(r, pivot)] for r in rows]
-    return len(rows) <= 1
+    (Nakayama, see above), read on the residues of the entries in F_p."""
+    return _minor_rank(rel_cols, k, lambda f: LambdaElement.const(f.coeffs[0] % p) if f else f) >= k - 1
 
 
 def _norm_length(ctx: PrimeContext, ords: list, cyclic: bool) -> int | None:

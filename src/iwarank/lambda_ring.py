@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from operator import index
 
 from .errors import InvalidContext, ZeroElement
 
@@ -120,7 +121,9 @@ class LambdaElement:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        # index, not int: a float, Fraction or string coefficient raises
+        # TypeError instead of being truncated
+        object.__setattr__(self, "coeffs", tuple(map(index, cs)))
 
     # -- constructors -------------------------------------------------
 

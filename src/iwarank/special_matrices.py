@@ -26,6 +26,7 @@ from .cyclo_eval import (
     CyclotomicPoint,
     _glue,
     _vanishing_columns,
+    matrix_rank_at_eps,
     ord_eps,
 )
 from .errors import (
@@ -177,14 +178,14 @@ def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
 
 
 def _kernel_killer(ctx: PrimeContext, cd: ColemanData, m: int):
-    """Where the parity reference has rank one at eps_m, a 2x2 block over
-    Z[X]/Phi_m, invertible there, whose first column spans its kernel;
-    None at rank 0 or 2.  The rank and the block are read from the same
-    four residues: rank 0 when all vanish, 2 when their determinant does
-    not."""
-    a, c, b, d = (CyclotomicPoint.of(ctx, m, e).rep for e in parity_reference(cd, m).entries)
-    if not (a or b or c or d) or not CyclotomicPoint.of(ctx, m, a * d - c * b).is_zero:
+    """Where the parity reference has rank one at eps_m (the one
+    minor-rank reading over Q_p(zeta_{p^m}), matrix_rank_at_eps), a 2x2
+    block over Z[X]/Phi_m, invertible there, whose first column spans its
+    kernel; None at rank 0 or 2."""
+    ref = parity_reference(cd, m)
+    if matrix_rank_at_eps(ctx, m, ref) != 1:
         return None
+    a, c, b, d = (CyclotomicPoint.of(ctx, m, e).rep for e in ref.entries)
     x, y = (-c, a) if not (a.is_zero and c.is_zero) else (-d, b)
     if not x.is_zero:
         return LambdaMatrix(((x, ZERO), (y, ONE)))  # det = x

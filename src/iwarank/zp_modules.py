@@ -278,7 +278,7 @@ def _weierstrass_spans(ctx: PrimeContext, gens, d: LambdaElement):
     P (one lift, continued from rung to rung) and the generator columns
     X^s g_j mod P are built once per rung e and shared by every level
     read at it; a level adds only its k lambda columns X^s omega_level e_i,
-    omega_level reduced mod P once.
+    the _shift_columns of the unit vectors times omega_level.
     """
     p, k, lift, rungs = ctx.p, len(gens[0]), _lifter(d, ctx.p), {}
 
@@ -288,16 +288,10 @@ def _weierstrass_spans(ctx: PrimeContext, gens, d: LambdaElement):
             width, low = len(pol) - 1, _low(pol)
             rungs[e] = q, width, low, _shift_columns(gens, low, width, q)
         q, width, low, gen_cols = rungs[e]
-        w = _reduce(_omega(p, level).coeffs, low, width, q)
-        cols = []
-        for s, group in enumerate(gen_cols):
-            cols += group
-            for i in range(k):
-                col = [0] * (k * width)
-                col[i::k] = w
-                cols.append(tuple(col))
-            if s < width - 1:
-                w = _times_x(w, low, q)
-        return SpanPresentation(ambient_rank=k * width, columns=tuple(cols))
+        w = _omega(p, level)
+        units = [[w if i == j else 0 for i in range(k)] for j in range(k)]
+        w_cols = _shift_columns(units, low, width, q)
+        cols = tuple(c for group, w_group in zip(gen_cols, w_cols) for c in group + w_group)
+        return SpanPresentation(ambient_rank=k * width, columns=cols)
 
     return read

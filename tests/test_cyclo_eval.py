@@ -48,7 +48,7 @@ from iwarank.lambda_ring import (
     omega_tower,
     vp,
 )
-from iwarank.special_matrices import factor_bd, good_basis_transform, is_special
+from iwarank.special_matrices import assemble_fn, factor_bd, good_basis_transform, is_special, parity_reference
 from iwarank.verify import (
     COLEMAN_KINDS,
     _rand_summand,
@@ -236,16 +236,22 @@ class TestMatrixAtEps:
             assert rank_profile(ctx, cols, k, m) == span_rank(ctx, cols, m), (p, m, cols)
 
 
-def proportional_by_ranks(ctx, m, f, c) -> bool:
-    """Whether F(eps_m) is a nonzero multiple of C(eps_m), read on the
-    4-entry vectors: F, C and [F | C] have one rank at eps_m (all zero,
-    or all spanning one line)."""
-    systems = ((f.entries,), (c.entries,), (f.entries, c.entries))
-    return len({rank_at_eps(ctx, m, columns, 4) for columns in systems}) == 1
+def proportional_by_cross_products(ctx, m, f, c) -> bool:
+    """Whether F(eps_m) is a nonzero multiple of C(eps_m), read as
+    matrices_proportional_at_eps first read it: every cross product
+    against a nonzero reference entry of C vanishes mod Phi_m (a domain,
+    so no division is needed), and F is nonzero at that entry."""
+    phi = cyclotomic_phi(ctx, m)
+    fe = [e.reduced_mod(phi) for e in f.entries]
+    ce = [e.reduced_mod(phi) for e in c.entries]
+    ref = next((i for i, e in enumerate(ce) if e), None)
+    if ref is None:  # C(eps_m) = 0: only F(eps_m) = 0 is a multiple
+        return not any(fe)
+    return bool(fe[ref]) and all((fe[i] * ce[ref] - fe[ref] * ce[i]).reduced_mod(phi).is_zero for i in range(4))
 
 
-def test_proportional_matches_ranks():
-    # the cross-product reading equals the rank one on draws with
+def test_proportional_matches_cross_products():
+    # the rank reading equals the cross-product one on draws with
     # C(eps_m) = 0, F(eps_m) = 0, both, F a nonzero multiple of C plus
     # Phi_m H (C mostly of rank one, as a parity reference is), and F, C
     # drawn apart
@@ -276,11 +282,46 @@ def test_proportional_matches_ranks():
                 "apart": (matrix(), c),
             }
             for name, (f, c_draw) in draws.items():
-                want = proportional_by_ranks(ctx, m, f, c_draw)
+                want = proportional_by_cross_products(ctx, m, f, c_draw)
                 assert matrices_proportional_at_eps(ctx, m, f, c_draw) is want, (name, p, m, f, c_draw)
                 counts[name, want] = counts.get((name, want), 0) + 1
     assert set(counts) == {("c-zero", False), ("both-zero", True), ("f-zero", False), ("multiple", True),
                            ("apart", False)}, counts
+
+
+def test_coleman_proportionality_matches_cross_products():
+    # at p = 3, 5, for every Coleman kind and every m <= n <= 3: F_n is a
+    # nonzero multiple of its parity reference at eps_m and of neither the
+    # other reference nor a perturbed copy of its own; both zero is
+    # proportional, exactly one zero is not; and every verdict is the
+    # cross products' verdict
+    rng = random.Random("coleman-proportional")
+    counts = {}
+    for p in (3, 5):
+        ctx = PrimeContext(p)
+        for kind in COLEMAN_KINDS:
+            cd = rand_coleman_data(ctx, rng, kind)
+            for n in range(4):
+                f = assemble_fn(ctx, cd, n)
+                for m in range(n + 1):
+                    phi = cyclotomic_phi(ctx, m)
+                    ref = parity_reference(cd, m)
+                    other = cd.col_plus if ref is cd.col_minus else cd.col_minus
+                    perturbed = ref + LambdaMatrix(((ONE, ZERO), (ZERO, ZERO)))
+                    draws = {
+                        "parity": (f, ref, True),
+                        "other": (f, other, False),
+                        "perturbed": (f, perturbed, False),
+                        "both-zero": (f.scaled(phi), ref.scaled(phi), True),
+                        "f-zero": (f.scaled(phi), LambdaMatrix.identity(), False),
+                        "c-zero": (LambdaMatrix.identity(), ref.scaled(phi), False),
+                    }
+                    for name, (a, c, want) in draws.items():
+                        got = matrices_proportional_at_eps(ctx, m, a, c)
+                        assert got is proportional_by_cross_products(ctx, m, a, c), (name, p, kind, n, m)
+                        assert got is want, (name, p, kind, n, m)
+                        counts[name] = counts.get(name, 0) + 1
+    assert counts == dict.fromkeys(draws, 2 * len(COLEMAN_KINDS) * 10), counts
 
 
 def rank_profile(ctx, columns, k, m) -> int:

@@ -6,7 +6,7 @@ import random
 import pytest
 import weierstrass_oracle
 
-from iwarank import kobayashi_rank, special_matrices, zp_modules
+from iwarank import cyclo_eval, kobayashi_rank, special_matrices, zp_modules
 from iwarank.cli import parse_matrix_arg
 from iwarank.cyclo_eval import INFINITE, CyclotomicPoint, ord_eps, rank_at_eps
 from iwarank.errors import (
@@ -770,6 +770,87 @@ def test_cyclic_matches_minors_mod_p():
                 assert _cyclic(p, k, cols) is want, (p, cols)
                 seen.add((k, want))
     assert seen == {(1, True), (2, True), (2, False), (3, True), (3, False)}
+
+
+def _cyclic_by_elimination(p, k, rel_cols) -> bool:
+    """rank A(0) mod p >= k - 1, read by Gaussian elimination over F_p on
+    the constant terms, as _cyclic first read it."""
+    rows = [[c[i].coeffs[0] % p if c[i] else 0 for c in rel_cols] for i in range(k)]
+    for j in range(k):
+        if (pivot := next((r for r in rows if r[j]), None)) is None:
+            continue
+        rows.remove(pivot)  # each pivot row leaves: k - len(rows) is the rank so far
+        inv = pow(pivot[j], -1, p)
+        rows = [[(x - r[j] * inv * y) % p for x, y in zip(r, pivot)] for r in rows]
+    return len(rows) <= 1
+
+
+def test_cyclic_matches_elimination():
+    # the minor-rank reading over F_p gives elimination's verdict on every
+    # square relation system of the tower draws, block sums of sizes 3
+    # and 4 included, and on the same systems times p
+    rng = random.Random("cyclic-elimination")
+    seen = {}
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)):
+        for _ in range(6):
+            for name, k, cols in _tower_draws(rng, p, n):
+                if len(cols) != k:
+                    continue
+                for scaled in (cols, tuple(tuple(e * p for e in col[:1]) + col[1:] for col in cols)):
+                    want = _cyclic_by_elimination(p, k, scaled)
+                    assert _cyclic(p, k, scaled) is want, (name, p, scaled)
+                    seen[k, want] = seen.get((k, want), 0) + 1
+    assert set(seen) == {(1, True), (2, True), (2, False), (3, True), (3, False), (4, True), (4, False)}, seen
+
+
+def test_cyclicity_is_read_only_at_an_infinite_level(monkeypatch, ctx3):
+    # _brute_nabla uses cyclicity only where some ord_{eps_m}(det A) is
+    # infinite, so a tower whose det vanishes at no level <= n never asks
+    calls = []
+    cyclic = kobayashi_rank._cyclic
+    monkeypatch.setattr(kobayashi_rank, "_cyclic", lambda *args: calls.append(args) or cyclic(*args))
+    rng = random.Random("cyclic-only-where-used")
+    checked = 0
+    for p, n in ((3, 1), (3, 2), (3, 3), (5, 2)):
+        ctx = PrimeContext(p)
+        for name, k, cols in _tower_draws(rng, p, n):
+            if len(cols) != k or not (det := _minors(k, cols)[0]):
+                continue
+            finite = all(ord_eps(ctx, m, det) != INFINITE for m in range(n + 1))
+            before = len(calls)
+            _outcome(nabla_torsion_tower, ctx, TorsionTower(cols), n)
+            assert (len(calls) > before) is not finite, (name, p, n)
+            checked += finite
+    assert checked > 0
+    calls.clear()
+    assert nabla_coleman_tower(ctx3, _unit_coleman(ctx3, random.Random("unit-coleman-3-3"), 3), 3).agrees is True
+    assert nabla_matrix_tower(ctx3, LambdaMatrix(((ONE + X, THREE), (X, ONE))), 3).nabla == 0
+    assert calls == []
+
+
+def test_every_rank_is_one_minor_rank_reading(monkeypatch, ctx3):
+    # cyclicity over F_p, the rank profile at eps_m, the kernel-killing
+    # blocks' rank test and proportionality all read _minor_rank
+    calls = []
+    for module in (kobayashi_rank, cyclo_eval):
+        def spy(columns, k, reduce, module=module, fn=module._minor_rank):
+            calls.append(module.__name__.rsplit(".", 1)[1])
+            return fn(columns, k, reduce)
+        monkeypatch.setattr(module, "_minor_rank", spy)
+    a = LambdaMatrix.diagonal(X, X * (ONE + X))
+    assert _cyclic(3, 2, a.columns) is False and calls == ["kobayashi_rank"]
+    calls.clear()
+    assert rank_at_eps(ctx3, 0, a.columns, 2) == 0 and calls == ["cyclo_eval"]
+    calls.clear()
+    assert nabla_matrix_tower(ctx3, a, 2).nabla == 2
+    assert calls == ["kobayashi_rank", "cyclo_eval"]  # A(0) = 0: not cyclic, so r_0 is read at eps_0
+    calls.clear()
+    cd = ColemanData(LambdaMatrix.diagonal(X, X), LambdaMatrix.diagonal(ONE, cyclotomic_phi(ctx3, 1)))
+    assert special_matrices._kernel_killer(ctx3, cd, 1) is not None and calls == ["cyclo_eval"]
+    calls.clear()
+    f = assemble_fn(ctx3, cd, 2)
+    assert cyclo_eval.matrices_proportional_at_eps(ctx3, 1, f, cd.col_minus)
+    assert calls == ["cyclo_eval"] * 3
 
 
 def _verdict_draws():

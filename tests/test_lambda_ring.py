@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from iwarank import lambda_ring
 from iwarank.errors import InvalidContext, ZeroElement
+from iwarank.kobayashi_rank import nabla_cyclic
 from iwarank.lambda_ring import (
     MAX_PRIME,
     ONE,
@@ -296,6 +298,19 @@ class TestElementArithmetic:
                     {"coeffs": "12"}):
             with pytest.raises(ValueError):
                 LambdaElement.from_json_dict(bad)
+
+    def test_non_integer_coefficients_are_refused(self, ctx3):
+        # a coefficient that is not an integer raises instead of being
+        # truncated: 3.9 + X would otherwise be read as 3 + X
+        for bad in ([2.5, 1.9], [Fraction(3, 2)], [Fraction(3)], ["2"], [1, 2.0]):
+            with pytest.raises(TypeError):
+                LambdaElement(bad)
+        with pytest.raises(TypeError):
+            LambdaMatrix(((2.7, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            nabla_cyclic(ctx3, LambdaElement([3.9, 1]), 1)
+        assert LambdaElement([True, 2, 0]).coeffs == (1, 2)
+        assert LambdaMatrix(((2, 0), (0, 1))) == LambdaMatrix.diagonal(LambdaElement.const(2), ONE)
 
     def test_matrix_json_roundtrip(self, ctx3):
         a = LambdaMatrix(((X, ONE), (cyclotomic_phi(ctx3, 1), ZERO)))

@@ -471,9 +471,9 @@ def _kernel_killer_by_division(ctx, cd, m):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_kernel_killer_matches_division(p):
-    # the rank read from the four residues is the rank at eps_m: the block
-    # is None exactly where the parity reference does not have rank one,
-    # and elsewhere it is the block the division oracle builds
+    # the block is None exactly where the parity reference does not have
+    # rank one at eps_m, and elsewhere it is the block the division oracle
+    # builds
     ctx = PrimeContext(p)
     rng = random.Random(f"kernel-killer-{p}")
     ranks = {0: 0, 1: 0, 2: 0}
