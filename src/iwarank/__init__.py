@@ -47,14 +47,12 @@ from .kobayashi_rank import (
     NablaResult,
     TorsionTower,
     additivity_check,
-    detect_stabilization,
     direct_sum,
     nabla_coleman_tower,
     nabla_cyclic,
     nabla_matrix_tower,
     nabla_torsion_tower,
     nabla_tower,
-    tower_sweep,
 )
 from .lambda_ring import (
     ONE,

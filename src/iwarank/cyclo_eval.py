@@ -8,8 +8,9 @@ ord(eps_m) = 1.  Writing r = f mod Phi_m on the power basis,
     ord_{eps_m}(f(eps_m)) = min over r_i != 0 of phi(p^m) v_p(r_i) + i,
 
 because the terms r_i eps_m^i have valuations that differ mod
-phi(p^m) and so cannot cancel.  Level 0 uses eps_0 = 0, i.e. ord is
-v_p(f(0)).  The value is infinite exactly when Phi_m | f.
+phi(p^m) and so cannot cancel.  Level 0 is the same formula: eps_0 = 0,
+Phi_0 = X, phi(p^0) = 1 and r = f(0), so ord is v_p(f(0)).  The value
+is infinite exactly when Phi_m | f.
 
 Every question the package asks at eps_m is answered here from r: value
 and divisibility (CyclotomicPoint), valuation (ord_eps), the vanishing
@@ -70,8 +71,6 @@ class CyclotomicPoint(Record):
         """Valuation normalized by ord(eps_m) = 1; INFINITE at zero."""
         if self.rep.is_zero:
             return INFINITE
-        if self.m == 0:
-            return vp(self.rep.coeffs[0], ctx.p)
         e = euler_phi_pk(ctx.p, self.m)
         return min(e * vp(c, ctx.p) + i for i, c in enumerate(self.rep.coeffs) if c)
 

@@ -22,6 +22,7 @@ from .errors import InvalidContext
 from .lambda_ring import (
     PrimeContext,
     Record,
+    _require_ints,
     euler_phi_pk,
     is_odd_prime,
     omega_tower,
@@ -43,6 +44,7 @@ class InvariantSet(Record):
     r_inf: int
 
     def __post_init__(self):
+        _require_ints(**vars(self))
         if not is_odd_prime(self.p):
             raise InvalidContext(f"p must be an odd prime, got {self.p}")
         for name in ("lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "r_inf"):
@@ -108,6 +110,7 @@ def sha_growth(
     """Cumulative table of e_n starting from a known (n_0, e_{n_0});
     n_range must be the contiguous run n_0+1, n_0+2, ..."""
     n0, e0 = baseline
+    _require_ints(baseline_level=n0, baseline_value=e0)
     if n0 < 0 or e0 < 0:
         raise InvalidContext("baseline level and value must be >= 0")
     levels = list(n_range)

@@ -131,7 +131,7 @@ from .lambda_ring import (
     signed_degree,
 )
 from .special_matrices import ColemanData, _special, assemble_fn, parity_reference
-from .zp_modules import _weierstrass_spans, certified_valuations, lambda_column_span
+from .zp_modules import _generators, _weierstrass_spans, certified_valuations, lambda_column_span
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,13 @@ class CyclicTower:
 
 @dataclass(frozen=True)
 class TorsionTower:
+    """Lambda^k / (the relation columns): at least one column, all of
+    length k; integer entries become constants."""
+
     columns: tuple[tuple[LambdaElement, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", _generators(self.columns))
 
     def relation_columns(self) -> tuple[int, tuple]:
         return len(self.columns[0]), self.columns
@@ -347,27 +353,3 @@ def additivity_check(ctx: PrimeContext, left, right, n: int) -> bool:
     res_l = nabla_tower(ctx, left, n)
     res_r = nabla_tower(ctx, right, n)
     return nabla_torsion_tower(ctx, direct_sum(left, right), n).nabla == res_l.nabla + res_r.nabla
-
-
-def tower_sweep(ctx: PrimeContext, tower, n_max: int) -> list[NablaResult]:
-    """nabla at every step 1..n_max."""
-    if n_max < 1:
-        raise InvalidContext(f"n_max must be >= 1, got {n_max}")
-    return [nabla_tower(ctx, tower, n) for n in range(1, n_max + 1)]
-
-
-def detect_stabilization(results: list[NablaResult]) -> int | None:
-    """Least step n from which every later result (at least two of them)
-    agrees with its closed form; None when no such tail exists."""
-    flags = [(r.n, r.agrees) for r in results]
-    start = None
-    for n, agrees in flags:
-        if agrees:
-            if start is None:
-                start = n
-        else:
-            start = None
-    if start is None:
-        return None
-    tail = sum(1 for n, _ in flags if n >= start)
-    return start if tail >= 2 else None

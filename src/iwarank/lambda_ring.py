@@ -88,6 +88,15 @@ def vp(x: int, p: int) -> int:
     return v
 
 
+def _require_ints(**values):
+    """Refuse, naming it, the first value that operator.index rejects (no
+    __index__: a float, Fraction or string), before any check compares
+    or counts it."""
+    for name, value in values.items():
+        if not hasattr(type(value), "__index__"):
+            raise InvalidContext(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """Computation context: the odd prime p, the working precision N
@@ -99,6 +108,7 @@ class PrimeContext:
     margin: int = 8
 
     def __post_init__(self):
+        _require_ints(p=self.p, precision=self.precision, margin=self.margin)
         if not is_odd_prime(self.p):
             raise InvalidContext(f"p must be an odd prime, got {self.p}")
         if self.precision < 1:
@@ -130,10 +140,6 @@ class LambdaElement:
     @classmethod
     def const(cls, c: int) -> "LambdaElement":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, c: int, k: int) -> "LambdaElement":
-        return cls((0,) * k + (c,))
 
     # -- structure ----------------------------------------------------
 

@@ -97,13 +97,6 @@ class ColemanData(Record):
         source module); preserves X-divisibility of col_plus."""
         return ColemanData(self.col_plus @ b, self.col_minus @ b)
 
-    @classmethod
-    def from_json_dict(cls, obj) -> "ColemanData":
-        return cls(
-            LambdaMatrix.from_json_list(obj["col_plus"]),
-            LambdaMatrix.from_json_list(obj["col_minus"]),
-        )
-
 
 def parity_reference(cd: ColemanData, m: int) -> LambdaMatrix:
     """The Coleman matrix F_n collapses to at eps_m: col_minus for m odd

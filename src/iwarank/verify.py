@@ -168,10 +168,12 @@ def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
 
 def rand_unit_resultant_matrix(ctx: PrimeContext, rng, n: int) -> LambdaMatrix:
     """Random 2x2 matrix whose determinant is a unit at eps_m for every
-    m <= n."""
+    m <= n: exactly when p does not divide det B(0), since Phi_m(0) is p
+    (0 for m = 0), so the constant term of det B mod Phi_m is det B(0)
+    mod p.  The draw is then a unit at every eps_m, whatever n is."""
     while True:
         b = _rand_matrix(rng, 2, bound=3)
-        if all(ord_eps(ctx, m, b.det) == 0 for m in range(n + 1)):
+        if b.det.coeffs[0] % ctx.p:
             return b
 
 
@@ -505,11 +507,12 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suites(
     names, seed: int = 0, scale: float = 1.0, precision: int = DEFAULT_PRECISION
 ) -> list[SuiteReport]:
-    """Run the named suites (or all of them for "all") with a shared
-    seed; unknown names raise KeyError, a scale that is not finite or
-    that overflows a sweep count InvalidContext."""
+    """Run the named suites (a str is one name; "all" runs every suite)
+    with a shared seed; unknown names raise KeyError, a scale that is not
+    finite or that overflows a sweep count InvalidContext."""
     if not math.isfinite(scale):
         raise InvalidContext(f"scale must be finite, got {scale}")
-    if names == "all" or names == ["all"]:
+    names = [names] if isinstance(names, str) else names
+    if names == ["all"]:
         names = SUITE_NAMES
     return [_SUITES[name](seed, scale, precision) for name in names]

@@ -184,6 +184,18 @@ def _reduce(coeffs, low, width: int, q: int | None) -> list[int]:
     return [x % q for x in acc] if q else acc
 
 
+def _generators(gens) -> tuple:
+    """The polynomial vectors ``gens`` as tuples of LambdaElement, an
+    integer entry as a constant; InvalidContext when there are none or
+    their lengths differ."""
+    gens = tuple(tuple(e if isinstance(e, LambdaElement) else LambdaElement.const(e) for e in g) for g in gens)
+    if not gens:
+        raise InvalidContext("need at least one generator")
+    if any(len(gen) != len(gens[0]) for gen in gens):
+        raise InvalidContext("generators of mixed rank")
+    return gens
+
+
 def _shift_columns(gens, low, width: int, q: int | None) -> list[list[tuple[int, ...]]]:
     """Per shift s < width, the columns X^s g_j of the polynomial vectors
     ``gens`` mod the monic modulus of _times_x (and mod q, if given),
@@ -191,14 +203,9 @@ def _shift_columns(gens, low, width: int, q: int | None) -> list[list[tuple[int,
     moves a column down k rows, so X^s g_j fills only the rows of
     coefficients s .. s + deg g_j until the shift wraps past the modulus:
     a banded multiplication operator."""
-    gens = [tuple(g) for g in gens]
-    if not gens:
-        raise InvalidContext("need at least one generator")
+    gens = _generators(gens)
     k = len(gens[0])
-    if any(len(gen) != k for gen in gens):
-        raise InvalidContext("generators of mixed rank")
-    coeffs = [[e.coeffs if isinstance(e, LambdaElement) else (e,) for e in gen] for gen in gens]
-    vecs = [[_reduce(c, low, width, q) for c in gen] for gen in coeffs]
+    vecs = [[_reduce(e.coeffs, low, width, q) for e in gen] for gen in gens]
     col = [0] * (k * width)
     by_shift = []
     for s in range(width):

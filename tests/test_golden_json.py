@@ -5,9 +5,11 @@ import contextlib
 import hashlib
 import io
 import json
+import types
 
 import pytest
 
+import iwarank
 from iwarank import cli
 from iwarank.cli import parse_matrix_arg
 from iwarank.cyclo_eval import CyclotomicPoint
@@ -189,3 +191,27 @@ class TestValueTypes:
     def test_matrix_shape_checked(self):
         with pytest.raises(ValueError):
             LambdaMatrix(((1, 2, 3), (4, 5, 6)))
+
+
+# The public names of the package (its submodules aside), sorted: adding or
+# removing one is a deliberate change to the library API, logged in CHANGES.md.
+PUBLIC_NAMES = (
+    "BDFactorization", "CheckOutcome", "ColemanData", "CyclicTower", "CyclotomicPoint",
+    "DegenerateColeman", "GrowthRow", "GrowthTable", "INFINITE", "InvalidContext",
+    "InvariantSet", "IwarankError", "IwasawaInvariants", "LambdaElement", "LambdaMatrix",
+    "MatrixTower", "NablaResult", "NotCoprime", "NotSpecial", "NotTorsion", "ONE", "OmegaTower",
+    "PhiDivides", "PostconditionFailed", "PrecisionUnstable", "PrimeContext", "SUITE_NAMES",
+    "SingularMatrix", "SpanPresentation", "SpecialLevel", "SpecialReport", "SuiteReport",
+    "TorsionTower", "X", "ZERO", "ZeroElement", "additivity_check", "assemble_fn",
+    "cyclotomic_phi", "degree_identities", "delta_e", "direct_sum", "euler_phi_pk", "factor_bd",
+    "good_basis_transform", "is_special", "iwasawa_invariants", "lambda_column_span",
+    "matrices_proportional_at_eps", "matrix_rank_at_eps", "nabla_coleman_tower", "nabla_cyclic",
+    "nabla_matrix_tower", "nabla_torsion_tower", "nabla_tower", "nabla_x_formula", "omega_poly",
+    "omega_tower", "ord_eps", "parity_congruence_check", "parity_reference", "rod_check",
+    "run_suites", "s_sequence", "sha_growth", "signed_degree",
+)
+
+
+def test_public_names():
+    names = [n for n in dir(iwarank) if not n.startswith("_") and not isinstance(getattr(iwarank, n), types.ModuleType)]
+    assert sorted(names) == list(PUBLIC_NAMES)

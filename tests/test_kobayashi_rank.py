@@ -31,14 +31,12 @@ from iwarank.kobayashi_rank import (
     _tors_reader,
     _weierstrass_minor,
     additivity_check,
-    detect_stabilization,
     direct_sum,
     nabla_coleman_tower,
     nabla_cyclic,
     nabla_matrix_tower,
     nabla_torsion_tower,
     nabla_tower,
-    tower_sweep,
 )
 from iwarank.lambda_ring import (
     ONE,
@@ -133,17 +131,15 @@ class TestTorsion:
         for n in (1, 2):
             assert nabla_torsion_tower(ctx3, tower, n).nabla == 0
 
+    def test_integer_entries_become_constants(self, ctx3):
+        tower = TorsionTower(((3,), (X,)))
+        assert tower.columns == ((THREE,), (X,))
+        assert all(isinstance(e, LambdaElement) for col in tower.columns for e in col)
+        assert [nabla_torsion_tower(ctx3, tower, n).nabla for n in (1, 2)] == [0, 0]
+
     def test_not_torsion(self, ctx3):
         with pytest.raises(NotTorsion):
             nabla_torsion_tower(ctx3, TorsionTower(((X, ZERO),)), 1)
-
-    def test_detect_stabilization(self, ctx3):
-        sweep = tower_sweep(ctx3, TorsionTower(((THREE * X,),)), 3)
-        assert [r.n for r in sweep] == [1, 2, 3]
-        assert detect_stabilization(sweep) == 1
-
-    def test_detect_stabilization_requires_tail(self):
-        assert detect_stabilization([]) is None
 
 
 class TestMatrix:

@@ -252,7 +252,7 @@ class TestInvariants:
         unit_tail=st.lists(st.integers(min_value=-8, max_value=8), min_size=0, max_size=2),
     )
     def test_recovers_weierstrass_shape(self, mu, lam, low, unit_tail):
-        dist = LambdaElement.monomial(1, lam) + LambdaElement(
+        dist = LambdaElement((0,) * lam + (1,)) + LambdaElement(
             [3 * c for c in low[:lam]]
         )
         unit = LambdaElement([1] + unit_tail)

@@ -5,7 +5,7 @@ import pytest
 
 from iwarank.errors import InvalidContext, ZeroElement
 from iwarank.growth_model import InvariantSet, degree_identities, s_sequence, sha_growth
-from iwarank.kobayashi_rank import CyclicTower, nabla_tower, tower_sweep
+from iwarank.kobayashi_rank import TorsionTower, nabla_tower
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, signed_degree, vp
 from iwarank.zp_modules import SpanPresentation, lambda_column_span
 
@@ -19,13 +19,29 @@ REFUSALS = [
      InvalidContext, "baseline level and value must be >= 0"),
     ("degree-identities-n0", lambda: degree_identities(CTX, 0), InvalidContext,
      "degree identities start at n = 1, got 0"),
+    ("growth-float-baseline-level",
+     lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), range(1, 3), (0.0, 0)),
+     InvalidContext, "baseline_level must be an integer, got 0.0"),
+    ("growth-float-baseline-value",
+     lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), range(1, 3), (0, 0.5)),
+     InvalidContext, "baseline_value must be an integer, got 0.5"),
+    # each InvariantSet field in turn set to 3.0, the others to 3
+    *((f"invariants-float-{name}", lambda i=i: InvariantSet(*(3.0 if j == i else 3 for j in range(6))),
+       InvalidContext, f"{name} must be an integer, got 3.0")
+      for i, name in enumerate(("p", "lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "r_inf"))),
     # kobayashi_rank
     ("unknown-tower", lambda: nabla_tower(CTX, object(), 1), InvalidContext, "unknown tower kind object"),
-    ("sweep-n0", lambda: tower_sweep(CTX, CyclicTower(f=X + 3), 0), InvalidContext, "n_max must be >= 1, got 0"),
+    ("torsion-no-columns", lambda: TorsionTower(columns=()), InvalidContext, "need at least one generator"),
+    ("torsion-ragged", lambda: TorsionTower(columns=((X, ONE), (X,))), InvalidContext,
+     "generators of mixed rank"),
     # lambda_ring
     ("vp-zero", lambda: vp(0, 3), ZeroElement, "valuation of 0 is infinite"),
     ("precision-0", lambda: PrimeContext(3, precision=0), InvalidContext, "precision must be >= 1, got 0"),
     ("margin-0", lambda: PrimeContext(3, margin=0), InvalidContext, "margin must be >= 1, got 0"),
+    ("p-float", lambda: PrimeContext(3.0), InvalidContext, "p must be an integer, got 3.0"),
+    ("precision-float", lambda: PrimeContext(3, precision=40.0), InvalidContext,
+     "precision must be an integer, got 40.0"),
+    ("margin-string", lambda: PrimeContext(3, margin="8"), InvalidContext, "margin must be an integer, got '8'"),
     ("negative-power", lambda: X ** -1, ValueError, "negative power"),
     ("non-monic-divisor", lambda: (X * X).divmod_monic(LambdaElement([1, 2])), ValueError, "divisor must be monic"),
     ("inexact-division", lambda: (X * X + ONE).exact_div(X), ValueError, "division not exact"),

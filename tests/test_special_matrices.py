@@ -34,6 +34,7 @@ from iwarank.lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     cyclotomic_phi,
+    euler_phi_pk,
     omega_poly,
     omega_tower,
 )
@@ -187,7 +188,8 @@ class TestColemanDataValidation:
             cd.validate()
 
     def test_json_roundtrip(self, cd_rank1):
-        assert ColemanData.from_json_dict(cd_rank1.to_json_dict()) == cd_rank1
+        obj = cd_rank1.to_json_dict()
+        assert ColemanData(*(LambdaMatrix.from_json_list(obj[k]) for k in ("col_plus", "col_minus"))) == cd_rank1
 
 
 class TestParityCongruence:
@@ -245,6 +247,34 @@ class TestParityCongruence:
         monkeypatch.setattr(special_matrices, "omega_tower", forbidden)
         monkeypatch.setattr(LambdaElement, "divmod_monic", forbidden)
         assert parity_congruence_check(ctx3, cd_rank1, 4)
+
+
+class TestLevelwiseReadings:
+    """F_n(eps_m) = c P_m(eps_m) for m <= n, P_m = parity_reference(cd, m)
+    and c the signed product that survives at eps_m (omega-tilde_n^+ at
+    m = 0 or odd, omega-tilde_n^- at even m >= 2), so ords and specialness
+    verdicts of F_n are read level by level from Col^+ and Col^-."""
+
+    @pytest.mark.parametrize("p,top", [(3, 4), (5, 3), (7, 2)])
+    def test_fn_reads_from_parity_references(self, p, top):
+        ctx = PrimeContext(p)
+        rng = random.Random(f"levelwise-{p}")
+        cases = 0
+        for kind in COLEMAN_KINDS:
+            cd = rand_coleman_data(ctx, rng, kind)
+            b = good_basis_transform(ctx, cd, top)
+            for n in range(top + 1):
+                fn = assemble_fn(ctx, cd, n)
+                report = is_special(ctx, fn @ b, n)
+                for m in range(n + 1):
+                    ref = parity_reference(cd, m)
+                    survivors = range(2, n + 1, 2) if m == 0 or m % 2 else range(1, n + 1, 2)
+                    c = 2 * sum(euler_phi_pk(p, min(j, m)) for j in survivors)
+                    # both sides infinite together: INFINITE + c is INFINITE
+                    assert ord_eps(ctx, m, fn.det) == ord_eps(ctx, m, ref.det) + c, (kind, n, m)
+                    assert report.per_level[m] == is_special(ctx, ref @ b, m).per_level[m], (kind, n, m)
+                    cases += 1
+        assert cases == len(COLEMAN_KINDS) * (top + 1) * (top + 2) // 2
 
 
 class TestGoodBasis:

@@ -105,6 +105,10 @@ class TestReports:
         assert [r.suite for r in reports] == ["growth", "degrees"]
         assert all(r.ok for r in reports)
 
+    def test_run_suites_takes_one_name_as_str(self):
+        assert run_suites("growth", seed=1) == run_suites(["growth"], seed=1)
+        assert [r.suite for r in run_suites("all", scale=0.1)] == list(SUITE_NAMES)
+
     def test_json_shape(self):
         report = suite_growth(seed=0)
         d = report.to_json_dict()
