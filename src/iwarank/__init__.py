@@ -11,13 +11,7 @@ divisors equals the exact rank, and otherwise the engine raises
 PrecisionUnstable instead of answering.
 """
 
-from .cyclo_eval import (
-    INFINITE,
-    CyclotomicPoint,
-    matrices_proportional_at_eps,
-    matrix_rank_at_eps,
-    ord_eps,
-)
+from .cyclo_eval import INFINITE, matrices_proportional_at_eps, ord_eps
 from .errors import (
     DegenerateColeman,
     InvalidContext,

@@ -12,12 +12,12 @@ phi(p^m) and so cannot cancel.  Level 0 is the same formula: eps_0 = 0,
 Phi_0 = X, phi(p^0) = 1 and r = f(0), so ord is v_p(f(0)).  The value
 is infinite exactly when Phi_m | f.
 
-Every question the package asks at eps_m is answered here from r: value
-and divisibility (CyclotomicPoint), valuation (ord_eps), the vanishing
-columns of a matrix (_vanishing_columns), rank (rank_at_eps) and
-proportionality (matrices_proportional_at_eps, three ranks); _glue lifts
-2x2 blocks given at several levels to one matrix.  No other module
-divides by Phi_m.  Every rank is one minor-rank reading
+Every question the package asks at eps_m is answered here from r: the
+residue itself and divisibility (_residue, zero iff Phi_m | f), valuation
+(ord_eps), the vanishing columns of a matrix (_vanishing_columns), rank
+(rank_at_eps) and proportionality (matrices_proportional_at_eps, three
+ranks); _glue lifts 2x2 blocks given at several levels to one matrix.
+No other module divides by Phi_m.  Every rank is one minor-rank reading
 (exactlinalg._minor_rank) over the residue field Q_p(zeta_{p^m}) of
 Lambda at eps_m, the same reading kobayashi_rank takes over F_p at the
 closed point (p, X).
@@ -25,7 +25,6 @@ closed point (p, X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
 
 from .exactlinalg import _minor_rank
@@ -34,7 +33,6 @@ from .lambda_ring import (
     LambdaElement,
     LambdaMatrix,
     PrimeContext,
-    Record,
     cyclotomic_phi,
     euler_phi_pk,
     omega_poly,
@@ -48,48 +46,28 @@ def ord_json(v) -> object:
     return "inf" if v == INFINITE else int(v)
 
 
-@dataclass(frozen=True)
-class CyclotomicPoint(Record):
-    """The image f(eps_m) in Z_p[zeta_{p^m}], stored on the power basis.
-
-    ``rep`` is the reduction of f mod Phi_m: degree < phi(p^m) for
-    m >= 1, and a bare constant for m = 0 (where eps_0 = 0).
-    """
-
-    m: int
-    rep: LambdaElement
-
-    @classmethod
-    def of(cls, ctx: PrimeContext, m: int, f: LambdaElement) -> "CyclotomicPoint":
-        return cls(m, f.reduced_mod(cyclotomic_phi(ctx, m)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    def ord(self, ctx: PrimeContext):
-        """Valuation normalized by ord(eps_m) = 1; INFINITE at zero."""
-        if self.rep.is_zero:
-            return INFINITE
-        e = euler_phi_pk(ctx.p, self.m)
-        return min(e * vp(c, ctx.p) + i for i, c in enumerate(self.rep.coeffs) if c)
+def _residue(ctx: PrimeContext, m: int, f: LambdaElement) -> LambdaElement:
+    """f(eps_m) in Z_p[zeta_{p^m}] on the power basis: f mod Phi_m, of
+    degree < phi(p^m) (a bare constant at m = 0, where eps_0 = 0); zero
+    iff Phi_m divides f."""
+    return f.reduced_mod(cyclotomic_phi(ctx, m))
 
 
 def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):
-    """Normalized valuation of f(eps_m); INFINITE iff Phi_m divides f."""
-    return CyclotomicPoint.of(ctx, m, f).ord(ctx)
+    """Normalized valuation of f(eps_m), ord(eps_m) = 1; INFINITE iff
+    Phi_m divides f."""
+    r = _residue(ctx, m, f)
+    if r.is_zero:
+        return INFINITE
+    e = euler_phi_pk(ctx.p, m)
+    return min(e * vp(c, ctx.p) + i for i, c in enumerate(r.coeffs) if c)
 
 
 def _vanishing_columns(ctx: PrimeContext, m: int, a: LambdaMatrix):
     """Lazily, for each column of A, whether Phi_m divides both entries:
     a column stops at its first entry that does not vanish, and any()
     stops at the first column that does."""
-    return (all(CyclotomicPoint.of(ctx, m, e).is_zero for e in col) for col in a.columns)
-
-
-def matrix_rank_at_eps(ctx: PrimeContext, m: int, a: LambdaMatrix) -> int:
-    """Rank of A(eps_m) over the fraction field of Z_p[zeta_{p^m}]."""
-    return rank_at_eps(ctx, m, a.columns, 2)
+    return (all(_residue(ctx, m, e).is_zero for e in col) for col in a.columns)
 
 
 def rank_at_eps(ctx: PrimeContext, m: int, columns, k: int) -> int:

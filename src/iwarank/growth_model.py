@@ -85,6 +85,7 @@ class GrowthTable(Record):
 
 def s_sequence(p: int, n: int) -> int:
     """s_n = p^n - p^{n-1} + ... -+ p = p (p^n - (-1)^n) / (p + 1); s_0 = 0."""
+    _require_ints(level=n)
     if n < 0:
         raise InvalidContext(f"s_n needs n >= 0, got {n}")
     return p * (p**n - (-1) ** n) // (p + 1)
@@ -93,6 +94,7 @@ def s_sequence(p: int, n: int) -> int:
 def nabla_x_formula(inv: InvariantSet, n: int) -> int:
     """The X-side step rank 2 s_{n-1} + lambda + (p^n - p^{n-1}) mu with
     the parity-matched invariants."""
+    _require_ints(level=n)
     if n < 1:
         raise InvalidContext(f"steps start at n = 1, got {n}")
     lam, mu = inv.signed(n)
@@ -116,6 +118,8 @@ def sha_growth(
     levels = list(n_range)
     if not levels:
         raise InvalidContext("empty level range")
+    for n in levels:
+        _require_ints(level=n)
     if levels[0] != n0 + 1 or levels != list(range(levels[0], levels[-1] + 1)):
         raise InvalidContext(
             f"levels must run contiguously from n_0+1 = {n0 + 1}, got {levels}"
@@ -148,6 +152,7 @@ def degree_identities(ctx: PrimeContext, n: int) -> dict:
     past the explicit cap the check runs on exact factor-degree
     bookkeeping (the factors are monic, so degrees add).
     """
+    _require_ints(level=n)
     if n < 1:
         raise InvalidContext(f"degree identities start at n = 1, got {n}")
     p = ctx.p

@@ -422,8 +422,9 @@ def _past_cap(p: int, n: int) -> bool:
 
 
 def check_level(p: int, n: int):
-    """Refuse a negative level, then one past the explicit-construction
-    cap (InvalidContext)."""
+    """Refuse a level that is not an integer, then a negative one, then
+    one past the explicit-construction cap (InvalidContext)."""
+    _require_ints(level=n)
     if n < 0:
         raise InvalidContext(f"level must be >= 0, got {n}")
     if _past_cap(p, n):
@@ -459,12 +460,14 @@ def _phi_product(p: int, levels: tuple) -> LambdaElement:
     return _rows(ts)
 
 
-@lru_cache(maxsize=None)
+# typed: a float level is its own key, so it misses and check_level refuses it
+@lru_cache(maxsize=None, typed=True)
 def _phi(p: int, m: int) -> LambdaElement:
+    check_level(p, m)
     return _phi_product(p, (m,))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _omega(p: int, n: int) -> LambdaElement:
     check_level(p, n)
     return _rows([p ** n]) - 1
@@ -493,6 +496,7 @@ def signed_degree(p: int, n: int, sign: str) -> int:
     """Degree of omega-tilde_n^{sign} by exact factor bookkeeping (all
     factors are monic, so degrees add); omega_n^{sign} has one more.
     sign '+' collects even m >= 2, sign '-' collects odd m."""
+    _require_ints(level=n)
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     start = 2 if sign == "+" else 1

@@ -21,14 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo_eval import (
-    INFINITE,
-    CyclotomicPoint,
-    _glue,
-    _vanishing_columns,
-    matrix_rank_at_eps,
-    ord_eps,
-)
+from .cyclo_eval import INFINITE, _glue, _residue, _vanishing_columns, rank_at_eps
 from .errors import (
     DegenerateColeman,
     InvalidContext,
@@ -112,7 +105,7 @@ def _column_levels(ctx: PrimeContext, a: LambdaMatrix, n: int) -> list:
         raise SingularMatrix("det A = 0: every level divides the determinant")
     check_level(ctx.p, n)
     return [
-        (CyclotomicPoint.of(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a)))
+        (_residue(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a)))
         for m in range(n + 1)
     ]
 
@@ -172,13 +165,13 @@ def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
 
 def _kernel_killer(ctx: PrimeContext, cd: ColemanData, m: int):
     """Where the parity reference has rank one at eps_m (the one
-    minor-rank reading over Q_p(zeta_{p^m}), matrix_rank_at_eps), a 2x2
+    minor-rank reading over Q_p(zeta_{p^m}), rank_at_eps), a 2x2
     block over Z[X]/Phi_m, invertible there, whose first column spans its
     kernel; None at rank 0 or 2."""
     ref = parity_reference(cd, m)
-    if matrix_rank_at_eps(ctx, m, ref) != 1:
+    if rank_at_eps(ctx, m, ref.columns, 2) != 1:
         return None
-    a, c, b, d = (CyclotomicPoint.of(ctx, m, e).rep for e in ref.entries)
+    a, c, b, d = (_residue(ctx, m, e) for e in ref.entries)
     x, y = (-c, a) if not (a.is_zero and c.is_zero) else (-d, b)
     if not x.is_zero:
         return LambdaMatrix(((x, ZERO), (y, ONE)))  # det = x
@@ -210,7 +203,7 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     blocks = {m: k for m in range(n_max + 1) if (k := _kernel_killer(ctx, cd, m)) is not None}
     b = _glue(ctx, blocks) if blocks else LambdaMatrix.identity()
     for m in range(n_max + 1):
-        if ord_eps(ctx, m, b.det) == INFINITE:
+        if _residue(ctx, m, b.det).is_zero:
             raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")
     for n in range(1, n_max + 1):
         f = assemble_fn(ctx, cd, n)
@@ -239,6 +232,6 @@ def rod_check(ctx: PrimeContext, b: LambdaMatrix, n: int, test_level: int) -> bo
         raise InvalidContext(f"test_level must exceed n, got {test_level} <= {n}")
     check_level(ctx.p, n)
     for m in range(n + 1):
-        if ord_eps(ctx, m, b.det) == INFINITE:
+        if _residue(ctx, m, b.det).is_zero:
             raise NotCoprime(f"Phi_{m} divides det B")
     return True

@@ -45,7 +45,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .cyclo_eval import INFINITE, CyclotomicPoint, matrices_proportional_at_eps, matrix_rank_at_eps, ord_eps
+from .cyclo_eval import _residue, matrices_proportional_at_eps, rank_at_eps
 from .errors import InvalidContext, NotCoprime, PostconditionFailed, PrecisionUnstable
 from .growth_model import InvariantSet, degree_identities, delta_e, sha_growth
 from .kobayashi_rank import (
@@ -149,7 +149,7 @@ def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tup
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
     while True:
         b = _rand_matrix(rng, max_deg, bound=4)
-        if any(CyclotomicPoint.of(ctx, m, b.det).is_zero for m in range(n + 1)):
+        if any(_residue(ctx, m, b.det).is_zero for m in range(n + 1)):
             continue
         levels = tuple(tuple(m for m in range(n) if rng.random() < 0.45) for _ in (0, 1))
         return b @ LambdaMatrix.diagonal(*(_phi_product(ctx.p, js) for js in levels)), levels
@@ -228,9 +228,7 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
         if col_plus.det.is_zero or col_minus.det.is_zero:
             continue
         cd = ColemanData(col_plus, col_minus)
-        profile = {
-            m: matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) for m in range(4)
-        }
+        profile = {m: rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) for m in range(4)}
         if profile == wanted:
             return cd
 
@@ -266,7 +264,7 @@ def suite_thm_app(rng, scale, precision):
                 a, levels = rand_special_matrix(ctx, rng, n)
                 res = nabla_matrix_tower(ctx, a, n)
                 rank_ok = all(
-                    matrix_rank_at_eps(ctx, m, a) == 2 - sum(1 for js in levels if m in js)
+                    rank_at_eps(ctx, m, a.columns, 2) == 2 - sum(1 for js in levels if m in js)
                     for m in range(n)
                 )
                 if res.agrees is True and rank_ok:
@@ -319,7 +317,7 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
         return MatrixTower(matrix=a)
     while True:
         m = _rand_matrix(rng, 2, bound=3)
-        if not CyclotomicPoint.of(ctx, n, m.det).is_zero:
+        if not _residue(ctx, n, m.det).is_zero:
             return TorsionTower(columns=m.columns)
 
 
@@ -375,7 +373,7 @@ def suite_parity(rng, scale, precision):
                 continue
             for n in (2, 3):
                 # det F_n(eps_n) is det C_n(eps_n) times a nonzero square
-                if ord_eps(ctx, n, parity_reference(moved, n).det) == INFINITE:
+                if _residue(ctx, n, parity_reference(moved, n).det).is_zero:
                     continue
                 applicable += 1
                 res = nabla_coleman_tower(ctx, moved, n)

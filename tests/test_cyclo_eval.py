@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 
 from iwarank.cyclo_eval import (
     INFINITE,
-    CyclotomicPoint,
     _glue,
+    _residue,
     matrices_proportional_at_eps,
-    matrix_rank_at_eps,
     ord_eps,
     ord_json,
     rank_at_eps,
@@ -182,10 +181,10 @@ class TestMatrixAtEps:
 
     def test_rank_frozen(self, ctx3):
         phi1 = cyclotomic_phi(ctx3, 1)
-        assert matrix_rank_at_eps(ctx3, 0, LambdaMatrix.diagonal(X, X)) == 0
-        assert matrix_rank_at_eps(ctx3, 0, LambdaMatrix.diagonal(X, ONE)) == 1
-        assert matrix_rank_at_eps(ctx3, 1, LambdaMatrix(((phi1, ZERO), (ONE, phi1)))) == 1
-        assert matrix_rank_at_eps(ctx3, 1, LambdaMatrix.identity()) == 2
+        assert rank_at_eps(ctx3, 0, LambdaMatrix.diagonal(X, X).columns, 2) == 0
+        assert rank_at_eps(ctx3, 0, LambdaMatrix.diagonal(X, ONE).columns, 2) == 1
+        assert rank_at_eps(ctx3, 1, LambdaMatrix(((phi1, ZERO), (ONE, phi1))).columns, 2) == 1
+        assert rank_at_eps(ctx3, 1, LambdaMatrix.identity().columns, 2) == 2
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @settings(max_examples=40, deadline=None)
@@ -200,7 +199,6 @@ class TestMatrixAtEps:
             phi = cyclotomic_phi(CTX3, phi_level)
             polys[0], polys[2] = polys[0] * phi, polys[2] * phi
         a = LambdaMatrix(((polys[0], polys[1]), (polys[2], polys[3])))
-        assert matrix_rank_at_eps(CTX3, m, a) == rank_at_eps(CTX3, m, a.columns, 2)
         assert rank_profile(CTX3, a.columns, 2, m) == span_rank(CTX3, a.columns, m)
 
     def test_rank_profile_differential(self):
@@ -333,24 +331,19 @@ def span_rank(ctx, columns, m) -> int:
 
 
 class TestCyclotomicPointType:
+    # the residue f mod Phi_m, the value f(eps_m) every reading at eps_m takes
     def test_reduction_invariant(self, ctx3):
-        pt = CyclotomicPoint.of(ctx3, 2, cyclotomic_phi(ctx3, 2) * X + ONE)
-        assert pt.rep.degree < euler_phi_pk(3, 2)
-        assert pt.ord(ctx3) == 0
+        f = cyclotomic_phi(ctx3, 2) * X + ONE
+        assert _residue(ctx3, 2, f).degree < euler_phi_pk(3, 2)
+        assert ord_eps(ctx3, 2, f) == 0
 
     def test_level_zero_is_constant(self, ctx3):
-        pt = CyclotomicPoint.of(ctx3, 0, LambdaElement((7, 5, 1)))
-        assert pt.rep.degree <= 0
-        assert pt.rep.coeffs == (7,)
-
-    @settings(max_examples=40, deadline=None)
-    @given(f=small_polys)
-    def test_matches_ord_eps(self, f):
-        for m in (0, 1, 2):
-            assert CyclotomicPoint.of(CTX3, m, f).ord(CTX3) == ord_eps(CTX3, m, f)
+        r = _residue(ctx3, 0, LambdaElement((7, 5, 1)))
+        assert r.degree <= 0
+        assert r.coeffs == (7,)
 
     def test_zero_flag(self, ctx3):
-        assert CyclotomicPoint.of(ctx3, 1, cyclotomic_phi(ctx3, 1)).is_zero
+        assert _residue(ctx3, 1, cyclotomic_phi(ctx3, 1)).is_zero
 
 
 class TestGlue:

@@ -12,7 +12,6 @@ import pytest
 import iwarank
 from iwarank import cli
 from iwarank.cli import parse_matrix_arg
-from iwarank.cyclo_eval import CyclotomicPoint
 from iwarank.growth_model import GrowthRow, InvariantSet, sha_growth
 from iwarank.kobayashi_rank import NablaResult
 from iwarank.lambda_ring import (
@@ -30,7 +29,6 @@ INV5 = InvariantSet(p=5, lambda_plus=1, lambda_minus=2, mu_plus=0, mu_minus=1, r
 
 RECORDS = {
     "OmegaTower": lambda: omega_tower(CTX, 1),
-    "CyclotomicPoint": lambda: CyclotomicPoint.of(CTX, 1, LambdaElement((5, 0, 0, 1))),
     "NablaResult": lambda: NablaResult(n=2, ker_length=6, coker_length=0, lower_rank=1, nabla=7),
     "SpecialLevel": lambda: SpecialLevel(m=1, i_m=0, det_divisible=False, ok=True),
     "SpecialReport": lambda: is_special(CTX, parse_matrix_arg("[[X, 1], [X, X+1]]"), 1),
@@ -53,7 +51,6 @@ RECORDS = {
 
 RECORD_JSON = {
     'OmegaTower': "{\"n\": 1, \"omega_minus\": {\"coeffs\": [\"0\", \"3\", \"3\", \"1\"]}, \"omega_n\": {\"coeffs\": [\"0\", \"3\", \"3\", \"1\"]}, \"omega_plus\": {\"coeffs\": [\"0\", \"1\"]}, \"omega_tilde_minus\": {\"coeffs\": [\"3\", \"3\", \"1\"]}, \"omega_tilde_plus\": {\"coeffs\": [\"1\"]}}",
-    'CyclotomicPoint': "{\"m\": 1, \"rep\": {\"coeffs\": [\"14\", \"6\"]}}",
     'NablaResult': "{\"agrees\": null, \"closed_form\": null, \"coker_length\": 0, \"ker_length\": 6, \"lower_rank\": 1, \"n\": 2, \"nabla\": 7}",
     'SpecialLevel': "{\"det_divisible\": false, \"i_m\": 0, \"m\": 1, \"ok\": true}",
     'SpecialReport': "{\"n\": 1, \"per_level\": [{\"det_divisible\": true, \"i_m\": 1, \"m\": 0, \"ok\": true}, {\"det_divisible\": false, \"i_m\": 0, \"m\": 1, \"ok\": true}], \"verdict\": true}",
@@ -196,7 +193,7 @@ class TestValueTypes:
 # The public names of the package (its submodules aside), sorted: adding or
 # removing one is a deliberate change to the library API, logged in CHANGES.md.
 PUBLIC_NAMES = (
-    "BDFactorization", "CheckOutcome", "ColemanData", "CyclicTower", "CyclotomicPoint",
+    "BDFactorization", "CheckOutcome", "ColemanData", "CyclicTower",
     "DegenerateColeman", "GrowthRow", "GrowthTable", "INFINITE", "InvalidContext",
     "InvariantSet", "IwarankError", "IwasawaInvariants", "LambdaElement", "LambdaMatrix",
     "MatrixTower", "NablaResult", "NotCoprime", "NotSpecial", "NotTorsion", "ONE", "OmegaTower",
@@ -205,7 +202,7 @@ PUBLIC_NAMES = (
     "TorsionTower", "X", "ZERO", "ZeroElement", "additivity_check", "assemble_fn",
     "cyclotomic_phi", "degree_identities", "delta_e", "direct_sum", "euler_phi_pk", "factor_bd",
     "good_basis_transform", "is_special", "iwasawa_invariants", "lambda_column_span",
-    "matrices_proportional_at_eps", "matrix_rank_at_eps", "nabla_coleman_tower", "nabla_cyclic",
+    "matrices_proportional_at_eps", "nabla_coleman_tower", "nabla_cyclic",
     "nabla_matrix_tower", "nabla_torsion_tower", "nabla_tower", "nabla_x_formula", "omega_poly",
     "omega_tower", "ord_eps", "parity_congruence_check", "parity_reference", "rod_check",
     "run_suites", "s_sequence", "sha_growth", "signed_degree",

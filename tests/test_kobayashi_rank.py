@@ -8,7 +8,7 @@ import weierstrass_oracle
 
 from iwarank import cyclo_eval, kobayashi_rank, special_matrices, zp_modules
 from iwarank.cli import parse_matrix_arg
-from iwarank.cyclo_eval import INFINITE, CyclotomicPoint, ord_eps, rank_at_eps
+from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from iwarank.errors import (
     DegenerateColeman,
     InvalidContext,
@@ -924,6 +924,9 @@ def test_special_reading_matches_division():
             assert str(exc.value) == f"column divisibility fails at levels {[lv.m for lv in levels if not lv.ok]}"
         else:
             assert factor_bd(ctx, a, n) == fact, (ctx.p, n, a)
+        # a column vanishing at eps_m forces Phi_m | det A, so columns need
+        # reading only at the levels where the det vanishes
+        assert all(lv.i_m == 0 for lv in report.per_level if not lv.det_divisible), (ctx.p, n, a)
         counts.update(lv.i_m for lv in levels)
     assert counts == {0, 1, 2}
 
@@ -931,7 +934,7 @@ def test_special_reading_matches_division():
 @pytest.fixture
 def tower_calls(monkeypatch):
     """Calls of is_special, of kobayashi_rank's ord_eps and of
-    CyclotomicPoint.of (one per ord_eps, the rest test column entries)."""
+    cyclo_eval._residue (one per ord_eps, the rest test column entries)."""
     calls = {"is_special": 0, "ord_eps": 0, "point": 0}
 
     def spy(name, fn):
@@ -942,7 +945,7 @@ def tower_calls(monkeypatch):
 
     monkeypatch.setattr(special_matrices, "is_special", spy("is_special", special_matrices.is_special))
     monkeypatch.setattr(kobayashi_rank, "ord_eps", spy("ord_eps", kobayashi_rank.ord_eps))
-    monkeypatch.setattr(CyclotomicPoint, "of", classmethod(spy("point", CyclotomicPoint.of.__func__)))
+    monkeypatch.setattr(cyclo_eval, "_residue", spy("point", cyclo_eval._residue))
     return calls
 
 

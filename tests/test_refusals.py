@@ -4,7 +4,7 @@ message: every one is raised before any work on the refused input."""
 import pytest
 
 from iwarank.errors import InvalidContext, ZeroElement
-from iwarank.growth_model import InvariantSet, degree_identities, s_sequence, sha_growth
+from iwarank.growth_model import InvariantSet, degree_identities, nabla_x_formula, s_sequence, sha_growth
 from iwarank.kobayashi_rank import TorsionTower, nabla_tower
 from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, signed_degree, vp
 from iwarank.zp_modules import SpanPresentation, lambda_column_span
@@ -19,6 +19,14 @@ REFUSALS = [
      InvalidContext, "baseline level and value must be >= 0"),
     ("degree-identities-n0", lambda: degree_identities(CTX, 0), InvalidContext,
      "degree identities start at n = 1, got 0"),
+    # a float level is refused by its type, before any comparison or power
+    ("s-float", lambda: s_sequence(3, 2.0), InvalidContext, "level must be an integer, got 2.0"),
+    ("nabla-x-float", lambda: nabla_x_formula(InvariantSet(3, 0, 0, 0, 0, 0), 2.0), InvalidContext,
+     "level must be an integer, got 2.0"),
+    ("degree-identities-float", lambda: degree_identities(CTX, 2.0), InvalidContext,
+     "level must be an integer, got 2.0"),
+    ("growth-float-levels", lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), [1.0, 2.0], (0, 0)),
+     InvalidContext, "level must be an integer, got 1.0"),
     ("growth-float-baseline-level",
      lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), range(1, 3), (0.0, 0)),
      InvalidContext, "baseline_level must be an integer, got 0.0"),
@@ -46,6 +54,7 @@ REFUSALS = [
     ("non-monic-divisor", lambda: (X * X).divmod_monic(LambdaElement([1, 2])), ValueError, "divisor must be monic"),
     ("inexact-division", lambda: (X * X + ONE).exact_div(X), ValueError, "division not exact"),
     ("unknown-sign", lambda: signed_degree(3, 2, "x"), ValueError, "sign must be '+' or '-'"),
+    ("signed-degree-float", lambda: signed_degree(3, 2.0, "+"), InvalidContext, "level must be an integer, got 2.0"),
     # zp_modules
     ("column-length", lambda: SpanPresentation(ambient_rank=2, columns=((1, 0), (1,))), InvalidContext,
      "column length 1 != ambient rank 2"),

@@ -11,9 +11,7 @@ from rod_oracle import rod_check_by_intersection
 from iwarank import special_matrices
 from iwarank.cyclo_eval import (
     INFINITE,
-    CyclotomicPoint,
     matrices_proportional_at_eps,
-    matrix_rank_at_eps,
     ord_eps,
     rank_at_eps,
 )
@@ -109,7 +107,7 @@ class TestIsSpecial:
             while det_d.divisible_by(phi):
                 det_d = det_d.exact_div(phi)
                 mult += 1
-            assert matrix_rank_at_eps(ctx3, m, a) == 2 - mult
+            assert rank_at_eps(ctx3, m, a.columns, 2) == 2 - mult
 
 
 class TestFactorBd:
@@ -323,7 +321,7 @@ class TestGoodBasis:
                 cd = rand_coleman_data(ctx, rng, kind)
                 b = good_basis_transform(ctx, cd, n_max)
                 rank_one = [m for m in range(n_max + 1)
-                            if matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) == 1]
+                            if rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) == 1]
                 top = max(rank_one, default=0)
                 tops.add(top)
                 assert all(e.degree < p**top for e in b.entries), (kind, top)
@@ -449,7 +447,6 @@ _LEVEL_CALLS = {
     "omega_poly": lambda n: omega_poly(_CTX3, n),
     "omega_tower": lambda n: omega_tower(_CTX3, n),
     "ord_eps": lambda n: ord_eps(_CTX3, n, X + 1),
-    "CyclotomicPoint.of": lambda n: CyclotomicPoint.of(_CTX3, n, X + 1),
     "rank_at_eps": lambda n: rank_at_eps(_CTX3, n, LambdaMatrix.identity().columns, 2),
     "is_special": lambda n: is_special(_CTX3, diag(X, X), n),
     "factor_bd": lambda n: factor_bd(_CTX3, diag(X, X), n),
@@ -460,15 +457,22 @@ _LEVEL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("n", [-1, 10, 10**6])
+@pytest.mark.parametrize("n", [-1, 10, 10**6, 2.0])
 @pytest.mark.parametrize("name", list(_LEVEL_CALLS))
 def test_level_refusal_messages(name, n):
-    # a negative level and one past the explicit cap are refused with the
-    # same exception and message everywhere, whichever check raises them
+    # a level that is not an integer, a negative one and one past the
+    # explicit cap are refused with the same exception and message
+    # everywhere, whichever check raises them; a float level is refused
+    # after the integer level equal to it has filled the caches
+    if isinstance(n, float):
+        _LEVEL_CALLS[name](int(n))
     with pytest.raises(InvalidContext) as exc:
         _LEVEL_CALLS[name](n)
     negative = "n_max" if name == "good_basis_transform" else "level"
-    want = f"{negative} must be >= 0, got {n}" if n < 0 else f"p^n = 3^{n} {_BOUND}"
+    if isinstance(n, float):
+        want = f"level must be an integer, got {n}"
+    else:
+        want = f"{negative} must be >= 0, got {n}" if n < 0 else f"p^n = 3^{n} {_BOUND}"
     assert type(exc.value) is InvalidContext and str(exc.value) == want
 
 
@@ -511,7 +515,7 @@ def test_kernel_killer_matches_division(p):
         for _ in range(2):
             cd = rand_coleman_data(ctx, rng, kind)
             for m in range(4):
-                rank = matrix_rank_at_eps(ctx, m, parity_reference(cd, m))
+                rank = rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2)
                 block = _kernel_killer(ctx, cd, m)
                 assert (block is None) == (rank != 1), (kind, m)
                 if block is not None:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from iwarank import special_matrices, verify
-from iwarank.cyclo_eval import INFINITE, matrix_rank_at_eps, ord_eps
+from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import LambdaMatrix, PrimeContext, cyclotomic_phi
 from iwarank.special_matrices import (
@@ -69,7 +69,7 @@ class TestGenerators:
         # hold away from p = 3
         ctx = PrimeContext(p)
         cd = rand_coleman_data(ctx, random.Random(5), kind)
-        profile = {m: matrix_rank_at_eps(ctx, m, parity_reference(cd, m)) for m in range(4)}
+        profile = {m: rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) for m in range(4)}
         assert profile == {m: 2 for m in range(4)} | COLEMAN_KINDS[kind]
         moved = cd.transformed(good_basis_transform(ctx, cd, 2))
         for n in (1, 2):
