@@ -10,10 +10,10 @@ Exit codes: 0 success, 1 a verification failed (a closed form disagreed
 with the brute-force rank, a saturation check came back false, or a
 verify suite reported failures), 2 invalid input or precondition.
 
-The working precision defaults to 40 p-adic digits; the IWK_PRECISION
-environment variable overrides the default and the --precision flag
-overrides both.  Every JSON envelope records the context and seed so
-runs can be reproduced byte for byte.
+The working precision defaults to 40 p-adic digits and only the
+--precision flag changes it, so a run's output depends on its arguments
+and the files they name alone.  Every JSON envelope records the context
+and seed so runs can be reproduced byte for byte.
 
 Each subcommand is declared once, as one entry of COMMANDS; build_parser
 builds the argparse tree from that table once per process.  One rule
@@ -65,7 +65,7 @@ from .special_matrices import (
 )
 from .verify import SUITE_NAMES, run_suites
 
-# Largest total coefficient size, in bits, that one ``^`` may produce.
+# Largest total coefficient size, in bits, that one ``^`` or product may produce.
 MAX_POWER_BITS = 1 << 20
 
 
@@ -95,6 +95,20 @@ def _int_token(tok: str) -> int:
         return int(tok)
     except ValueError:  # past the interpreter's integer-string digit limit
         raise ExpressionError(f"integer literal of {len(tok)} digits is too long") from None
+
+
+def _growth_bits(f: LambdaElement) -> int:
+    """Bits by which a product with f can grow a coefficient: ceil(log2 of
+    sum |c|), since no coefficient of f*g exceeds sum |c| times g's largest."""
+    return max(sum(map(abs, f.coeffs)) - 1, 0).bit_length()
+
+
+def _bound_size(what: str, degree: int, bits_per_coefficient: int) -> None:
+    """Refuse a product or power before computing it when its degree or
+    its total coefficient size, in bits, is past the cap."""
+    bits = (degree + 1) * bits_per_coefficient
+    if degree > MAX_EXPLICIT_LENGTH or bits > MAX_POWER_BITS:
+        raise ExpressionError(f"{what} too large: degree {degree}, about {bits} coefficient bits")
 
 
 class _Parser:
@@ -133,11 +147,11 @@ class _Parser:
             nxt = self.peek()
             if nxt == "*":
                 self.take()
-                v = v * self.unary()
-            elif nxt is not None and (nxt.isdigit() or nxt == "X" or nxt == "("):
-                v = v * self.unary()
-            else:
+            elif nxt is None or not (nxt.isdigit() or nxt == "X" or nxt == "("):
                 return v
+            w = self.unary()
+            _bound_size("product", max(v.degree, 0) + max(w.degree, 0), _growth_bits(v) + _growth_bits(w))
+            v = v * w
 
     def unary(self) -> LambdaElement:
         if self.peek() == "-":
@@ -157,12 +171,7 @@ class _Parser:
         if not tok.isdigit():
             raise ExpressionError(f"exponent must be a nonnegative integer, got {tok!r}")
         e = _int_token(tok)
-        # bound the result before computing it: degree deg(base) * e, each
-        # coefficient below (sum |c|)^e, so at most e * log2(sum |c|) bits
-        degree = max(base.degree, 0) * e
-        bits = (degree + 1) * e * max(sum(map(abs, base.coeffs)) - 1, 0).bit_length()
-        if degree > MAX_EXPLICIT_LENGTH or bits > MAX_POWER_BITS:
-            raise ExpressionError(f"power ^{tok} too large: degree {degree}, about {bits} coefficient bits")
+        _bound_size(f"power ^{tok}", max(base.degree, 0) * e, e * _growth_bits(base))
         return base**e
 
     def atom(self) -> LambdaElement:
@@ -265,8 +274,8 @@ def _add_flags(parser, flags):
 
 _COMMON = (
     _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)"),
-    _flag("--precision", type=int, default=None,
-          help=f"p-adic working precision (default {DEFAULT_PRECISION}; IWK_PRECISION env overrides the default)"),
+    _flag("--precision", type=int, default=DEFAULT_PRECISION,
+          help=f"p-adic working precision (default {DEFAULT_PRECISION})"),
     _flag("--margin", type=int, default=8, help="accepted and echoed in the envelope; no computation reads it"),
     _flag("--seed", type=int, default=0, help="seed recorded in the output and used by verify"),
 )
@@ -408,19 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_context(args, parser) -> PrimeContext:
-    precision = args.precision
-    if precision is None:
-        raw = os.environ.get("IWK_PRECISION")
-        if raw:
-            try:
-                precision = int(raw)
-            except ValueError:
-                parser.error(f"IWK_PRECISION must be an integer, got {raw!r}")
-        else:
-            precision = DEFAULT_PRECISION
-    if precision < 8:
-        parser.error(f"precision must be at least 8, got {precision}")
-    return PrimeContext(args.prime, precision=precision, margin=args.margin)
+    if args.precision < 8:
+        parser.error(f"precision must be at least 8, got {args.precision}")
+    return PrimeContext(args.prime, precision=args.precision, margin=args.margin)
 
 
 def main(argv=None) -> int:

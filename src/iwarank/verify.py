@@ -166,11 +166,10 @@ def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
     return f, a * euler_phi_pk(p, n) + sum(euler_phi_pk(p, min(m, n)) for m in ms)
 
 
-def rand_unit_resultant_matrix(ctx: PrimeContext, rng, n: int) -> LambdaMatrix:
-    """Random 2x2 matrix whose determinant is a unit at eps_m for every
-    m <= n: exactly when p does not divide det B(0), since Phi_m(0) is p
-    (0 for m = 0), so the constant term of det B mod Phi_m is det B(0)
-    mod p.  The draw is then a unit at every eps_m, whatever n is."""
+def rand_unit_resultant_matrix(ctx: PrimeContext, rng) -> LambdaMatrix:
+    """Random 2x2 matrix whose determinant is a unit at every eps_m:
+    exactly when p does not divide det B(0), since Phi_m(0) is p (0 for
+    m = 0), so the constant term of det B mod Phi_m is det B(0) mod p."""
     while True:
         b = _rand_matrix(rng, 2, bound=3)
         if b.det.coeffs[0] % ctx.p:
@@ -402,7 +401,7 @@ def suite_rod(rng, scale, precision):
     for kind in ("saturation", "not-coprime"):
         for n in (1, 2):
             def trial(_):
-                b = rand_unit_resultant_matrix(ctx, rng, n)
+                b = rand_unit_resultant_matrix(ctx, rng)
                 if kind == "not-coprime":
                     phi, j = cyclotomic_phi(ctx, rng.randint(0, n)), rng.randrange(2)
                     b = LambdaMatrix(tuple(tuple(e * phi if i == j else e for i, e in enumerate(r)) for r in b.rows))

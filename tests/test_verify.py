@@ -48,7 +48,7 @@ class TestGenerators:
 
     def test_unit_resultant_matrix(self, ctx3, rng):
         for _ in range(5):
-            b = rand_unit_resultant_matrix(ctx3, rng, 2)
+            b = rand_unit_resultant_matrix(ctx3, rng)
             for m in range(0, 3):
                 assert ord_eps(ctx3, m, b.det) == 0
 
