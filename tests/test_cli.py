@@ -330,8 +330,8 @@ class TestPrecisionResolution:
         code, _, err = run(capsys, "phi", "-p", "3", "-m", "1", "--precision", "4")
         assert code == 2
 
-    def test_env_is_ignored(self, capsys, monkeypatch):
-        # the precision comes from argv alone
+    def test_env_override(self, capsys, monkeypatch):
+        # IWK_PRECISION overrides nothing: the precision comes from argv alone
         for value in ("12", "lots"):
             monkeypatch.setenv("IWK_PRECISION", value)
             assert run_json(capsys, "phi", "-p", "3", "-m", "1")["context"]["precision"] == 40
