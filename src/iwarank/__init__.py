@@ -46,7 +46,6 @@ from .kobayashi_rank import (
     nabla_cyclic,
     nabla_matrix_tower,
     nabla_torsion_tower,
-    nabla_tower,
 )
 from .lambda_ring import (
     ONE,

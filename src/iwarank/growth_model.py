@@ -11,6 +11,14 @@ every step, the order of the n-th Sha group satisfies
 
 for n past the base level, and the X-side step rank is the same
 expression without the r term.
+
+Read from Coleman data (Col^+, Col^-), lambda^- and mu^- are the
+invariants of det Col^-, and lambda^+ and mu^+ those of det Col^+ / X^2:
+X divides every entry of Col^+, so X^2 divides its determinant.  The
+sign governing step n is minus for odd n and plus for even n, and the
+X-side formula is the nabla of the level-n Coleman tower once the step
+is past stabilization, phi(p^n) = p^n - p^{n-1} > lambda of that sign
+(tests/test_growth_model.py compares the two).
 """
 
 from __future__ import annotations

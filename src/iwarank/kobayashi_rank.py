@@ -149,8 +149,9 @@ class NablaResult(Record):
 class CyclicTower:
     f: LambdaElement
 
-    def relation_columns(self) -> tuple[int, tuple]:
-        return 1, ((self.f,),)
+    @property
+    def columns(self) -> tuple:
+        return ((self.f,),)
 
 
 @dataclass(frozen=True)
@@ -163,25 +164,21 @@ class TorsionTower:
     def __post_init__(self):
         object.__setattr__(self, "columns", _generators(self.columns))
 
-    def relation_columns(self) -> tuple[int, tuple]:
-        return len(self.columns[0]), self.columns
-
 
 @dataclass(frozen=True)
 class MatrixTower:
     matrix: LambdaMatrix
 
-    def relation_columns(self) -> tuple[int, tuple]:
-        return 2, self.matrix.columns
+    @property
+    def columns(self) -> tuple:
+        return self.matrix.columns
 
 
 def direct_sum(left, right) -> TorsionTower:
     """Block-diagonal join of two relation systems."""
-    ka, cols_a = left.relation_columns()
-    kb, cols_b = right.relation_columns()
-    pad_a = (ZERO,) * kb
-    pad_b = (ZERO,) * ka
-    cols = tuple(col + pad_a for col in cols_a) + tuple(pad_b + col for col in cols_b)
+    pad_a = (ZERO,) * len(right.columns[0])
+    pad_b = (ZERO,) * len(left.columns[0])
+    cols = tuple(col + pad_a for col in left.columns) + tuple(pad_b + col for col in right.columns)
     return TorsionTower(columns=cols)
 
 
@@ -290,12 +287,14 @@ def nabla_cyclic(ctx: PrimeContext, f: LambdaElement, n: int) -> NablaResult:
     return _attach(result, ords[n])
 
 
-def nabla_torsion_tower(ctx: PrimeContext, tower: TorsionTower, n: int) -> NablaResult:
-    """nabla of a finitely presented torsion module; when the relation
-    matrix is square the closed form lambda + phi(p^n) mu of its
-    determinant is attached (valid once n is past stabilization)."""
+def nabla_torsion_tower(ctx: PrimeContext, tower, n: int) -> NablaResult:
+    """nabla of a finitely presented torsion module, given by the
+    ``columns`` of any tower kind; when the relation matrix is square the
+    closed form lambda + phi(p^n) mu of its determinant is attached
+    (valid once n is past stabilization)."""
     _require_step(n)
-    k, cols = tower.relation_columns()
+    cols = tower.columns
+    k = len(cols[0])
     minors = _minors(k, cols)
     if not any(minors):
         raise NotTorsion("relations do not have full rank over Frac(Lambda)")
@@ -336,20 +335,8 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     return _attach(result, 2 * signed_degree(ctx.p, n, "+" if n % 2 else "-") + o)
 
 
-def nabla_tower(ctx: PrimeContext, tower, n: int) -> NablaResult:
-    """Dispatch on tower kind, attaching whichever closed form applies."""
-    if isinstance(tower, CyclicTower):
-        return nabla_cyclic(ctx, tower.f, n)
-    if isinstance(tower, MatrixTower):
-        return nabla_matrix_tower(ctx, tower.matrix, n)
-    if isinstance(tower, TorsionTower):
-        return nabla_torsion_tower(ctx, tower, n)
-    raise InvalidContext(f"unknown tower kind {type(tower).__name__}")
-
-
 def additivity_check(ctx: PrimeContext, left, right, n: int) -> bool:
     """Whether nabla of the block-diagonal join equals the sum of the
-    two summand nablas at step n."""
-    res_l = nabla_tower(ctx, left, n)
-    res_r = nabla_tower(ctx, right, n)
-    return nabla_torsion_tower(ctx, direct_sum(left, right), n).nabla == res_l.nabla + res_r.nabla
+    two summand nablas at step n, each read as a torsion tower."""
+    summands = nabla_torsion_tower(ctx, left, n).nabla + nabla_torsion_tower(ctx, right, n).nabla
+    return nabla_torsion_tower(ctx, direct_sum(left, right), n).nabla == summands

@@ -57,7 +57,6 @@ from .kobayashi_rank import (
     nabla_cyclic,
     nabla_matrix_tower,
     nabla_torsion_tower,
-    nabla_tower,
 )
 from .lambda_ring import (
     DEFAULT_PRECISION,
@@ -330,7 +329,7 @@ def suite_additivity(rng, scale, precision):
         return [] if additivity_check(ctx, left, right, n) else [{"n": n}]
 
     finite = TorsionTower(columns=((LambdaElement.const(3),), (X,)))
-    zeros = [nabla_tower(ctx, finite, n).nabla for n in (1, 2)]
+    zeros = [nabla_torsion_tower(ctx, finite, n).nabla for n in (1, 2)]
     return [
         _sweep("direct-sums", _scaled(20, scale), trial),
         CheckOutcome(

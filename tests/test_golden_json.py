@@ -203,7 +203,7 @@ PUBLIC_NAMES = (
     "cyclotomic_phi", "degree_identities", "delta_e", "direct_sum", "euler_phi_pk", "factor_bd",
     "good_basis_transform", "is_special", "iwasawa_invariants", "lambda_column_span",
     "matrices_proportional_at_eps", "nabla_coleman_tower", "nabla_cyclic",
-    "nabla_matrix_tower", "nabla_torsion_tower", "nabla_tower", "nabla_x_formula", "omega_poly",
+    "nabla_matrix_tower", "nabla_torsion_tower", "nabla_x_formula", "omega_poly",
     "omega_tower", "ord_eps", "parity_congruence_check", "parity_reference", "rod_check",
     "run_suites", "s_sequence", "sha_growth", "signed_degree",
 )

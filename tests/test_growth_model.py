@@ -1,10 +1,13 @@
-"""Signed step sequences, growth deltas, cumulative tables, degree identities."""
+"""Signed step sequences, growth deltas, cumulative tables, degree identities,
+and the growth formula against the nablas of computed Coleman towers."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwarank.errors import InvalidContext
+from iwarank.errors import InvalidContext, PhiDivides
 from iwarank.growth_model import (
     InvariantSet,
     degree_identities,
@@ -13,7 +16,10 @@ from iwarank.growth_model import (
     s_sequence,
     sha_growth,
 )
-from iwarank.lambda_ring import PrimeContext
+from iwarank.kobayashi_rank import nabla_coleman_tower
+from iwarank.lambda_ring import X, PrimeContext, euler_phi_pk, iwasawa_invariants
+from iwarank.special_matrices import good_basis_transform
+from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
 
 ZEROS = InvariantSet(3, 0, 0, 0, 0, 0)
 
@@ -71,6 +77,35 @@ class TestNablaXFormula:
     @given(inv=invariant_sets, n=st.integers(min_value=1, max_value=6))
     def test_relation_to_delta(self, inv, n):
         assert nabla_x_formula(inv, n) - inv.r_inf == delta_e(inv, n)
+
+
+def test_formula_matches_coleman_towers():
+    # the invariants of a moved Coleman pair are those of det Col^- and of
+    # det Col^+ / X^2 (X divides every entry of Col^+); at every level past
+    # stabilization, phi(p^n) > lambda of the governing sign, the brute
+    # nabla of the tower is nabla_x_formula
+    compared = with_mu = 0
+    for p, n_max in ((3, 3), (5, 2)):
+        ctx = PrimeContext(p)
+        for kind in COLEMAN_KINDS:
+            for i in range(4):
+                cd = rand_coleman_data(ctx, random.Random(f"g2-{p}-{n_max}-{kind}-{i}"), kind)
+                moved = cd.transformed(good_basis_transform(ctx, cd, n_max))
+                minus = iwasawa_invariants(ctx, moved.col_minus.det)
+                plus = iwasawa_invariants(ctx, moved.col_plus.det.exact_div(X * X))
+                inv = InvariantSet(p, plus.lambda_, minus.lambda_, plus.mu, minus.mu, 0)
+                for n in range(1, n_max + 1):
+                    lam, mu = inv.signed(n)
+                    if euler_phi_pk(p, n) <= lam:
+                        continue
+                    try:
+                        nabla = nabla_coleman_tower(ctx, moved, n).nabla
+                    except PhiDivides:
+                        continue
+                    assert nabla == nabla_x_formula(inv, n), (p, kind, i, n)
+                    compared += 1
+                    with_mu += mu > 0
+    assert compared >= 60 and with_mu >= 10, (compared, with_mu)
 
 
 class TestShaGrowth:

@@ -3,10 +3,10 @@ message: every one is raised before any work on the refused input."""
 
 import pytest
 
-from iwarank.errors import InvalidContext, ZeroElement
+from iwarank.errors import InvalidContext, PhiDivides, ZeroElement
 from iwarank.growth_model import InvariantSet, degree_identities, nabla_x_formula, s_sequence, sha_growth
-from iwarank.kobayashi_rank import TorsionTower, nabla_tower
-from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, signed_degree, vp
+from iwarank.kobayashi_rank import CyclicTower, TorsionTower, additivity_check
+from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, cyclotomic_phi, signed_degree, vp
 from iwarank.zp_modules import SpanPresentation, lambda_column_span
 
 CTX = PrimeContext(3)
@@ -38,7 +38,11 @@ REFUSALS = [
        InvalidContext, f"{name} must be an integer, got 3.0")
       for i, name in enumerate(("p", "lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "r_inf"))),
     # kobayashi_rank
-    ("unknown-tower", lambda: nabla_tower(CTX, object(), 1), InvalidContext, "unknown tower kind object"),
+    # a summand is read as a torsion tower, which names no subject; the
+    # refusal comes from the level's ords, before any span is read
+    ("additivity-summand-phi-divides",
+     lambda: additivity_check(CTX, CyclicTower(cyclotomic_phi(CTX, 1)), CyclicTower(X), 1),
+     PhiDivides, "relations drop rank at eps_1; step kernel is infinite"),
     ("torsion-no-columns", lambda: TorsionTower(columns=()), InvalidContext, "need at least one generator"),
     ("torsion-ragged", lambda: TorsionTower(columns=((X, ONE), (X,))), InvalidContext,
      "generators of mixed rank"),

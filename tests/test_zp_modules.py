@@ -158,7 +158,7 @@ class TestSnfKernel:
                     break
             for m in (n, n - 1):
                 spans.append((p, lambda e, read=_weierstrass_spans(ctx, cols, d), m=m: read(m, e)))
-        summed = direct_sum(_rand_summand(ctx3, rng, 2), _rand_summand(ctx3, rng, 2)).relation_columns()[1]
+        summed = direct_sum(_rand_summand(ctx3, rng, 2), _rand_summand(ctx3, rng, 2)).columns
         spans.append((3, lambda e: lambda_column_span(ctx3, summed, 2)))
         shapes = set()
         for p, span in spans:
