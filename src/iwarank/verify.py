@@ -4,7 +4,11 @@ Each suite draws reproducible random instances (the RNG is seeded from
 the user seed and the suite name), runs the brute-force rank engine
 against the matching closed form or structural property, and reports
 per-sweep outcomes.  A nonzero failure count anywhere flips the suite
-verdict; precision instability raises instead of reporting.
+verdict; precision instability raises instead of reporting.  A draw is
+repeated until it passes its generator's test (nonzero det, a wanted
+rank profile); a generator with no accepted draw in 1000 tries raises
+PostconditionFailed, so a library fault ends the run instead of hanging
+it.
 
 A generated draw carries the answer its construction predicts, so no
 sweep compares the library with a second call of the library:
@@ -117,41 +121,47 @@ def _scaled(count: int, scale: float) -> int:
     return max(1, round(count * scale))
 
 
+_MAX_DRAWS = 1000
+
+
+def _draw(draw, accept, what: str):
+    """The first value of draw() that accept takes.  After _MAX_DRAWS
+    rejected draws, which no working library needs, raise
+    PostconditionFailed, so a fault that rejects every draw ends the run
+    instead of hanging it."""
+    for _ in range(_MAX_DRAWS):
+        if accept(value := draw()):
+            return value
+    raise PostconditionFailed(f"internal: no {what} accepted in {_MAX_DRAWS} draws")
+
+
 def _rand_poly(rng, max_deg: int, bound: int = 5, nonzero: bool = True) -> LambdaElement:
-    while True:
-        f = LambdaElement([rng.randint(-bound, bound) for _ in range(max_deg + 1)])
-        if f.is_zero and nonzero:
-            continue
-        return f
+    return _draw(lambda: LambdaElement([rng.randint(-bound, bound) for _ in range(max_deg + 1)]),
+                 lambda f: not (nonzero and f.is_zero), "nonzero polynomial")
 
 
 def _rand_unit_poly(rng, p: int, max_deg: int, bound: int = 5) -> LambdaElement:
     """Random polynomial with unit constant term."""
     f = _rand_poly(rng, max_deg, bound, nonzero=False)
-    c0 = rng.randint(1, bound)
-    while c0 % p == 0:
-        c0 = rng.randint(1, bound)
+    c0 = _draw(lambda: rng.randint(1, bound), lambda c: c % p, "unit constant term")
     return f - f.coeffs[0] + c0 if f.coeffs else LambdaElement([c0])
 
 
 def _rand_matrix(rng, max_deg: int, bound: int = 5) -> LambdaMatrix:
-    while True:
-        m = LambdaMatrix(
-            tuple(tuple(_rand_poly(rng, max_deg, bound, nonzero=False) for _ in range(2)) for _ in range(2))
-        )
-        if not m.det.is_zero:
-            return m
+    def draw():
+        a, b, c, d = (_rand_poly(rng, max_deg, bound, nonzero=False) for _ in range(4))
+        return LambdaMatrix(((a, b), (c, d)))
+
+    return _draw(draw, lambda m: not m.det.is_zero, "matrix with nonzero det")
 
 
 def rand_special_matrix(ctx: PrimeContext, rng, n: int, max_deg: int = 3) -> tuple:
     """A = B D with D diagonal squarefree Phi-products over m <= n-1 and
     det B free of every Phi_m (m <= n); returns (A, per-column levels)."""
-    while True:
-        b = _rand_matrix(rng, max_deg, bound=4)
-        if any(_residue(ctx, m, b.det).is_zero for m in range(n + 1)):
-            continue
-        levels = tuple(tuple(m for m in range(n) if rng.random() < 0.45) for _ in (0, 1))
-        return b @ LambdaMatrix.diagonal(*(_phi_product(ctx.p, js) for js in levels)), levels
+    b = _draw(lambda: _rand_matrix(rng, max_deg, bound=4),
+              lambda b: all(_residue(ctx, m, b.det) for m in range(n + 1)), f"det B free of Phi_0 .. Phi_{n}")
+    levels = tuple(tuple(m for m in range(n) if rng.random() < 0.45) for _ in (0, 1))
+    return b @ LambdaMatrix.diagonal(*(_phi_product(ctx.p, js) for js in levels)), levels
 
 
 def rand_cyclic_poly(ctx: PrimeContext, rng, n: int) -> tuple:
@@ -169,10 +179,7 @@ def rand_unit_resultant_matrix(ctx: PrimeContext, rng) -> LambdaMatrix:
     """Random 2x2 matrix whose determinant is a unit at every eps_m:
     exactly when p does not divide det B(0), since Phi_m(0) is p (0 for
     m = 0), so the constant term of det B mod Phi_m is det B(0) mod p."""
-    while True:
-        b = _rand_matrix(rng, 2, bound=3)
-        if b.det.coeffs[0] % ctx.p:
-            return b
+    return _draw(lambda: _rand_matrix(rng, 2, bound=3), lambda b: b.det.coeffs[0] % ctx.p, "unit-resultant matrix")
 
 
 def _rand_unimodular(rng) -> LambdaMatrix:
@@ -204,12 +211,16 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
       minus_rank1_m0 col_minus drops to rank one at eps_0
       plus_rank1     col_plus drops to rank one at eps_2 (det = unit * X^2 Phi_2)
       minus_rank0    col_minus vanishes at eps_1 (a full Phi_1 factor)
+
+    Pairs are drawn until one has a nonzero det on both sides and the
+    wanted profile; none in 1000 draws raises PostconditionFailed.
     """
     if kind not in COLEMAN_KINDS:
         raise ValueError(f"unknown Coleman kind {kind!r}")
     p = ctx.p
     wanted = {m: 2 for m in range(4)} | COLEMAN_KINDS[kind]
-    while True:
+
+    def draw():
         col_plus = _rand_matrix(rng, 3, bound=4).scaled(X)
         col_minus = _rand_matrix(rng, 4, bound=4)
         if kind in _MINUS_COLUMN:
@@ -223,12 +234,13 @@ def rand_coleman_data(ctx: PrimeContext, rng, kind: str = "generic") -> ColemanD
             col_plus = (_rand_unimodular(rng) @ core @ _rand_unimodular(rng)).scaled(X)
         elif kind == "minus_rank0":
             col_minus = _rand_matrix(rng, 2, bound=3).scaled(cyclotomic_phi(ctx, 1))
-        if col_plus.det.is_zero or col_minus.det.is_zero:
-            continue
-        cd = ColemanData(col_plus, col_minus)
-        profile = {m: rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) for m in range(4)}
-        if profile == wanted:
-            return cd
+        return ColemanData(col_plus, col_minus)
+
+    def accept(cd):
+        nonzero = not (cd.col_plus.det.is_zero or cd.col_minus.det.is_zero)
+        return nonzero and {m: rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) for m in range(4)} == wanted
+
+    return _draw(draw, accept, f"{kind} Coleman pair")
 
 
 _SUITES = {}
@@ -313,10 +325,8 @@ def _rand_summand(ctx: PrimeContext, rng, n: int):
     if kind == 1:
         a, _ = rand_special_matrix(ctx, rng, n, max_deg=2)
         return MatrixTower(matrix=a)
-    while True:
-        m = _rand_matrix(rng, 2, bound=3)
-        if not _residue(ctx, n, m.det).is_zero:
-            return TorsionTower(columns=m.columns)
+    m = _draw(lambda: _rand_matrix(rng, 2, bound=3), lambda m: _residue(ctx, n, m.det), f"det free of Phi_{n}")
+    return TorsionTower(columns=m.columns)
 
 
 @_suite("additivity")

@@ -1,5 +1,5 @@
 """Signed step sequences, growth deltas, cumulative tables, degree identities,
-and the growth formula against the nablas of computed Coleman towers."""
+and the growth formula and the rank bound against computed Coleman towers."""
 
 import random
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwarank.cyclo_eval import rank_at_eps
 from iwarank.errors import InvalidContext, PhiDivides
 from iwarank.growth_model import (
     InvariantSet,
@@ -18,7 +19,7 @@ from iwarank.growth_model import (
 )
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import X, PrimeContext, euler_phi_pk, iwasawa_invariants
-from iwarank.special_matrices import good_basis_transform
+from iwarank.special_matrices import good_basis_transform, parity_reference
 from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
 
 ZEROS = InvariantSet(3, 0, 0, 0, 0, 0)
@@ -106,6 +107,33 @@ def test_formula_matches_coleman_towers():
                     compared += 1
                     with_mu += mu > 0
     assert compared >= 60 and with_mu >= 10, (compared, with_mu)
+
+
+def test_lower_rank_bounded_by_lambda():
+    # the paper's bounded ranks: the rank part of a Coleman step is
+    # sum_{m<n} phi(p^m) (2 - r_m), r_m the rank of the parity reference at
+    # eps_m, and a drop of 2 - r_m at eps_m is paid for by Phi_m^{2 - r_m}
+    # dividing det Col^- or, as Phi_m is prime to X for m >= 1, det Col^+ / X^2;
+    # so it is at most lambda(det Col^-) + lambda(det Col^+ / X^2) at every n
+    compared = reached = 0
+    for p, n_max in ((3, 3), (5, 2)):
+        ctx = PrimeContext(p)
+        for kind in COLEMAN_KINDS:
+            for i in range(4):
+                cd = rand_coleman_data(ctx, random.Random(f"g2-{p}-{n_max}-{kind}-{i}"), kind)
+                bound = (iwasawa_invariants(ctx, cd.col_minus.det).lambda_
+                         + iwasawa_invariants(ctx, cd.col_plus.det.exact_div(X * X)).lambda_)
+                for n in range(1, n_max + 1):
+                    try:
+                        lower_rank = nabla_coleman_tower(ctx, cd, n).lower_rank
+                    except PhiDivides:
+                        continue
+                    ranks = [rank_at_eps(ctx, m, parity_reference(cd, m).columns, 2) for m in range(n)]
+                    assert lower_rank == sum(euler_phi_pk(p, m) * (2 - r) for m, r in enumerate(ranks)), (p, kind, i, n)
+                    assert lower_rank <= bound, (p, kind, i, n)
+                    compared += 1
+                    reached += 0 < lower_rank == bound
+    assert compared >= 60 and reached >= 20, (compared, reached)
 
 
 class TestShaGrowth:

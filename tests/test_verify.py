@@ -1,11 +1,13 @@
 """Randomized-sweep plumbing: generators, reports, determinism."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 from iwarank import special_matrices, verify
 from iwarank.cyclo_eval import INFINITE, ord_eps, rank_at_eps
+from iwarank.errors import PostconditionFailed
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import LambdaMatrix, PrimeContext, cyclotomic_phi
 from iwarank.special_matrices import (
@@ -80,6 +82,23 @@ class TestGenerators:
     def test_unknown_coleman_kind_raises(self, ctx3):
         with pytest.raises(ValueError):
             rand_coleman_data(ctx3, random.Random(0), "bogus")
+
+
+class TestBoundedDraws:
+    def test_first_accepted_draw_is_returned(self):
+        draws = iter(range(10))
+        assert verify._draw(lambda: next(draws), lambda v: v == 3, "three") == 3
+        assert next(draws) == 4  # no draw past the accepted one
+
+    def test_draw_never_accepted_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "_MAX_DRAWS", 5)
+        calls = []
+        with pytest.raises(PostconditionFailed, match="^internal: no widget accepted in 5 draws$"):
+            verify._draw(lambda: calls.append(None), lambda _: False, "widget")
+        assert len(calls) == 5
+
+    def test_every_rejection_loop_is_bounded(self):
+        assert "while True" not in Path(verify.__file__).read_text()
 
 
 class TestReports:
