@@ -12,8 +12,9 @@ verify suite reported failures), 2 invalid input or precondition.
 
 The working precision defaults to 40 p-adic digits and only the
 --precision flag changes it, so a run's output depends on its arguments
-and the files they name alone.  Every JSON envelope records the context
-and seed so runs can be reproduced byte for byte.
+and the files they name alone.  Every JSON envelope records the command
+and its context, and verify's report records its seed, so runs can be
+reproduced byte for byte.
 
 Each subcommand is declared once, as one entry of COMMANDS; build_parser
 builds the argparse tree from that table once per process.  One rule
@@ -272,30 +273,28 @@ def _add_flags(parser, flags):
     return parser
 
 
+# the flags of every command
 _COMMON = (
-    _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)"),
     _flag("--precision", type=int, default=DEFAULT_PRECISION,
           help=f"p-adic working precision (default {DEFAULT_PRECISION})"),
-    _flag("--margin", type=int, default=8, help="accepted and echoed in the envelope; no computation reads it"),
-    _flag("--seed", type=int, default=0, help="seed recorded in the output and used by verify"),
+    _flag("--margin", type=int, default=8, help="validated and echoed in the envelope; no computation reads it, "
+          "and it is kept only because the benchmark passes it, until ROADMAP item 2"),
 )
+_P = _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)")
 _N = _flag("-n", type=int, required=True)
 _M = _flag("-m", type=int, required=True)
 _POLY = _flag("--poly", required=True)
 _MATRIX = _flag("--matrix", required=True)
 _PAIR = (_flag("--col-plus", required=True), _flag("--col-minus", required=True))
-_INVARIANTS = tuple(
-    _flag(f"--{name}", type=int, default=0)
-    for name in ("lambda-plus", "lambda-minus", "mu-plus", "mu-minus", "r-inf")
-)
+_SIGNED = tuple(_flag(f"--{s}", type=int, default=0) for s in ("lambda-plus", "lambda-minus", "mu-plus", "mu-minus"))
 
 
 def _pair(a) -> ColemanData:
     return ColemanData(parse_matrix_arg(a.col_plus), parse_matrix_arg(a.col_minus))
 
 
-def _invariants(a) -> InvariantSet:
-    return InvariantSet(a.prime, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, a.r_inf)
+def _invariants(a, r_inf: int = 0) -> InvariantSet:
+    return InvariantSet(a.prime, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, r_inf)
 
 
 def _printable_level(n: int, log10_answer: float) -> int:
@@ -337,7 +336,7 @@ def _specialize(ctx, a):
 
 
 def _growth(ctx, a):
-    inv, n_to = _invariants(a), _growth_level(a.prime, a.n_to)
+    inv, n_to = _invariants(a, a.r_inf), _growth_level(a.prime, a.n_to)
     table = sha_growth(inv, range(a.base_n + 1, n_to + 1), (a.base_n, a.base_e))
     return table.to_csv() if a.format == "csv" else table
 
@@ -353,73 +352,75 @@ def _verify(ctx, a):
 # with "-".  The result is a record, a dict of JSON-ready values and
 # records, or a string printed raw.
 COMMANDS = (
-    ("phi", "cyclotomic factor at level m", (_M,),
+    ("phi", "cyclotomic factor at level m", (_P, _M),
      lambda ctx, a: {"m": a.m,
                      "phi": cyclotomic_phi(ctx, _binomial_level(a.prime, a.m, a.prime - 1, -1))}),
-    ("omega", "omega_n and its signed/reduced products", (_N,),
+    ("omega", "omega_n and its signed/reduced products", (_P, _N),
      lambda ctx, a: omega_tower(ctx, _binomial_level(a.prime, a.n))),
-    ("invariants", "mu and lambda of a polynomial", (_POLY,),
+    ("invariants", "mu and lambda of a polynomial", (_P, _POLY),
      lambda ctx, a: iwasawa_invariants(ctx, parse_poly_arg(a.poly))),
-    ("ord-eps", "valuation of f at eps_m", (_M, _POLY),
+    ("ord-eps", "valuation of f at eps_m", (_P, _M, _POLY),
      lambda ctx, a: {"m": a.m, "ord": ord_json(ord_eps(ctx, a.m, parse_poly_arg(a.poly)))}),
     ("nabla", "brute-force step ranks with closed forms", (), None),
-    ("nabla cyclic", "Lambda/(f)", (_POLY, _N),
+    ("nabla cyclic", "Lambda/(f)", (_P, _POLY, _N),
      lambda ctx, a: nabla_cyclic(ctx, parse_poly_arg(a.poly), a.n)),
-    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_MATRIX, _N),
+    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_P, _MATRIX, _N),
      lambda ctx, a: nabla_torsion_tower(ctx, TorsionTower(columns=parse_matrix_arg(a.matrix).columns), a.n)),
-    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_MATRIX, _N),
+    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_P, _MATRIX, _N),
      lambda ctx, a: nabla_matrix_tower(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("nabla coleman", "level-n module of a Coleman pair", (*_PAIR, _N),
+    ("nabla coleman", "level-n module of a Coleman pair", (_P, *_PAIR, _N),
      lambda ctx, a: nabla_coleman_tower(ctx, _pair(a), a.n)),
-    ("special-check", "column-divisibility report", (_MATRIX, _N),
+    ("special-check", "column-divisibility report", (_P, _MATRIX, _N),
      lambda ctx, a: is_special(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("factor-bd", "A = B D factorization of a special matrix", (_MATRIX, _N),
+    ("factor-bd", "A = B D factorization of a special matrix", (_P, _MATRIX, _N),
      lambda ctx, a: factor_bd(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("assemble-fn", "level-n coupling matrix of a Coleman pair", (*_PAIR, _N),
+    ("assemble-fn", "level-n coupling matrix of a Coleman pair", (_P, *_PAIR, _N),
      lambda ctx, a: {"n": a.n, "fn": assemble_fn(ctx, _pair(a), a.n)}),
     ("specialize", "good-basis transform making every F_n special",
-     (*_PAIR, _flag("--n-max", type=int, required=True)), _specialize),
+     (_P, *_PAIR, _flag("--n-max", type=int, required=True)), _specialize),
     ("rod-check", "span saturation against omega_n at a higher level",
-     (_MATRIX, _N, _flag("--test-level", type=int, required=True)),
+     (_P, _MATRIX, _N, _flag("--test-level", type=int, required=True)),
      lambda ctx, a: {"n": a.n, "test_level": a.test_level,
                      "ok": rod_check(ctx, parse_matrix_arg(a.matrix), a.n, a.test_level)}),
     ("growth", "cumulative Sha growth table",
-     (*_INVARIANTS,
+     (_P, *_SIGNED, _flag("--r-inf", type=int, default=0),
       _flag("--base-n", type=int, required=True, help="known level n_0"),
       _flag("--base-e", type=int, required=True, help="known value e_{n_0}"),
       _flag("--n-to", type=int, required=True),
       _flag("--format", choices=("json", "csv"), default="json")),
      _growth),
-    ("nabla-x", "X-side step rank from signed invariants", (*_INVARIANTS, _N),
+    ("nabla-x", "X-side step rank from signed invariants", (_P, *_SIGNED, _N),
      lambda ctx, a: {"n": a.n,
                      "nabla_x": nabla_x_formula(_invariants(a), _growth_level(a.prime, a.n))}),
     ("verify", "seeded randomized verification sweeps",
      (_flag("--suite", choices=("all",) + SUITE_NAMES, default="all"),
-      _flag("--scale", type=float, default=1.0, help="multiply every sweep count")),
+      _flag("--scale", type=float, default=1.0, help="multiply every sweep count"),
+      _flag("--seed", type=int, default=0, help="seed of every sweep's draws")),
      _verify),
 )
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = _add_flags(argparse.ArgumentParser(add_help=False), _COMMON)
     # the help shows the docstring up to its notes on this module's layout
     parser = argparse.ArgumentParser(prog="iwarank", description=__doc__.partition("\n\nEach subcommand")[0])
     groups = {"": parser.add_subparsers(dest="command", required=True)}
     for path, help_text, flags, call in COMMANDS:
         group, _, name = path.rpartition(" ")
-        sp = groups[group].add_parser(name, parents=[common] if call else [], help=help_text)
+        sp = groups[group].add_parser(name, help=help_text)
         if call is None:
             groups[path] = sp.add_subparsers(dest="tower", required=True)
         else:
-            _add_flags(sp, flags).set_defaults(command=path.replace(" ", "-"), call=call)
+            _add_flags(sp, (*flags, *_COMMON)).set_defaults(command=path.replace(" ", "-"), call=call)
     return parser
 
 
 def _resolve_context(args, parser) -> PrimeContext:
     if args.precision < 8:
         parser.error(f"precision must be at least 8, got {args.precision}")
-    return PrimeContext(args.prime, precision=args.precision, margin=args.margin)
+    # verify takes no -p, as each suite sets its own p: there p = 3 only
+    # validates the precision and margin
+    return PrimeContext(getattr(args, "prime", 3), precision=args.precision, margin=args.margin)
 
 
 def main(argv=None) -> int:
@@ -432,8 +433,10 @@ def main(argv=None) -> int:
             sys.stdout.write(result)
             return 0
         result = json_form(result)
-        context = {"p": ctx.p, "precision": ctx.precision, "margin": ctx.margin}
-        envelope = {"command": args.command, "context": context, "seed": args.seed, "result": result}
+        context = {"precision": ctx.precision, "margin": ctx.margin}
+        if "prime" in args:
+            context["p"] = ctx.p
+        envelope = {"command": args.command, "context": context, "result": result}
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     except BrokenPipeError:
         raise  # not bad input: entrypoint ends the process quietly

@@ -515,9 +515,9 @@ def run_suites(
 ) -> list[SuiteReport]:
     """Run the named suites (a str is one name; "all" runs every suite)
     with a shared seed; unknown names raise KeyError, a scale that is not
-    finite or that overflows a sweep count InvalidContext."""
-    if not math.isfinite(scale):
-        raise InvalidContext(f"scale must be finite, got {scale}")
+    finite and positive, or that overflows a sweep count, InvalidContext."""
+    if not 0 < scale < math.inf:
+        raise InvalidContext(f"scale must be finite and positive, got {scale}")
     names = [names] if isinstance(names, str) else names
     if names == ["all"]:
         names = SUITE_NAMES

@@ -57,8 +57,29 @@ class TestEnvelope:
         assert out1 == out2
 
     def test_seed_recorded(self, capsys):
-        doc = run_json(capsys, "phi", "-p", "3", "-m", "1", "--seed", "7")
-        assert doc["seed"] == 7
+        # the seed is verify's alone, and its report records it per suite
+        doc = run_json(capsys, "verify", "--suite", "growth", "--seed", "7")
+        assert set(doc) == {"command", "context", "result"}
+        assert doc["context"] == {"margin": 8, "precision": 40}
+        assert [r["seed"] for r in doc["result"]["reports"]] == [7]
+
+    @pytest.mark.parametrize("argv", [
+        ["phi", "-p", "3", "-m", "1", "--seed", "5"],
+        ["nabla-x", "-n", "1", "--lambda-minus", "1", "--r-inf", "7"],
+        ["verify", "--suite", "degrees", "-p", "5"],
+    ], ids=["phi-seed", "nabla-x-r-inf", "verify-p"])
+    def test_flag_that_feeds_nothing_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
+    def test_growth_reads_r_inf(self, capsys):
+        def deltas(r_inf):
+            doc = run_json(capsys, "growth", "-p", "3", "--lambda-minus", "1", "--mu-plus", "1",
+                           "--r-inf", r_inf, "--base-n", "0", "--base-e", "9", "--n-to", "4")
+            return [row["delta_e"] for row in doc["result"]["rows"]]
+
+        assert [d - 2 for d in deltas("0")] == deltas("2")
 
 
 class TestFrozenCommands:
@@ -388,7 +409,7 @@ class TestParserSurface:
             assert exc.value.code == 0
             texts.append(out.getvalue())
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-            "81db02de1f66e5a5bc9a2d87686cf9ed4a806dc90888cedf30e9a89241010a48"
+            "639ade060d7800514af457c4d8f4836d5fbe4f3453a527a069b09f83f30cd9ad"
         )
 
     def test_flag_attributes_digest(self):
@@ -406,7 +427,7 @@ class TestParserSurface:
 
         rows = "".join(walk(cli.build_parser(), "iwarank"))
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "5446f09b41fb0b6e9deac894d92d68448c8edb2254d72702d23580a4528e14ee"
+            "f1db3986f3b58bf98318504dee1f7cf292f3e91d2f7de4e2f05a1d82912e0394"
         )
 
     def test_parser_built_once(self, capsys):
@@ -542,7 +563,7 @@ class TestNumericFlags:
     @pytest.mark.parametrize("scale", ["nan", "inf", "1e308", "-1", "0", "0.2"])
     def test_verify_scale(self, capsys, scale):
         code, _, err = run(capsys, "verify", "--suite", "growth", "--scale", scale)
-        refused = scale in ("nan", "inf", "1e308")
+        refused = scale in ("nan", "inf", "1e308", "-1", "0")
         assert code == (2 if refused else 0), err
         if refused:
             assert err.startswith("error:") and err.count("\n") == 1, err
@@ -550,7 +571,7 @@ class TestNumericFlags:
     @pytest.mark.parametrize("cmd", REFUSED_UP_FRONT)
     def test_refused_before_the_work(self, capsys, cmd):
         start = time.perf_counter()
-        code, out, err = run(capsys, *cmd.split(), "-p", "3")
+        code, out, err = run(capsys, *cmd.split())
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
@@ -597,16 +618,17 @@ class TestCoefficientDigits:
         assert code == 2 and err.startswith("error: InvalidContext: ")
         assert "print" not in err
 
-    # SHA-256 of the bytes printed before the bound was added
+    # SHA-256 of the bytes printed before the bound was added, less the
+    # envelope's former "seed" key
     PRINTABLE = [
-        (["omega", "-p", "5", "-n", "3"], "e9edd7a1f2a3707527c364591eddb0bd59d084c41474633a65db9cf2c65833e4"),
-        (["phi", "-p", "7", "-m", "3"], "492bf5da0ac376cd169ec68fcf946a2880d96a75dcb3bc6f01fb18ab240ef00b"),
-        (["omega", "-p", "3", "-n", "6"], "64a3c3617213fdea917dc32f2ca85c2061a65199ff9935b801f8dbd3af0f945f"),
-        (["phi", "-p", "3", "-m", "7"], "8413f49b21888423947a354c780820db4a28594d274820f8f0ce993ae2bff9f8"),
+        (["omega", "-p", "5", "-n", "3"], "67a35e089e27a85f97016750cee5ab4ade0a352d0d9e886be0d14cefcfc1568f"),
+        (["phi", "-p", "7", "-m", "3"], "838ba9e0ca498ef48bb10ce47806b3b7c35e3b1729bd9d5462adf5415e198c7c"),
+        (["omega", "-p", "3", "-n", "6"], "6cf8cf83c7ec74abc7dfa522ea196a8174638dfe14a23052477da4fc02532490"),
+        (["phi", "-p", "3", "-m", "7"], "49162270883c2a8ded8fac6d5f8d2fa24c75759095b132166e011b1e9d8cd01d"),
         # the largest printable levels at p = 3, as printed while Phi_m was
         # one math.comb per coefficient and the signed products were multiplied
-        (["phi", "-p", "3", "-m", "9"], "ac6fb918d1058987a44a980ab3f15d459c42238c14ea226482312799a35ea7e9"),
-        (["omega", "-p", "3", "-n", "8"], "a008f5a6a834aaf3dd9f9283bd5b8ff90b95b2bb8704c6ff6172131f919d13d8"),
+        (["phi", "-p", "3", "-m", "9"], "1ff89d4d609aaf6468e03085eecb8602d7a1d4ae48eccddef98022a33d3e996e"),
+        (["omega", "-p", "3", "-n", "8"], "90b2076cad45b2207789dd2cc9a555e40ba9230b4dc4d5517019ba316fa4967d"),
     ]
 
     @pytest.mark.parametrize("argv,digest", PRINTABLE, ids=[" ".join(a) for a, _ in PRINTABLE])

@@ -70,7 +70,7 @@ def test_record_json(name):
     assert json.dumps(RECORDS[name]().to_json_dict(), sort_keys=True) == RECORD_JSON[name]
 
 
-ENV = '{"command":"%s","context":{"margin":8,"p":%d,"precision":40},"result":%s,"seed":0}\n'
+ENV = '{"command":"%s","context":{"margin":8,"p":%d,"precision":40},"result":%s}\n'
 
 CLI_GOLDEN = [
     (["phi", "-p", "3", "-m", "1"],
@@ -151,7 +151,7 @@ def test_verify_report_digest():
     code, out = _stdout(["verify", "--suite", "all", "--scale", "0.2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e95785e1b205b6ed795e2bd559b7f08bd3d6a9274d03c496d0ef5bed3055f452"
+        "3ca933deb7f5e89c55e059e39b5863db432087bfdff3090eeedf50a04aa3c7a1"
     )
 
 
