@@ -10,11 +10,17 @@ Exit codes: 0 success, 1 a verification failed (a closed form disagreed
 with the brute-force rank, a saturation check came back false, or a
 verify suite reported failures), 2 invalid input or precondition.
 
-The working precision defaults to 40 p-adic digits and only the
+The working precision N defaults to 40 p-adic digits and only the
 --precision flag changes it, so a run's output depends on its arguments
-and the files they name alone.  Every JSON envelope records the command
-and its context, and verify's report records its seed, so runs can be
-reproduced byte for byte.
+and the files they name alone.  N is read where a length is certified
+from a Smith normal form, so the four nabla towers and verify take
+--precision.  phi, omega, ord-eps, special-check, factor-bd and growth
+take --precision and --margin, which none of them reads, because the
+benchmark passes both.  Every JSON envelope records the command and, as
+its context, the values of the -p, --precision and --margin flags that
+the command takes; verify's report records its seed, so runs can be
+reproduced byte for byte.  A flag that a command does not take exits 2
+with that command's usage.
 
 Each subcommand is declared once, as one entry of COMMANDS; build_parser
 builds the argparse tree from that table once per process.  One rule
@@ -273,13 +279,15 @@ def _add_flags(parser, flags):
     return parser
 
 
-# the flags of every command
-_COMMON = (
-    _flag("--precision", type=int, default=DEFAULT_PRECISION,
-          help=f"p-adic working precision (default {DEFAULT_PRECISION})"),
-    _flag("--margin", type=int, default=8, help="validated and echoed in the envelope; no computation reads it, "
-          "and it is kept only because the benchmark passes it, until ROADMAP item 2"),
-)
+# the working precision N, which the nabla towers and verify read
+_PRECISION = _flag("--precision", type=int, default=DEFAULT_PRECISION,
+                   help=f"p-adic working precision (default {DEFAULT_PRECISION})")
+_MARGIN = _flag("--margin", type=int, default=8, help="validated and echoed in the envelope; no computation reads it, "
+                "and it is kept only because the benchmark passes it, until ROADMAP item 2")
+# phi, omega, ord-eps, special-check, factor-bd and growth take both, though
+# none of their computations reads either: perfbench's cli_ops passes them,
+# and they stay there only for the benchmark, until ROADMAP item 2
+_BENCH = (_PRECISION, _MARGIN)
 _P = _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)")
 _N = _flag("-n", type=int, required=True)
 _M = _flag("-m", type=int, required=True)
@@ -352,27 +360,27 @@ def _verify(ctx, a):
 # with "-".  The result is a record, a dict of JSON-ready values and
 # records, or a string printed raw.
 COMMANDS = (
-    ("phi", "cyclotomic factor at level m", (_P, _M),
+    ("phi", "cyclotomic factor at level m", (_P, _M, *_BENCH),
      lambda ctx, a: {"m": a.m,
                      "phi": cyclotomic_phi(ctx, _binomial_level(a.prime, a.m, a.prime - 1, -1))}),
-    ("omega", "omega_n and its signed/reduced products", (_P, _N),
+    ("omega", "omega_n and its signed/reduced products", (_P, _N, *_BENCH),
      lambda ctx, a: omega_tower(ctx, _binomial_level(a.prime, a.n))),
     ("invariants", "mu and lambda of a polynomial", (_P, _POLY),
      lambda ctx, a: iwasawa_invariants(ctx, parse_poly_arg(a.poly))),
-    ("ord-eps", "valuation of f at eps_m", (_P, _M, _POLY),
+    ("ord-eps", "valuation of f at eps_m", (_P, _M, _POLY, *_BENCH),
      lambda ctx, a: {"m": a.m, "ord": ord_json(ord_eps(ctx, a.m, parse_poly_arg(a.poly)))}),
     ("nabla", "brute-force step ranks with closed forms", (), None),
-    ("nabla cyclic", "Lambda/(f)", (_P, _POLY, _N),
+    ("nabla cyclic", "Lambda/(f)", (_P, _POLY, _N, _PRECISION),
      lambda ctx, a: nabla_cyclic(ctx, parse_poly_arg(a.poly), a.n)),
-    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_P, _MATRIX, _N),
+    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_P, _MATRIX, _N, _PRECISION),
      lambda ctx, a: nabla_torsion_tower(ctx, TorsionTower(columns=parse_matrix_arg(a.matrix).columns), a.n)),
-    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_P, _MATRIX, _N),
+    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_P, _MATRIX, _N, _PRECISION),
      lambda ctx, a: nabla_matrix_tower(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("nabla coleman", "level-n module of a Coleman pair", (_P, *_PAIR, _N),
+    ("nabla coleman", "level-n module of a Coleman pair", (_P, *_PAIR, _N, _PRECISION),
      lambda ctx, a: nabla_coleman_tower(ctx, _pair(a), a.n)),
-    ("special-check", "column-divisibility report", (_P, _MATRIX, _N),
+    ("special-check", "column-divisibility report", (_P, _MATRIX, _N, *_BENCH),
      lambda ctx, a: is_special(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("factor-bd", "A = B D factorization of a special matrix", (_P, _MATRIX, _N),
+    ("factor-bd", "A = B D factorization of a special matrix", (_P, _MATRIX, _N, *_BENCH),
      lambda ctx, a: factor_bd(ctx, parse_matrix_arg(a.matrix), a.n)),
     ("assemble-fn", "level-n coupling matrix of a Coleman pair", (_P, *_PAIR, _N),
      lambda ctx, a: {"n": a.n, "fn": assemble_fn(ctx, _pair(a), a.n)}),
@@ -387,7 +395,7 @@ COMMANDS = (
       _flag("--base-n", type=int, required=True, help="known level n_0"),
       _flag("--base-e", type=int, required=True, help="known value e_{n_0}"),
       _flag("--n-to", type=int, required=True),
-      _flag("--format", choices=("json", "csv"), default="json")),
+      _flag("--format", choices=("json", "csv"), default="json"), *_BENCH),
      _growth),
     ("nabla-x", "X-side step rank from signed invariants", (_P, *_SIGNED, _N),
      lambda ctx, a: {"n": a.n,
@@ -395,7 +403,7 @@ COMMANDS = (
     ("verify", "seeded randomized verification sweeps",
      (_flag("--suite", choices=("all",) + SUITE_NAMES, default="all"),
       _flag("--scale", type=float, default=1.0, help="multiply every sweep count"),
-      _flag("--seed", type=int, default=0, help="seed of every sweep's draws")),
+      _flag("--seed", type=int, default=0, help="seed of every sweep's draws"), _PRECISION),
      _verify),
 )
 
@@ -411,31 +419,37 @@ def build_parser() -> argparse.ArgumentParser:
         if call is None:
             groups[path] = sp.add_subparsers(dest="tower", required=True)
         else:
-            _add_flags(sp, (*flags, *_COMMON)).set_defaults(command=path.replace(" ", "-"), call=call)
+            # the leaf parser reports what argparse leaves over, with its own usage
+            _add_flags(sp, flags).set_defaults(command=path.replace(" ", "-"), call=call, parser=sp)
     return parser
 
 
-def _resolve_context(args, parser) -> PrimeContext:
-    if args.precision < 8:
-        parser.error(f"precision must be at least 8, got {args.precision}")
+# each PrimeContext field and the flag that sets it
+_CONTEXT_FLAGS = (("p", "prime"), ("precision", "precision"), ("margin", "margin"))
+
+
+def _resolve_context(args) -> tuple[dict, PrimeContext]:
+    """The envelope's context, the PrimeContext fields that the command
+    takes flags for, and the PrimeContext they build."""
+    context = {key: getattr(args, dest) for key, dest in _CONTEXT_FLAGS if dest in args}
+    if context.get("precision", DEFAULT_PRECISION) < 8:
+        args.parser.error(f"precision must be at least 8, got {context['precision']}")
     # verify takes no -p, as each suite sets its own p: there p = 3 only
-    # validates the precision and margin
-    return PrimeContext(getattr(args, "prime", 3), precision=args.precision, margin=args.margin)
+    # validates the precision
+    return context, PrimeContext(**{"p": 3, **context})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
-        ctx = _resolve_context(args, parser)
+        context, ctx = _resolve_context(args)
         result = args.call(ctx, args)
         if isinstance(result, str):
             sys.stdout.write(result)
             return 0
         result = json_form(result)
-        context = {"precision": ctx.precision, "margin": ctx.margin}
-        if "prime" in args:
-            context["p"] = ctx.p
         envelope = {"command": args.command, "context": context, "result": result}
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
     except BrokenPipeError:

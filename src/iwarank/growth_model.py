@@ -33,14 +33,8 @@ from .lambda_ring import (
     _require_ints,
     euler_phi_pk,
     is_odd_prime,
-    omega_tower,
     signed_degree,
 )
-
-# above this explicit-construction size the degree identities are checked
-# by factor-degree bookkeeping instead of building the actual products
-_EXPLICIT_DEGREE_CAP = 300
-
 
 @dataclass(frozen=True)
 class InvariantSet(Record):
@@ -156,31 +150,22 @@ def degree_identities(ctx: PrimeContext, n: int) -> dict:
     deg omega-tilde_n^- = s_{n-1} - 1 when n is even (even_ok); the
     off-parity flag is vacuously true.
 
-    Small towers are built explicitly and their actual degrees compared;
-    past the explicit cap the check runs on exact factor-degree
-    bookkeeping (the factors are monic, so degrees add).
+    The degrees are exact factor-degree bookkeeping (signed_degree: the
+    factors are monic, so degrees add), which tests/test_lambda_ring.py
+    compares with the degrees of built towers.
     """
     _require_ints(level=n)
     if n < 1:
         raise InvalidContext(f"degree identities start at n = 1, got {n}")
     p = ctx.p
     s_prev = s_sequence(p, n - 1)
-    explicit = p**n <= _EXPLICIT_DEGREE_CAP
-    if explicit:
-        tower = omega_tower(ctx, n)
-        deg_plus = tower.omega_tilde_plus.degree
-        deg_minus = tower.omega_tilde_minus.degree
-    else:
-        deg_plus = signed_degree(p, n, "+")
-        deg_minus = signed_degree(p, n, "-")
-    odd_ok = n % 2 == 0 or deg_plus == s_prev
-    even_ok = n % 2 == 1 or deg_minus == s_prev - 1
+    deg_plus = signed_degree(p, n, "+")
+    deg_minus = signed_degree(p, n, "-")
     return {
         "n": n,
-        "odd_ok": odd_ok,
-        "even_ok": even_ok,
+        "odd_ok": n % 2 == 0 or deg_plus == s_prev,
+        "even_ok": n % 2 == 1 or deg_minus == s_prev - 1,
         "deg_tilde_plus": deg_plus,
         "deg_tilde_minus": deg_minus,
         "s_prev": s_prev,
-        "explicit": explicit,
     }

@@ -200,7 +200,7 @@ REPORT_DIGESTS = {
     "additivity": "24f1144569a8ab4cf38e94dfa2215cedca1841f2c5c8bc4e78865eb490234ccc",
     "parity": "945f50002c5db4f328afbd0edfd9a87494ad8af5bba6877614604e68a817c575",
     "rod": "5ba79886048cfab45c9f3b2cdce3d0f2f5717d3cb3cc46c5f05c3b6754578028",
-    "degrees": "1375268dad1c1e6e3ea6877726e5308b0437d6d85b107ccce86ef21204d16ab4",
+    "degrees": "ee1858937f5c58a111e6539fe57d93c29d94cf6965e0def2bd81d5ef8cdc3879",
     "growth": "673a07f538f87e3ddd8512ea30529fb4c1e534b959f0ba4ab1e39d098a37a152",
     "precision": "2464cd37eca2928a27be5b93e367c959f72ded299cb51d1e5178bcb905c1115a",
 }

@@ -60,18 +60,47 @@ class TestEnvelope:
         # the seed is verify's alone, and its report records it per suite
         doc = run_json(capsys, "verify", "--suite", "growth", "--seed", "7")
         assert set(doc) == {"command", "context", "result"}
-        assert doc["context"] == {"margin": 8, "precision": 40}
+        assert doc["context"] == {"precision": 40}
         assert [r["seed"] for r in doc["result"]["reports"]] == [7]
 
-    @pytest.mark.parametrize("argv", [
-        ["phi", "-p", "3", "-m", "1", "--seed", "5"],
-        ["nabla-x", "-n", "1", "--lambda-minus", "1", "--r-inf", "7"],
-        ["verify", "--suite", "degrees", "-p", "5"],
-    ], ids=["phi-seed", "nabla-x-r-inf", "verify-p"])
-    def test_flag_that_feeds_nothing_is_refused(self, capsys, argv):
+    @pytest.mark.parametrize("argv,prog", [
+        (["phi", "-p", "3", "-m", "1", "--seed", "5"], "phi"),
+        (["nabla-x", "-n", "1", "--lambda-minus", "1", "--r-inf", "7"], "nabla-x"),
+        (["verify", "--suite", "degrees", "-p", "5"], "verify"),
+        (["specialize", "--col-plus", "diag(X,X)", "--col-minus", "diag(1,X^2+3X+3)", "--n-max", "2",
+          "--precision", "40"], "specialize"),
+        (["nabla-x", "-n", "1", "--lambda-minus", "1", "--precision", "40"], "nabla-x"),
+        (["nabla", "matrix", "--matrix", "diag(X,X)", "-n", "1", "--margin", "8"], "nabla matrix"),
+        (["verify", "--suite", "degrees", "--margin", "8"], "verify"),
+    ], ids=["phi-seed", "nabla-x-r-inf", "verify-p", "specialize-precision", "nabla-x-precision",
+            "nabla-matrix-margin", "verify-margin"])
+    def test_flag_that_feeds_nothing_is_refused(self, capsys, argv, prog):
+        # reported with the usage of the command, not of the root parser
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert "unrecognized arguments" in err
+        assert err.startswith(f"usage: iwarank {prog} [-h]")
+        assert err.endswith(f"\niwarank {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+    def test_precision_feeds_nabla(self, capsys):
+        # at N = 8 the divisor 3^8 of diag(6561, 1) cannot be certified
+        argv = ["nabla", "matrix", "--matrix", "diag(6561, 1)", "-n", "1"]
+        assert run_json(capsys, *argv)["result"]["nabla"] == 16
+        code, out, err = run(capsys, *argv, "--precision", "8")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: PrecisionUnstable: ")
+
+    # the six commands the benchmark passes --precision and --margin to
+    @pytest.mark.parametrize("argv", [
+        ["phi", "-m", "1"],
+        ["omega", "-n", "1"],
+        ["ord-eps", "-m", "1", "--poly", "X+3"],
+        ["special-check", "-n", "1", "--matrix", "diag(X,X)"],
+        ["factor-bd", "-n", "1", "--matrix", "diag(X,X)"],
+        ["growth", "--base-n", "0", "--base-e", "0", "--n-to", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_benchmark_commands_keep_their_context(self, capsys, argv):
+        doc = run_json(capsys, *argv, "--precision", "40", "--margin", "8")
+        assert doc["context"] == {"margin": 8, "p": 3, "precision": 40}
 
     def test_growth_reads_r_inf(self, capsys):
         def deltas(r_inf):
@@ -409,7 +438,7 @@ class TestParserSurface:
             assert exc.value.code == 0
             texts.append(out.getvalue())
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-            "639ade060d7800514af457c4d8f4836d5fbe4f3453a527a069b09f83f30cd9ad"
+            "7f48c8f3dd059806ec5d7b5c5f1cd1e91a854f03830bdd3930b3da6c4ea90a5a"
         )
 
     def test_flag_attributes_digest(self):
@@ -427,7 +456,7 @@ class TestParserSurface:
 
         rows = "".join(walk(cli.build_parser(), "iwarank"))
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "f1db3986f3b58bf98318504dee1f7cf292f3e91d2f7de4e2f05a1d82912e0394"
+            "03832e2be000e1c3165cceaf1b497f83b3f727fb2760e398d0a0b592918158bf"
         )
 
     def test_parser_built_once(self, capsys):

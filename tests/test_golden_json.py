@@ -70,7 +70,13 @@ def test_record_json(name):
     assert json.dumps(RECORDS[name]().to_json_dict(), sort_keys=True) == RECORD_JSON[name]
 
 
+# the envelope's context holds the values of the -p, --precision and
+# --margin flags its command takes: all three (the six commands the
+# benchmark passes --precision and --margin to), -p and --precision (the
+# nabla towers, which read N), or -p alone
 ENV = '{"command":"%s","context":{"margin":8,"p":%d,"precision":40},"result":%s}\n'
+ENV_N = '{"command":"%s","context":{"p":%d,"precision":40},"result":%s}\n'
+ENV_P = '{"command":"%s","context":{"p":%d},"result":%s}\n'
 
 CLI_GOLDEN = [
     (["phi", "-p", "3", "-m", "1"],
@@ -80,17 +86,17 @@ CLI_GOLDEN = [
                         '"omega_plus":{"coeffs":["0","1"]},"omega_tilde_minus":{"coeffs":["3","3","1"]},'
                         '"omega_tilde_plus":{"coeffs":["1"]}}')),
     (["invariants", "-p", "3", "--poly", "9X^2+27"],
-     ENV % ("invariants", 3, '{"lambda":2,"mu":2}')),
+     ENV_P % ("invariants", 3, '{"lambda":2,"mu":2}')),
     (["ord-eps", "-p", "5", "-m", "1", "--poly", "X^4+5"],
      ENV % ("ord-eps", 5, '{"m":1,"ord":5}')),
     (["nabla", "cyclic", "-p", "3", "-n", "2", "--poly", "9X+3"],
-     ENV % ("nabla-cyclic", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
+     ENV_N % ("nabla-cyclic", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
     (["nabla", "torsion", "-p", "3", "-n", "2", "--matrix", "diag(3, X+3)"],
-     ENV % ("nabla-torsion", 3, '{"agrees":true,"closed_form":7,"coker_length":0,"ker_length":7,"lower_rank":0,"n":2,"nabla":7}')),
+     ENV_N % ("nabla-torsion", 3, '{"agrees":true,"closed_form":7,"coker_length":0,"ker_length":7,"lower_rank":0,"n":2,"nabla":7}')),
     (["nabla", "matrix", "-p", "3", "-n", "1", "--matrix", "diag(X,X)"],
-     ENV % ("nabla-matrix", 3, '{"agrees":true,"closed_form":2,"coker_length":0,"ker_length":0,"lower_rank":2,"n":1,"nabla":2}')),
+     ENV_N % ("nabla-matrix", 3, '{"agrees":true,"closed_form":2,"coker_length":0,"ker_length":0,"lower_rank":2,"n":1,"nabla":2}')),
     (["nabla", "coleman", "-p", "3", "-n", "2", "--col-plus", "diag(X,X)", "--col-minus", "[[1,X],[3,1]]"],
-     ENV % ("nabla-coleman", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
+     ENV_N % ("nabla-coleman", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
     (["special-check", "-p", "3", "-n", "1", "--matrix", "[[X, 1], [X, X+1]]"],
      ENV % ("special-check", 3, '{"n":1,"per_level":[{"det_divisible":true,"i_m":1,"m":0,"ok":true},'
                                 '{"det_divisible":false,"i_m":0,"m":1,"ok":true}],"verdict":true}')),
@@ -98,14 +104,14 @@ CLI_GOLDEN = [
      ENV % ("factor-bd", 3, '{"b":[[{"coeffs":["1"]},{"coeffs":["1"]}],[{"coeffs":[]},{"coeffs":["1"]}]],'
                             '"d":[[{"coeffs":["3","3","1"]},{"coeffs":[]}],[{"coeffs":[]},{"coeffs":["1"]}]]}')),
     (["assemble-fn", "-p", "3", "-n", "1", "--col-plus", "diag(X,X)", "--col-minus", "[[1,1],[0,1]]"],
-     ENV % ("assemble-fn", 3, '{"fn":[[{"coeffs":["1","3","3","1"]},{"coeffs":["1"]}],'
+     ENV_P % ("assemble-fn", 3, '{"fn":[[{"coeffs":["1","3","3","1"]},{"coeffs":["1"]}],'
                               '[{"coeffs":[]},{"coeffs":["1","3","3","1"]}]],"n":1}')),
     (["specialize", "-p", "3", "--n-max", "2", "--col-plus", "diag(X,X)", "--col-minus", "diag(1, X^2+3X+3)"],
-     ENV % ("specialize", 3, '{"b":[[{"coeffs":["3","3","1"]},{"coeffs":["0","-3","-1"]}],'
+     ENV_P % ("specialize", 3, '{"b":[[{"coeffs":["3","3","1"]},{"coeffs":["0","-3","-1"]}],'
                              '[{"coeffs":["0","-3","-1"]},{"coeffs":["3","3","1"]}]],'
                              '"det_ords":{"0":2,"1":4,"2":8},"special":{"1":true,"2":true}}')),
     (["rod-check", "-p", "3", "-n", "1", "--test-level", "2", "--matrix", "diag(1+X, 1)"],
-     ENV % ("rod-check", 3, '{"n":1,"ok":true,"test_level":2}')),
+     ENV_P % ("rod-check", 3, '{"n":1,"ok":true,"test_level":2}')),
     (["growth", "-p", "3", "--lambda-minus", "1", "--mu-plus", "1", "--base-n", "0", "--base-e", "2", "--n-to", "3"],
      ENV % ("growth", 3, '{"base_level":0,"base_value":2,"invariants":{"lambda_minus":1,"lambda_plus":0,'
                          '"mu_minus":0,"mu_plus":1,"p":3,"r_inf":0},"rows":['
@@ -115,7 +121,7 @@ CLI_GOLDEN = [
     (["growth", "-p", "5", "--r-inf", "1", "--base-n", "1", "--base-e", "0", "--n-to", "3", "--format", "csv"],
      "n,parity,s_prev,delta_e,e_n\n2,even,5,9,9\n3,odd,20,39,48\n"),
     (["nabla-x", "-p", "3", "-n", "3", "--lambda-minus", "2", "--mu-minus", "1"],
-     ENV % ("nabla-x", 3, '{"n":3,"nabla_x":32}')),
+     ENV_P % ("nabla-x", 3, '{"n":3,"nabla_x":32}')),
 ]
 
 
@@ -136,7 +142,7 @@ def test_cli_stdout(argv, expected):
 # a closed form that disagrees exits 1 and still prints its envelope
 CLI_GOLDEN_DISAGREE = [
     (["nabla", "torsion", "-p", "3", "-n", "1", "--matrix", "diag(X^2+3,1)"],
-     ENV % ("nabla-torsion", 3, '{"agrees":false,"closed_form":2,"coker_length":0,"ker_length":3,"lower_rank":0,"n":1,"nabla":3}')),
+     ENV_N % ("nabla-torsion", 3, '{"agrees":false,"closed_form":2,"coker_length":0,"ker_length":3,"lower_rank":0,"n":1,"nabla":3}')),
 ]
 
 
@@ -151,7 +157,7 @@ def test_verify_report_digest():
     code, out = _stdout(["verify", "--suite", "all", "--scale", "0.2"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3ca933deb7f5e89c55e059e39b5863db432087bfdff3090eeedf50a04aa3c7a1"
+        "e6d673de9b43451c86aba5bf5f685beb3dcfcb7e6170fc016b66f4d143bfb53c"
     )
 
 

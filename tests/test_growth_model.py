@@ -209,7 +209,3 @@ class TestDegreeIdentities:
         for n in range(1, 9):
             row = degree_identities(ctx, n)
             assert row["odd_ok"] and row["even_ok"], (p, n)
-
-    def test_explicit_flag_tracks_cap(self, ctx3):
-        flags = [degree_identities(ctx3, n)["explicit"] for n in range(1, 9)]
-        assert flags == [True, True, True, True, True, False, False, False]

@@ -111,7 +111,7 @@ class TestOmegaTower:
         assert tw.omega_tilde_plus == cyclotomic_phi(ctx3, 2) * cyclotomic_phi(ctx3, 4)
         assert tw.omega_tilde_minus == cyclotomic_phi(ctx3, 1) * cyclotomic_phi(ctx3, 3)
 
-    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", range(0, 5))
     def test_signed_degree_bookkeeping(self, p, n):
         ctx = PrimeContext(p)
