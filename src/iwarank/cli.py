@@ -4,7 +4,8 @@ Polynomials are written in a tiny expression grammar over X, e.g.
 ``X^2+3X+3``, ``(1+X)^3-1``, ``3*(X+1)``; matrices either as
 ``diag(f, g)`` or ``[[a, c], [b, d]]`` (rows of the 2x2).  JSON payloads
 produced by the library are accepted anywhere a polynomial or matrix is,
-and an argument of the form ``@path`` reads the file first.
+and an argument of the form ``@path`` reads the file first.  Brackets of
+every kind nest at most 100 deep.
 
 Exit codes: 0 success, 1 a verification failed (a closed form disagreed
 with the brute-force rank, a saturation check came back false, or a
@@ -23,7 +24,7 @@ reproduced byte for byte.  A flag that a command does not take exits 2
 with that command's usage.
 
 Each subcommand is declared once, as one entry of COMMANDS; build_parser
-builds the argparse tree from that table once per process.  One rule
+builds one argparse subparser per entry, once per process.  One rule
 sets the exit code: 2 for refused input, 1 when the result has "agrees"
 (nabla) or "ok" (verify, rod-check) false or a computation's check of its
 own result fails (PostconditionFailed), 0 otherwise.
@@ -74,6 +75,8 @@ from .verify import SUITE_NAMES, run_suites
 
 # Largest total coefficient size, in bits, that one ``^`` or product may produce.
 MAX_POWER_BITS = 1 << 20
+# Deepest bracket nesting a payload may have.
+MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
@@ -161,13 +164,10 @@ class _Parser:
             v = v * w
 
     def unary(self) -> LambdaElement:
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+        minus = 0
+        while self.peek() in ("-", "+"):
+            minus += self.take() == "-"
+        return -self.power() if minus % 2 else self.power()
 
     def power(self) -> LambdaElement:
         base = self.atom()
@@ -217,31 +217,29 @@ class _Parser:
         return first, second
 
 
-def _maybe_file(text: str) -> str:
+def _payload(text: str) -> str:
+    """The payload, read from the file an ``@path`` argument names, and
+    refused before any parser runs when its brackets nest deeper than
+    MAX_NESTING: only brackets recurse, so every interpreter parses what
+    is left without reaching its recursion limit."""
     if not isinstance(text, str):  # argparse turns "--poly=--" into []
         raise ExpressionError("empty payload")
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
-                return fh.read()
+                text = fh.read()
         except UnicodeDecodeError:
             raise ExpressionError(f"payload file {text[1:]!r} is not UTF-8 text") from None
+    depth = 0
+    for bracket in re.sub(r"[^()\[\]{}]+", "", text):
+        depth += 1 if bracket in "([{" else -1
+        if depth > MAX_NESTING:
+            raise ExpressionError("input nested too deeply")
     return text
 
 
-def _nesting_bounded(parse):
-    @functools.wraps(parse)
-    def bounded(text: str):
-        try:
-            return parse(text)
-        except RecursionError:  # nested past the interpreter's limit: bad input, not a crash
-            raise ExpressionError("input nested too deeply") from None
-    return bounded
-
-
-@_nesting_bounded
 def parse_poly_arg(text: str) -> LambdaElement:
-    text = _maybe_file(text).strip()
+    text = _payload(text).strip()
     if text.startswith("{"):
         obj = json.loads(text)
         try:
@@ -254,9 +252,8 @@ def parse_poly_arg(text: str) -> LambdaElement:
     return value
 
 
-@_nesting_bounded
 def parse_matrix_arg(text: str) -> LambdaMatrix:
-    text = _maybe_file(text).strip()
+    text = _payload(text).strip()
     try:
         parser = _Parser(_tokenize(text))
         value = parser.matrix()
@@ -281,14 +278,14 @@ def _add_flags(parser, flags):
 
 # the working precision N, which the nabla towers and verify read
 _PRECISION = _flag("--precision", type=int, default=DEFAULT_PRECISION,
-                   help=f"p-adic working precision (default {DEFAULT_PRECISION})")
+                   help=f"p-adic working precision N (default {DEFAULT_PRECISION}); read only by the nabla towers and verify")
 _MARGIN = _flag("--margin", type=int, default=8, help="validated and echoed in the envelope; no computation reads it, "
                 "and it is kept only because the benchmark passes it, until ROADMAP item 2")
 # phi, omega, ord-eps, special-check, factor-bd and growth take both, though
 # none of their computations reads either: perfbench's cli_ops passes them,
 # and they stay there only for the benchmark, until ROADMAP item 2
 _BENCH = (_PRECISION, _MARGIN)
-_P = _flag("-p", "--prime", type=int, default=3, help="odd prime p (default 3)")
+_P = _flag("-p", type=int, default=3, metavar="PRIME", help="odd prime p (default 3)")
 _N = _flag("-n", type=int, required=True)
 _M = _flag("-m", type=int, required=True)
 _POLY = _flag("--poly", required=True)
@@ -302,7 +299,7 @@ def _pair(a) -> ColemanData:
 
 
 def _invariants(a, r_inf: int = 0) -> InvariantSet:
-    return InvariantSet(a.prime, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, r_inf)
+    return InvariantSet(a.p, a.lambda_plus, a.lambda_minus, a.mu_plus, a.mu_minus, r_inf)
 
 
 def _printable_level(n: int, log10_answer: float) -> int:
@@ -344,7 +341,7 @@ def _specialize(ctx, a):
 
 
 def _growth(ctx, a):
-    inv, n_to = _invariants(a, a.r_inf), _growth_level(a.prime, a.n_to)
+    inv, n_to = _invariants(a, a.r_inf), _growth_level(a.p, a.n_to)
     table = sha_growth(inv, range(a.base_n + 1, n_to + 1), (a.base_n, a.base_e))
     return table.to_csv() if a.format == "csv" else table
 
@@ -354,29 +351,27 @@ def _verify(ctx, a):
     return {"ok": all(r.ok for r in reports), "reports": reports}
 
 
-# Every subcommand, in listing order: its path in the command tree, help
-# text, flags and the call (context, parsed args) -> result.  A path with
-# no call is a group; the envelope names a command by its path joined
-# with "-".  The result is a record, a dict of JSON-ready values and
-# records, or a string printed raw.
+# Every subcommand, in listing order: its name, which the envelope
+# records, help text, flags and the call (context, parsed args) -> result.
+# The result is a record, a dict of JSON-ready values and records, or a
+# string printed raw.
 COMMANDS = (
     ("phi", "cyclotomic factor at level m", (_P, _M, *_BENCH),
      lambda ctx, a: {"m": a.m,
-                     "phi": cyclotomic_phi(ctx, _binomial_level(a.prime, a.m, a.prime - 1, -1))}),
+                     "phi": cyclotomic_phi(ctx, _binomial_level(a.p, a.m, a.p - 1, -1))}),
     ("omega", "omega_n and its signed/reduced products", (_P, _N, *_BENCH),
-     lambda ctx, a: omega_tower(ctx, _binomial_level(a.prime, a.n))),
+     lambda ctx, a: omega_tower(ctx, _binomial_level(a.p, a.n))),
     ("invariants", "mu and lambda of a polynomial", (_P, _POLY),
      lambda ctx, a: iwasawa_invariants(ctx, parse_poly_arg(a.poly))),
     ("ord-eps", "valuation of f at eps_m", (_P, _M, _POLY, *_BENCH),
      lambda ctx, a: {"m": a.m, "ord": ord_json(ord_eps(ctx, a.m, parse_poly_arg(a.poly)))}),
-    ("nabla", "brute-force step ranks with closed forms", (), None),
-    ("nabla cyclic", "Lambda/(f)", (_P, _POLY, _N, _PRECISION),
+    ("nabla-cyclic", "Lambda/(f)", (_P, _POLY, _N, _PRECISION),
      lambda ctx, a: nabla_cyclic(ctx, parse_poly_arg(a.poly), a.n)),
-    ("nabla torsion", "Lambda^2 modulo the columns of a square relation matrix", (_P, _MATRIX, _N, _PRECISION),
+    ("nabla-torsion", "Lambda^2 modulo the columns of a square relation matrix", (_P, _MATRIX, _N, _PRECISION),
      lambda ctx, a: nabla_torsion_tower(ctx, TorsionTower(columns=parse_matrix_arg(a.matrix).columns), a.n)),
-    ("nabla matrix", "Lambda^2 modulo the columns of A, special closed form", (_P, _MATRIX, _N, _PRECISION),
+    ("nabla-matrix", "Lambda^2 modulo the columns of A, special closed form", (_P, _MATRIX, _N, _PRECISION),
      lambda ctx, a: nabla_matrix_tower(ctx, parse_matrix_arg(a.matrix), a.n)),
-    ("nabla coleman", "level-n module of a Coleman pair", (_P, *_PAIR, _N, _PRECISION),
+    ("nabla-coleman", "level-n module of a Coleman pair", (_P, *_PAIR, _N, _PRECISION),
      lambda ctx, a: nabla_coleman_tower(ctx, _pair(a), a.n)),
     ("special-check", "column-divisibility report", (_P, _MATRIX, _N, *_BENCH),
      lambda ctx, a: is_special(ctx, parse_matrix_arg(a.matrix), a.n)),
@@ -399,7 +394,7 @@ COMMANDS = (
      _growth),
     ("nabla-x", "X-side step rank from signed invariants", (_P, *_SIGNED, _N),
      lambda ctx, a: {"n": a.n,
-                     "nabla_x": nabla_x_formula(_invariants(a), _growth_level(a.prime, a.n))}),
+                     "nabla_x": nabla_x_formula(_invariants(a), _growth_level(a.p, a.n))}),
     ("verify", "seeded randomized verification sweeps",
      (_flag("--suite", choices=("all",) + SUITE_NAMES, default="all"),
       _flag("--scale", type=float, default=1.0, help="multiply every sweep count"),
@@ -412,26 +407,22 @@ COMMANDS = (
 def build_parser() -> argparse.ArgumentParser:
     # the help shows the docstring up to its notes on this module's layout
     parser = argparse.ArgumentParser(prog="iwarank", description=__doc__.partition("\n\nEach subcommand")[0])
-    groups = {"": parser.add_subparsers(dest="command", required=True)}
-    for path, help_text, flags, call in COMMANDS:
-        group, _, name = path.rpartition(" ")
-        sp = groups[group].add_parser(name, help=help_text)
-        if call is None:
-            groups[path] = sp.add_subparsers(dest="tower", required=True)
-        else:
-            # the leaf parser reports what argparse leaves over, with its own usage
-            _add_flags(sp, flags).set_defaults(command=path.replace(" ", "-"), call=call, parser=sp)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, flags, call in COMMANDS:
+        sp = commands.add_parser(name, help=help_text)
+        # the command's parser reports what argparse leaves over, with its own usage
+        _add_flags(sp, flags).set_defaults(call=call, parser=sp)
     return parser
 
 
-# each PrimeContext field and the flag that sets it
-_CONTEXT_FLAGS = (("p", "prime"), ("precision", "precision"), ("margin", "margin"))
+# the PrimeContext fields a flag of the same name sets
+_CONTEXT_FLAGS = ("p", "precision", "margin")
 
 
 def _resolve_context(args) -> tuple[dict, PrimeContext]:
     """The envelope's context, the PrimeContext fields that the command
     takes flags for, and the PrimeContext they build."""
-    context = {key: getattr(args, dest) for key, dest in _CONTEXT_FLAGS if dest in args}
+    context = {key: getattr(args, key) for key in _CONTEXT_FLAGS if key in args}
     if context.get("precision", DEFAULT_PRECISION) < 8:
         args.parser.error(f"precision must be at least 8, got {context['precision']}")
     # verify takes no -p, as each suite sets its own p: there p = 3 only

@@ -70,7 +70,7 @@ class TestEnvelope:
         (["specialize", "--col-plus", "diag(X,X)", "--col-minus", "diag(1,X^2+3X+3)", "--n-max", "2",
           "--precision", "40"], "specialize"),
         (["nabla-x", "-n", "1", "--lambda-minus", "1", "--precision", "40"], "nabla-x"),
-        (["nabla", "matrix", "--matrix", "diag(X,X)", "-n", "1", "--margin", "8"], "nabla matrix"),
+        (["nabla-matrix", "--matrix", "diag(X,X)", "-n", "1", "--margin", "8"], "nabla-matrix"),
         (["verify", "--suite", "degrees", "--margin", "8"], "verify"),
     ], ids=["phi-seed", "nabla-x-r-inf", "verify-p", "specialize-precision", "nabla-x-precision",
             "nabla-matrix-margin", "verify-margin"])
@@ -83,7 +83,7 @@ class TestEnvelope:
 
     def test_precision_feeds_nabla(self, capsys):
         # at N = 8 the divisor 3^8 of diag(6561, 1) cannot be certified
-        argv = ["nabla", "matrix", "--matrix", "diag(6561, 1)", "-n", "1"]
+        argv = ["nabla-matrix", "--matrix", "diag(6561, 1)", "-n", "1"]
         assert run_json(capsys, *argv)["result"]["nabla"] == 16
         code, out, err = run(capsys, *argv, "--precision", "8")
         assert (code, out) == (2, "")
@@ -114,7 +114,7 @@ class TestEnvelope:
 class TestFrozenCommands:
     def test_nabla_matrix_example(self, capsys):
         doc = run_json(
-            capsys, "nabla", "matrix", "-p", "3", "-n", "1", "--matrix", "diag(X,X)"
+            capsys, "nabla-matrix", "-p", "3", "-n", "1", "--matrix", "diag(X,X)"
         )
         r = doc["result"]
         assert (r["nabla"], r["closed_form"], r["agrees"]) == (2, 2, True)
@@ -201,6 +201,13 @@ class TestPayloadGrammar:
         path.write_text("X^2+3X+3")
         doc = run_json(capsys, "invariants", "-p", "3", "--poly", f"@{path}")
         assert doc["result"] == {"mu": 0, "lambda": 2}
+
+    def test_file_payload_nesting_bounded(self, capsys, tmp_path):
+        # the bound applies to what the file holds, not to "@path"
+        path = tmp_path / "deep.txt"
+        depth = cli.MAX_NESTING + 1
+        path.write_text("(" * depth + "X" + ")" * depth)
+        assert run(capsys, "invariants", "--poly", f"@{path}") == (2, "", "error: input nested too deeply\n")
 
     def test_missing_file_is_exit2(self, capsys, tmp_path):
         code, _, err = run(
@@ -292,21 +299,38 @@ class TestPayloadGrammar:
         assert code == 2
         assert err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ord-eps", "-m", "1", "--poly=" + "(" * 400 + "X" + ")" * 400],
-            ["ord-eps", "-m", "1", "--poly=" + "-" * 2000 + "X"],
-            ["special-check", "-n", "1", "--matrix=" + "[" * 3000],
-            ["ord-eps", "-m", "1", '--poly={"coeffs":' + "[" * 3000],
-        ],
-        ids=["parentheses", "unary-minus", "matrix-brackets", "json-arrays"],
-    )
-    def test_deep_nesting_is_exit2(self, capsys, argv):
-        # past the interpreter's recursion limit: bad input, not a crash
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err == "error: input nested too deeply\n"
+    # payloads nested `depth` brackets deep, each kind on the command that reads it
+    NESTED = {
+        "parentheses": lambda depth: ["ord-eps", "-m", "1", "--poly=" + "(" * depth + "X" + ")" * depth],
+        "unary-minus": lambda depth: ["ord-eps", "-m", "1", "--poly=" + "-(" * depth + "X" + ")" * depth],
+        "matrix-brackets": lambda depth: ["special-check", "-n", "1",
+                                          "--matrix=diag(" + "(" * (depth - 1) + "X" + ")" * (depth - 1) + ",X)"],
+        "json-arrays": lambda depth: ["ord-eps", "-m", "1",
+                                      '--poly={"coeffs":' + "[" * (depth - 1) + '"1"' + "]" * (depth - 1) + "}"],
+    }
+
+    @pytest.mark.parametrize("kind", NESTED)
+    def test_deep_nesting_is_exit2(self, capsys, kind):
+        # refused before any parser runs, whatever the interpreter's recursion limit
+        for depth in (cli.MAX_NESTING + 1, 3000):
+            code, out, err = run(capsys, *self.NESTED[kind](depth))
+            assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+    @pytest.mark.parametrize("kind", NESTED)
+    def test_nesting_at_the_bound_is_parsed(self, capsys, kind):
+        code, out, err = run(capsys, *self.NESTED[kind](cli.MAX_NESTING))
+        if kind == "json-arrays":  # parsed, and refused as no polynomial
+            assert (code, out) == (2, "") and err.startswith("error: cannot parse polynomial argument")
+        else:
+            assert (code, err) == (0, "")
+
+    def test_sign_runs_parse(self, capsys):
+        # a run of signs is a loop, not a nesting: any length parses
+        assert cli.parse_poly_arg("-" * 2000 + "X") == cli.X
+        assert cli.parse_poly_arg("-" * 2001 + "X") == -cli.X
+        assert cli.parse_poly_arg("+-" * 1000 + "-X^2") == -(cli.X ** 2)
+        code, out, _ = run(capsys, "ord-eps", "-m", "1", "--poly=" + "-" * 2000 + "X")
+        assert code == 0 and json.loads(out)["result"] == {"m": 1, "ord": 1}
 
 
 # strings of up to 40 characters over the payload grammar's tokens, some
@@ -332,13 +356,13 @@ def quiet_main(*argv) -> int:
 POLY_COMMANDS = [
     ["invariants", "--poly="],
     ["ord-eps", "-m", "1", "--poly="],
-    ["nabla", "cyclic", "-n", "1", "--poly="],
+    ["nabla-cyclic", "-n", "1", "--poly="],
 ]
 MATRIX_COMMANDS = [
     [*cmd, "--matrix="]
     for cmd in (
-        ["nabla", "torsion", "-n", "1"],
-        ["nabla", "matrix", "-n", "1"],
+        ["nabla-torsion", "-n", "1"],
+        ["nabla-matrix", "-n", "1"],
         ["special-check", "-n", "1"],
         ["factor-bd", "-n", "1"],
         ["rod-check", "-n", "1", "--test-level", "2"],
@@ -346,7 +370,7 @@ MATRIX_COMMANDS = [
 ] + [
     [*cmd, *pair]
     for cmd in (
-        ["nabla", "coleman", "-n", "1"],
+        ["nabla-coleman", "-n", "1"],
         ["assemble-fn", "-n", "1"],
         ["specialize", "--n-max", "1"],
     )
@@ -356,7 +380,7 @@ MATRIX_COMMANDS = [
 
 class TestPayloadFuzz:
     """Any payload to any subcommand either answers or is refused as bad
-    input: main returns 0 or 2 and raises nothing.  Only nabla torsion
+    input: main returns 0 or 2 and raises nothing.  Only nabla-torsion
     may also return 1, as its closed form holds only past stabilization."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -371,7 +395,7 @@ class TestPayloadFuzz:
     @example(cmd=MATRIX_COMMANDS[2], s="--")
     def test_matrix_payload(self, cmd, s):
         *head, flag = cmd
-        allowed = (0, 1, 2) if cmd[:2] == ["nabla", "torsion"] else (0, 2)
+        allowed = (0, 1, 2) if cmd[0] == "nabla-torsion" else (0, 2)
         assert quiet_main(*head, flag + s) in allowed
 
 
@@ -416,10 +440,10 @@ class TestVerifySubcommand:
         assert any(not r["ok"] for r in doc["result"]["reports"])
 
 
-# every node of the command tree, in the order of the top-level listing
+# the top level and every command, in the order of the top-level listing
 HELP_ARGVS = [
     [], ["phi"], ["omega"], ["invariants"], ["ord-eps"],
-    ["nabla"], ["nabla", "cyclic"], ["nabla", "torsion"], ["nabla", "matrix"], ["nabla", "coleman"],
+    ["nabla-cyclic"], ["nabla-torsion"], ["nabla-matrix"], ["nabla-coleman"],
     ["special-check"], ["factor-bd"], ["assemble-fn"], ["specialize"], ["rod-check"],
     ["growth"], ["nabla-x"], ["verify"],
 ]
@@ -428,8 +452,9 @@ HELP_ARGVS = [
 class TestParserSurface:
     def test_help_text_digest(self, monkeypatch):
         # every command name, flag, type, default, choice and help text, as
-        # argparse lays them out at 100 columns (CPython 3.11's layout)
-        monkeypatch.setenv("COLUMNS", "100")
+        # argparse lays them out at 200 columns, where no usage line wraps and
+        # CPython 3.10 to 3.13 print the same bytes
+        monkeypatch.setenv("COLUMNS", "200")
         texts = []
         for argv in HELP_ARGVS:
             out = io.StringIO()
@@ -438,7 +463,7 @@ class TestParserSurface:
             assert exc.value.code == 0
             texts.append(out.getvalue())
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == (
-            "7f48c8f3dd059806ec5d7b5c5f1cd1e91a854f03830bdd3930b3da6c4ea90a5a"
+            "4b2be52a471194375eb614bf8dbe2d08e57adbe1960c099d80b9855f9d52330d"
         )
 
     def test_flag_attributes_digest(self):
@@ -456,8 +481,18 @@ class TestParserSurface:
 
         rows = "".join(walk(cli.build_parser(), "iwarank"))
         assert hashlib.sha256(rows.encode()).hexdigest() == (
-            "03832e2be000e1c3165cceaf1b497f83b3f727fb2760e398d0a0b592918158bf"
+            "1e43d3bb02c454a4a14e021c353602a496a1cc50a2455430fbda635d6df18a24"
         )
+
+    @pytest.mark.parametrize("argv,message", [
+        (["nabla", "matrix", "-n", "1", "--matrix", "diag(X,X)"],
+         "iwarank: error: argument command: invalid choice: 'nabla'"),
+        (["phi", "--prime", "3", "-m", "1"], "iwarank phi: error: unrecognized arguments: --prime 3\n"),
+    ], ids=["nabla-group", "prime-long-flag"])
+    def test_old_spellings_are_refused(self, capsys, argv, message):
+        # one name per command, one spelling per flag: no alias is kept
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and message in err
 
     def test_parser_built_once(self, capsys):
         cli.build_parser.cache_clear()
@@ -550,10 +585,10 @@ LEVEL_COMMANDS = [
     "phi -m {}",
     "omega -n {}",
     "ord-eps -m {} --poly X+3",
-    "nabla cyclic -n {} --poly 9X+3",
-    "nabla torsion -n {} --matrix diag(3,X+3)",
-    "nabla matrix -n {} --matrix diag(X,X)",
-    "nabla coleman -n {} --col-plus diag(X,X) --col-minus [[1,X],[3,1]]",
+    "nabla-cyclic -n {} --poly 9X+3",
+    "nabla-torsion -n {} --matrix diag(3,X+3)",
+    "nabla-matrix -n {} --matrix diag(X,X)",
+    "nabla-coleman -n {} --col-plus diag(X,X) --col-minus [[1,X],[3,1]]",
     "special-check -n {} --matrix diag(X,X)",
     "factor-bd -n {} --matrix diag(X,X)",
     "assemble-fn -n {} --col-plus diag(X,X) --col-minus [[1,X],[3,1]]",
@@ -699,22 +734,22 @@ class TestColemanPaths:
                          "--col-minus", "diag(1,1)"]
 
     def test_no_closed_form_when_not_special(self, capsys):
-        doc = run_json(capsys, "nabla", "coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "3")
+        doc = run_json(capsys, "nabla-coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "3")
         result = doc["result"]
         assert (result["nabla"], result["closed_form"], result["agrees"]) == (12, None, None)
 
     def test_phi_divides_below(self, capsys):
-        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "2")
+        code, out, err = run(capsys, "nabla-coleman", "-p", "3", *self.NOT_SPECIAL_BELOW, "-n", "2")
         assert (code, out) == (2, "")
         assert err == "error: PhiDivides: Phi_2 divides det F_2; step kernel is infinite\n"
 
     def test_singular_fn(self, capsys):
         # omega-tilde_1^+ col_minus + omega-tilde_1^- col_plus = 0 in the first column
-        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", "--col-plus", "diag(X,X)",
+        code, out, err = run(capsys, "nabla-coleman", "-p", "3", "--col-plus", "diag(X,X)",
                              "--col-minus", "diag(-X(X^2+3X+3), 1)", "-n", "1")
         assert (code, out, err) == (2, "", "error: SingularMatrix: det F_1 = 0\n")
 
     def test_singular_col_plus(self, capsys):
-        code, out, err = run(capsys, "nabla", "coleman", "-p", "3", "--col-plus", "[[X,X],[X,X]]",
+        code, out, err = run(capsys, "nabla-coleman", "-p", "3", "--col-plus", "[[X,X],[X,X]]",
                              "--col-minus", "diag(1,1)", "-n", "1")
         assert (code, out, err) == (2, "", "error: DegenerateColeman: det col_plus is zero\n")

@@ -89,13 +89,13 @@ CLI_GOLDEN = [
      ENV_P % ("invariants", 3, '{"lambda":2,"mu":2}')),
     (["ord-eps", "-p", "5", "-m", "1", "--poly", "X^4+5"],
      ENV % ("ord-eps", 5, '{"m":1,"ord":5}')),
-    (["nabla", "cyclic", "-p", "3", "-n", "2", "--poly", "9X+3"],
+    (["nabla-cyclic", "-p", "3", "-n", "2", "--poly", "9X+3"],
      ENV_N % ("nabla-cyclic", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
-    (["nabla", "torsion", "-p", "3", "-n", "2", "--matrix", "diag(3, X+3)"],
+    (["nabla-torsion", "-p", "3", "-n", "2", "--matrix", "diag(3, X+3)"],
      ENV_N % ("nabla-torsion", 3, '{"agrees":true,"closed_form":7,"coker_length":0,"ker_length":7,"lower_rank":0,"n":2,"nabla":7}')),
-    (["nabla", "matrix", "-p", "3", "-n", "1", "--matrix", "diag(X,X)"],
+    (["nabla-matrix", "-p", "3", "-n", "1", "--matrix", "diag(X,X)"],
      ENV_N % ("nabla-matrix", 3, '{"agrees":true,"closed_form":2,"coker_length":0,"ker_length":0,"lower_rank":2,"n":1,"nabla":2}')),
-    (["nabla", "coleman", "-p", "3", "-n", "2", "--col-plus", "diag(X,X)", "--col-minus", "[[1,X],[3,1]]"],
+    (["nabla-coleman", "-p", "3", "-n", "2", "--col-plus", "diag(X,X)", "--col-minus", "[[1,X],[3,1]]"],
      ENV_N % ("nabla-coleman", 3, '{"agrees":true,"closed_form":6,"coker_length":0,"ker_length":6,"lower_rank":0,"n":2,"nabla":6}')),
     (["special-check", "-p", "3", "-n", "1", "--matrix", "[[X, 1], [X, X+1]]"],
      ENV % ("special-check", 3, '{"n":1,"per_level":[{"det_divisible":true,"i_m":1,"m":0,"ok":true},'
@@ -133,7 +133,7 @@ def _stdout(argv):
 
 
 @pytest.mark.parametrize(
-    "argv,expected", CLI_GOLDEN, ids=[" ".join(a for a in argv[:2] if a[0] != "-") for argv, _ in CLI_GOLDEN]
+    "argv,expected", CLI_GOLDEN, ids=[argv[0] for argv, _ in CLI_GOLDEN]
 )
 def test_cli_stdout(argv, expected):
     assert _stdout(argv) == (0, expected)
@@ -141,13 +141,13 @@ def test_cli_stdout(argv, expected):
 
 # a closed form that disagrees exits 1 and still prints its envelope
 CLI_GOLDEN_DISAGREE = [
-    (["nabla", "torsion", "-p", "3", "-n", "1", "--matrix", "diag(X^2+3,1)"],
+    (["nabla-torsion", "-p", "3", "-n", "1", "--matrix", "diag(X^2+3,1)"],
      ENV_N % ("nabla-torsion", 3, '{"agrees":false,"closed_form":2,"coker_length":0,"ker_length":3,"lower_rank":0,"n":1,"nabla":3}')),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,expected", CLI_GOLDEN_DISAGREE, ids=[" ".join(argv[:2]) for argv, _ in CLI_GOLDEN_DISAGREE]
+    "argv,expected", CLI_GOLDEN_DISAGREE, ids=[argv[0] for argv, _ in CLI_GOLDEN_DISAGREE]
 )
 def test_cli_stdout_disagreement(argv, expected):
     assert _stdout(argv) == (1, expected)
