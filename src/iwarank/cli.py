@@ -84,6 +84,8 @@ class ExpressionError(ValueError):
 
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_]+|\*\*|[-+*^(),\[\]])")
+# A JSON string literal, to its closing quote or, unterminated, to the end.
+_JSON_STRING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
 
 
 def _tokenize(text: str):
@@ -230,8 +232,10 @@ def _payload(text: str) -> str:
                 text = fh.read()
         except UnicodeDecodeError:
             raise ExpressionError(f"payload file {text[1:]!r} is not UTF-8 text") from None
+    # a bracket inside a JSON string nests nothing: drop the strings first,
+    # an unterminated one to the end, where the JSON parser stops too
     depth = 0
-    for bracket in re.sub(r"[^()\[\]{}]+", "", text):
+    for bracket in re.sub(r"[^()\[\]{}]+", "", _JSON_STRING_RE.sub("", text)):
         depth += 1 if bracket in "([{" else -1
         if depth > MAX_NESTING:
             raise ExpressionError("input nested too deeply")

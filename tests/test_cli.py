@@ -307,20 +307,25 @@ class TestPayloadGrammar:
                                           "--matrix=diag(" + "(" * (depth - 1) + "X" + ")" * (depth - 1) + ",X)"],
         "json-arrays": lambda depth: ["ord-eps", "-m", "1",
                                       '--poly={"coeffs":' + "[" * (depth - 1) + '"1"' + "]" * (depth - 1) + "}"],
+        # a "]" inside a JSON string closes nothing
+        "json-string-brackets": lambda depth: ["ord-eps", "-m", "1",
+                                               '--poly={"coeffs":' + '["]",' * (depth - 1) + '"1"' + "]" * (depth - 1) + "}"],
+        "matrix-json-strings": lambda depth: ["special-check", "-n", "1",
+                                              "--matrix=" + '["]",' * depth + '"1"' + "]" * depth],
     }
 
     @pytest.mark.parametrize("kind", NESTED)
     def test_deep_nesting_is_exit2(self, capsys, kind):
         # refused before any parser runs, whatever the interpreter's recursion limit
-        for depth in (cli.MAX_NESTING + 1, 3000):
+        for depth in (cli.MAX_NESTING + 1, 3000, 20000):
             code, out, err = run(capsys, *self.NESTED[kind](depth))
             assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
     @pytest.mark.parametrize("kind", NESTED)
     def test_nesting_at_the_bound_is_parsed(self, capsys, kind):
         code, out, err = run(capsys, *self.NESTED[kind](cli.MAX_NESTING))
-        if kind == "json-arrays":  # parsed, and refused as no polynomial
-            assert (code, out) == (2, "") and err.startswith("error: cannot parse polynomial argument")
+        if "json" in kind:  # parsed, and refused as no polynomial or matrix
+            assert (code, out) == (2, "") and err.startswith("error: cannot parse")
         else:
             assert (code, err) == (0, "")
 
