@@ -195,6 +195,16 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
         of degree p^top, and the division keeps degrees, so
         deg det B <= 2 p^top - 2 < (p - 1) p^top <= deg Phi_m as p >= 3;
         a nonzero polynomial of lower degree is not divisible by Phi_m.
+
+    Specialness is read once, on F_{n_max} B.  By the proof in
+    parity_congruence_check, F_n(eps_m) is a nonzero multiple of
+    parity_reference(cd, m)(eps_m) for every n >= m, so whether Phi_m
+    divides det F_n B, and which columns of F_n B vanish at eps_m, do not
+    depend on n: is_special(F_n B, n) is the prefix m <= n of the levels of
+    F_{n_max} B, whose det is det F_{n_max} det B.  Level m answers for
+    F_{max(m,1)}, in the order of the per-n checks; each lower F_n is still
+    assembled, because det F_n = 0 is refused (SingularMatrix) at its own n
+    even where det F_{n_max} is not 0.
     """
     cd.validate()
     if n_max < 0:
@@ -205,10 +215,15 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     for m in range(n_max + 1):
         if _residue(ctx, m, b.det).is_zero:
             raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")
-    for n in range(1, n_max + 1):
-        f = assemble_fn(ctx, cd, n)
-        if not is_special(ctx, f @ b, n).verdict:
-            raise PostconditionFailed(f"internal: F_{n} B is not special")
+    fs = [assemble_fn(ctx, cd, n) for n in range(1, n_max + 1)]
+    if fs:
+        fb, det = fs[-1] @ b, fs[-1].det * b.det
+    for n, f in enumerate(fs, 1):
+        if f.det.is_zero:
+            raise SingularMatrix("det A = 0: every level divides the determinant")
+        for m in range(0 if n == 1 else n, n + 1):
+            if _residue(ctx, m, det).is_zero and not any(_vanishing_columns(ctx, m, fb)):
+                raise PostconditionFailed(f"internal: F_{n} B is not special")
     return b
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import iwarank.growth_model
 from iwarank import cli, special_matrices
 from iwarank.lambda_ring import PrimeContext, cyclotomic_phi, omega_poly
-from iwarank.special_matrices import SpecialReport, is_special
+from iwarank.special_matrices import assemble_fn
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -519,11 +519,9 @@ class TestExitRule:
 
     def test_failed_postcondition_exits_one(self, capsys, monkeypatch):
         # good_basis_transform checks its own result; a failure there is
-        # not bad input, and prints no traceback
-        monkeypatch.setattr(
-            special_matrices, "is_special",
-            lambda ctx, a, n: SpecialReport(n=n, per_level=(), verdict=False),
-        )
+        # not bad input, and prints no traceback.  Phi_1 divides det F_1 B
+        # here, so a column reading that finds no vanishing column fails F_1
+        monkeypatch.setattr(special_matrices, "_vanishing_columns", lambda ctx, m, a: iter((False, False)))
         code, out, err = run(
             capsys, "specialize", "--n-max", "2",
             "--col-plus", "diag(X,X)", "--col-minus", "diag(1, X^2+3X+3)",
@@ -532,16 +530,21 @@ class TestExitRule:
         assert err == "error: PostconditionFailed: internal: F_1 B is not special\n"
 
     def test_specialize_reads_the_postcondition(self, capsys, monkeypatch):
-        # good_basis_transform asks is_special once per level n <= n_max;
-        # specialize reports those verdicts without asking again
+        # good_basis_transform assembles each F_n, n <= n_max, once and reads
+        # every verdict from F_{n_max} B without is_special; specialize
+        # reports those verdicts without asking again
         calls = []
 
-        def spy(ctx, a, n):
+        def spy(ctx, cd, n):
             calls.append(n)
-            return is_special(ctx, a, n)
+            return assemble_fn(ctx, cd, n)
 
-        monkeypatch.setattr(special_matrices, "is_special", spy)
-        monkeypatch.setattr(cli, "is_special", spy)
+        def forbidden(*args):
+            raise AssertionError("specialize must not call is_special")
+
+        for module in (special_matrices, cli):
+            monkeypatch.setattr(module, "assemble_fn", spy)
+            monkeypatch.setattr(module, "is_special", forbidden)
         for n_max in range(1, 5):
             calls.clear()
             doc = run_json(capsys, "specialize", "--n-max", str(n_max),
@@ -753,6 +756,14 @@ class TestColemanPaths:
         code, out, err = run(capsys, "nabla-coleman", "-p", "3", "--col-plus", "diag(X,X)",
                              "--col-minus", "diag(-X(X^2+3X+3), 1)", "-n", "1")
         assert (code, out, err) == (2, "", "error: SingularMatrix: det F_1 = 0\n")
+
+    def test_specialize_refuses_a_singular_lower_fn(self, capsys):
+        # col_minus = -omega_1 I makes F_1 = 0, though det F_3 is not 0: the
+        # good basis refuses the pair instead of reading F_3 B alone
+        code, out, err = run(capsys, "specialize", "--col-plus", "diag(X,X)",
+                             "--col-minus", "diag(-X^3-3X^2-3X,-X^3-3X^2-3X)", "--n-max", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: SingularMatrix: det A = 0: every level divides the determinant\n"
 
     def test_singular_col_plus(self, capsys):
         code, out, err = run(capsys, "nabla-coleman", "-p", "3", "--col-plus", "[[X,X],[X,X]]",

@@ -18,8 +18,10 @@ from iwarank.cyclo_eval import (
 from iwarank.errors import (
     DegenerateColeman,
     InvalidContext,
+    IwarankError,
     NotCoprime,
     NotSpecial,
+    PostconditionFailed,
     PrecisionUnstable,
     SingularMatrix,
 )
@@ -344,6 +346,86 @@ class TestGoodBasis:
                     outputs += [good_basis_transform(ctx, cd, n_max).to_json_list() for n_max in range(4)]
         digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
         assert digest == "3101f2be855db274a61b502dcf8d96670a321f8945a9c5fd0d6f18f5a4a31c2b"
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3])
+    def test_singular_lower_fn_refused(self, ctx3, n_max):
+        # det F_2 and det F_3 are not 0: the refusal must come from F_1
+        # itself, since a reading of F_{n_max} B alone finds every level
+        # special and returns I
+        cd = _f1_zero_pair(ctx3)
+        assert assemble_fn(ctx3, cd, 1) == diag(ZERO, ZERO)
+        assert not assemble_fn(ctx3, cd, 2).det.is_zero and not assemble_fn(ctx3, cd, 3).det.is_zero
+        with pytest.raises(SingularMatrix) as exc:
+            good_basis_transform(ctx3, cd, n_max)
+        assert str(exc.value) == "det A = 0: every level divides the determinant"
+
+
+def _postcondition_by_is_special(ctx, cd, b, n_max):
+    """good_basis_transform's second postcondition as first written: one
+    is_special(F_n B, n) per level n <= n_max."""
+    for n in range(1, n_max + 1):
+        f = assemble_fn(ctx, cd, n)
+        if not is_special(ctx, f @ b, n).verdict:
+            raise PostconditionFailed(f"internal: F_{n} B is not special")
+    return b
+
+
+def _outcome(call):
+    try:
+        return call().to_json_list()
+    except (IwarankError, PostconditionFailed) as exc:
+        return type(exc), str(exc)
+
+
+def _f1_zero_pair(ctx):
+    """col_minus = -omega_1 I cancels omega-tilde_1^- col_plus = Phi_1 X I,
+    so F_1 = 0."""
+    minus_omega1 = -omega_poly(ctx, 1)
+    return ColemanData(col_plus=diag(X, X), col_minus=diag(minus_omega1, minus_omega1))
+
+
+def _order_pair(ctx):
+    """A pair with det F_2 = 0 whose F_1 is not special at level 0 in the
+    identity basis: F_1(0) = [[1, 1], [0, 0]] has det 0 and no vanishing
+    column.  The F_1 verdict is due before the F_2 refusal."""
+    k = LambdaMatrix(((ONE, ONE), (ZERO, ONE)))
+    phi1, phi2 = cyclotomic_phi(ctx, 1), cyclotomic_phi(ctx, 2)
+    return ColemanData(col_plus=diag(X, X * phi2) @ k, col_minus=diag(ONE, -X * phi1) @ k)
+
+
+# p = 7 stops at n_max = 3: at n_max = 4 each side multiplies
+# degree-2100 entries, about 40 s
+@pytest.mark.parametrize("p,top", [(3, 4), (5, 4), (7, 3)])
+@pytest.mark.parametrize("basis", ["transform", "identity"])
+def test_postcondition_matches_is_special_per_level(monkeypatch, p, top, basis):
+    # the single reading of F_{n_max} B against the loop it replaced, on the
+    # transform's own B and on I (not special at a rank-one level), with
+    # every return value, exception type and message equal
+    ctx = PrimeContext(p)
+    rng = random.Random(f"postcondition-{p}")
+    glue = special_matrices._glue if basis == "transform" else lambda ctx, blocks: LambdaMatrix.identity()
+    glued = []
+
+    def recording(ctx, blocks):
+        glued.append(glue(ctx, blocks))
+        return glued[-1]
+
+    monkeypatch.setattr(special_matrices, "_glue", recording)
+    pairs = [rand_coleman_data(ctx, rng, kind) for kind in COLEMAN_KINDS]
+    if p == 3:
+        pairs += [_f1_zero_pair(ctx), _order_pair(ctx)]
+    seen = set()
+    for cd in pairs:
+        for n_max in range(top + 1):
+            glued.clear()
+            got = _outcome(lambda: good_basis_transform(ctx, cd, n_max))
+            b = glued[-1] if glued else LambdaMatrix.identity()
+            want = _outcome(lambda: _postcondition_by_is_special(ctx, cd, b, n_max))
+            assert got == want, (p, n_max, basis, cd)
+            seen.add(got[0] if isinstance(got, tuple) else "returned")
+    # I fails at the rank-one levels; only the p = 3 extras are singular
+    want = {"returned", SingularMatrix} if p == 3 else {"returned"}
+    assert seen == (want | {PostconditionFailed} if basis == "identity" else want)
 
 
 class TestRodCheck:

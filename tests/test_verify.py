@@ -11,7 +11,6 @@ from iwarank.errors import PostconditionFailed
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import LambdaMatrix, PrimeContext, cyclotomic_phi
 from iwarank.special_matrices import (
-    SpecialReport,
     assemble_fn,
     good_basis_transform,
     is_special,
@@ -171,16 +170,16 @@ class TestReports:
             assert ord_eps(ctx, 2, a.det) != INFINITE
 
     def test_failed_transform_postcondition_is_a_basis_failure(self, monkeypatch):
-        # good_basis_transform checks F_n B with is_special; when that
-        # check fails, the draw counts as a failure instead of crashing
-        monkeypatch.setattr(
-            special_matrices, "is_special",
-            lambda ctx, a, n: SpecialReport(n=n, per_level=(), verdict=False),
-        )
+        # good_basis_transform checks that F_n B is special; when that
+        # check fails, the draw counts as a failure instead of crashing.
+        # A column reading that finds no vanishing column fails every draw
+        # whose det F_3 B has a Phi_m factor, m <= 3: 4 of the 6, all but
+        # the 2 generic ones.  The first to fail is minus_rank1, at level 1
+        monkeypatch.setattr(special_matrices, "_vanishing_columns", lambda ctx, m, a: iter((False, False)))
         checks = {c.name: c for c in suite_parity(seed=0, scale=0.2).checks}
         basis = checks["good-basis-special"]
         assert not basis.ok
-        assert basis.details["failures"] == basis.details["count"] == 6
+        assert (basis.details["failures"], basis.details["count"]) == (4, 6)
         example = checks["first-failure"].details
-        assert example["kind"] == "generic"
+        assert example["kind"] == "minus_rank1"
         assert example["error"] == "internal: F_1 B is not special"

@@ -91,6 +91,10 @@ MUTATIONS = [
         lambda_ring.euler_phi_pk, lambda f: lambda p, m: f(p, m) + (m == 7),
         SIGNED_DEGREES, id="euler_phi_pk+1-at-m7",
     ),
+    pytest.param(
+        special_matrices._kernel_killer, lambda f: lambda ctx, cd, m: None,
+        {"parity:good-basis-special", "parity:first-failure"}, id="kernel_killer-none",
+    ),
 ]
 
 # ROADMAP item 11: no verify check ties the growth formula to computed
