@@ -7,14 +7,14 @@ basis, and report per-level specialness plus the signed closed forms.
 import argparse
 import random
 
-from iwarank.cyclo_eval import INFINITE, ord_eps, ord_json
+from iwarank.cyclo_eval import INFINITE, matrices_proportional_at_eps, ord_eps, ord_json
 from iwarank.kobayashi_rank import nabla_coleman_tower
 from iwarank.lambda_ring import PrimeContext
 from iwarank.special_matrices import (
     assemble_fn,
     good_basis_transform,
     is_special,
-    parity_congruence_check,
+    parity_reference,
 )
 from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
 
@@ -39,8 +39,8 @@ def main() -> int:
     print("\nbefore the basis change:")
     for n in range(1, args.n_max + 1):
         fn = assemble_fn(ctx, cd, n)
-        print(f"  n={n}: special={is_special(ctx, fn, n).verdict}"
-              f"  parity={parity_congruence_check(ctx, cd, n)}")
+        parity = all(matrices_proportional_at_eps(ctx, m, fn, parity_reference(cd, m)) for m in range(n + 1))
+        print(f"  n={n}: special={is_special(ctx, fn, n).verdict}  parity={parity}")
 
     b = good_basis_transform(ctx, cd, args.n_max)
     print(f"\ngood basis B = {b!r}")

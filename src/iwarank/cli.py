@@ -337,7 +337,8 @@ def _binomial_level(p: int, n: int, k: int = 1, shift: int = 0) -> int:
 def _specialize(ctx, a):
     # good_basis_transform raises PostconditionFailed unless every F_n B is
     # special: F_n B agrees with F_{n_max} B at every eps_m, m <= n, up to a
-    # nonzero scalar, so its one reading of F_{n_max} B covers each n <= n_max
+    # nonzero scalar (the parity congruence proved in assemble_fn), so its
+    # one reading of F_{n_max} B covers each n <= n_max
     b = good_basis_transform(ctx, _pair(a), a.n_max)
     return {
         "b": b,

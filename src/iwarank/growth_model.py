@@ -30,6 +30,7 @@ from .errors import InvalidContext
 from .lambda_ring import (
     PrimeContext,
     Record,
+    _require_at_least,
     _require_ints,
     euler_phi_pk,
     is_odd_prime,
@@ -49,9 +50,7 @@ class InvariantSet(Record):
         _require_ints(**vars(self))
         if not is_odd_prime(self.p):
             raise InvalidContext(f"p must be an odd prime, got {self.p}")
-        for name in ("lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "r_inf"):
-            if getattr(self, name) < 0:
-                raise InvalidContext(f"{name} must be >= 0")
+        _require_at_least(0, **vars(self))  # p, an odd prime, passes
 
     def signed(self, n: int) -> tuple[int, int]:
         """(lambda, mu) of the sign governing step n: minus for odd n,
@@ -87,18 +86,14 @@ class GrowthTable(Record):
 
 def s_sequence(p: int, n: int) -> int:
     """s_n = p^n - p^{n-1} + ... -+ p = p (p^n - (-1)^n) / (p + 1); s_0 = 0."""
-    _require_ints(level=n)
-    if n < 0:
-        raise InvalidContext(f"s_n needs n >= 0, got {n}")
+    _require_at_least(0, level=n)
     return p * (p**n - (-1) ** n) // (p + 1)
 
 
 def nabla_x_formula(inv: InvariantSet, n: int) -> int:
     """The X-side step rank 2 s_{n-1} + lambda + (p^n - p^{n-1}) mu with
     the parity-matched invariants."""
-    _require_ints(level=n)
-    if n < 1:
-        raise InvalidContext(f"steps start at n = 1, got {n}")
+    _require_at_least(1, level=n)
     lam, mu = inv.signed(n)
     return 2 * s_sequence(inv.p, n - 1) + lam + euler_phi_pk(inv.p, n) * mu
 
@@ -114,9 +109,7 @@ def sha_growth(
     """Cumulative table of e_n starting from a known (n_0, e_{n_0});
     n_range must be the contiguous run n_0+1, n_0+2, ..."""
     n0, e0 = baseline
-    _require_ints(baseline_level=n0, baseline_value=e0)
-    if n0 < 0 or e0 < 0:
-        raise InvalidContext("baseline level and value must be >= 0")
+    _require_at_least(0, baseline_level=n0, baseline_value=e0)
     levels = list(n_range)
     if not levels:
         raise InvalidContext("empty level range")
@@ -154,9 +147,7 @@ def degree_identities(ctx: PrimeContext, n: int) -> dict:
     factors are monic, so degrees add), which tests/test_lambda_ring.py
     compares with the degrees of built towers.
     """
-    _require_ints(level=n)
-    if n < 1:
-        raise InvalidContext(f"degree identities start at n = 1, got {n}")
+    _require_at_least(1, level=n)
     p = ctx.p
     s_prev = s_sequence(p, n - 1)
     deg_plus = signed_degree(p, n, "+")

@@ -112,7 +112,6 @@ from itertools import accumulate, combinations
 
 from .cyclo_eval import INFINITE, ord_eps, rank_at_eps
 from .errors import (
-    InvalidContext,
     NotTorsion,
     PhiDivides,
     SingularMatrix,
@@ -125,6 +124,7 @@ from .lambda_ring import (
     LambdaMatrix,
     PrimeContext,
     Record,
+    _require_at_least,
     check_level,
     euler_phi_pk,
     iwasawa_invariants,
@@ -269,18 +269,13 @@ def _tors_reader(ctx: PrimeContext, k: int, rel_cols, minors):
     return tors_length
 
 
-def _require_step(n: int) -> None:
-    if n < 1:
-        raise InvalidContext(f"tower steps start at n = 1, got {n}")
-
-
 def _attach(result: NablaResult, closed: int) -> NablaResult:
     return replace(result, closed_form=closed, agrees=(result.nabla == closed))
 
 
 def nabla_cyclic(ctx: PrimeContext, f: LambdaElement, n: int) -> NablaResult:
     """nabla of Lambda/(f) at step n; closed form ord_{eps_n}(f)."""
-    _require_step(n)
+    _require_at_least(1, level=n)
     if f.is_zero:
         raise ZeroElement("cyclic tower needs f != 0")
     result, ords = _brute_nabla(ctx, 1, ((f,),), n, [f], "f")
@@ -292,7 +287,7 @@ def nabla_torsion_tower(ctx: PrimeContext, tower, n: int) -> NablaResult:
     ``columns`` of any tower kind; when the relation matrix is square the
     closed form lambda + phi(p^n) mu of its determinant is attached
     (valid once n is past stabilization)."""
-    _require_step(n)
+    _require_at_least(1, level=n)
     cols = tower.columns
     k = len(cols[0])
     minors = _minors(k, cols)
@@ -309,7 +304,7 @@ def nabla_torsion_tower(ctx: PrimeContext, tower, n: int) -> NablaResult:
 def nabla_matrix_tower(ctx: PrimeContext, a: LambdaMatrix, n: int) -> NablaResult:
     """nabla of Lambda^2/(columns of A); closed form ord_{eps_n}(det A)
     attached when A is special relative to n."""
-    _require_step(n)
+    _require_at_least(1, level=n)
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: the tower is not torsion")
     result, ords = _brute_nabla(ctx, 2, a.columns, n, [a.det], "det A")
@@ -321,9 +316,9 @@ def nabla_coleman_tower(ctx: PrimeContext, cd: ColemanData, n: int) -> NablaResu
     closed form 2 deg omega-tilde_n^sign + ord_{eps_n}(det Col^opp) is
     attached when F_n is special.  det Col^opp cannot vanish at eps_n
     once the PhiDivides guard passes: F_n(eps_n) is a nonzero multiple of
-    Col^opp(eps_n) (parity_congruence_check), so Phi_n divides det F_n
-    exactly when it divides det Col^opp."""
-    _require_step(n)
+    Col^opp(eps_n) (the parity congruence proved in assemble_fn), so
+    Phi_n divides det F_n exactly when it divides det Col^opp."""
+    _require_at_least(1, level=n)
     cd.validate()
     f = assemble_fn(ctx, cd, n)
     if f.det.is_zero:

@@ -97,6 +97,15 @@ def _require_ints(**values):
             raise InvalidContext(f"{name} must be an integer, got {value!r}")
 
 
+def _require_at_least(least: int, **values):
+    """Refuse, naming it, the first value that is not an integer
+    (_require_ints), then the first below least."""
+    _require_ints(**values)
+    for name, value in values.items():
+        if value < least:
+            raise InvalidContext(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class PrimeContext:
     """Computation context: the odd prime p, the working precision N
@@ -111,10 +120,7 @@ class PrimeContext:
         _require_ints(p=self.p, precision=self.precision, margin=self.margin)
         if not is_odd_prime(self.p):
             raise InvalidContext(f"p must be an odd prime, got {self.p}")
-        if self.precision < 1:
-            raise InvalidContext(f"precision must be >= 1, got {self.precision}")
-        if self.margin < 1:
-            raise InvalidContext(f"margin must be >= 1, got {self.margin}")
+        _require_at_least(1, precision=self.precision, margin=self.margin)
 
 
 
@@ -424,9 +430,7 @@ def _past_cap(p: int, n: int) -> bool:
 def check_level(p: int, n: int):
     """Refuse a level that is not an integer, then a negative one, then
     one past the explicit-construction cap (InvalidContext)."""
-    _require_ints(level=n)
-    if n < 0:
-        raise InvalidContext(f"level must be >= 0, got {n}")
+    _require_at_least(0, level=n)
     if _past_cap(p, n):
         raise InvalidContext(
             f"p^n = {p}^{n} exceeds the explicit-construction bound "
@@ -460,7 +464,10 @@ def _phi_product(p: int, levels: tuple) -> LambdaElement:
     return _rows(ts)
 
 
-# typed: a float level is its own key, so it misses and check_level refuses it
+# typed: a float level is its own key, so it misses and check_level refuses it.
+# This refusal cannot move into a typed _phi_product: typed keys on the types
+# of the arguments, not of a tuple's items, so (3, (1.0,)) would be served
+# from the (3, (1,)) entry.
 @lru_cache(maxsize=None, typed=True)
 def _phi(p: int, m: int) -> LambdaElement:
     check_level(p, m)

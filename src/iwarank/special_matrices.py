@@ -143,7 +143,15 @@ def factor_bd(ctx: PrimeContext, a: LambdaMatrix, n: int) -> BDFactorization:
 
 def assemble_fn(ctx: PrimeContext, cd: ColemanData, n: int) -> LambdaMatrix:
     """The level-n coupling matrix
-    F_n = omega-tilde_n^+ * col_minus + omega-tilde_n^- * col_plus."""
+    F_n = omega-tilde_n^+ * col_minus + omega-tilde_n^- * col_plus.
+
+    Parity congruence: for every valid pair and every m <= n, F_n(eps_m)
+    is a nonzero scalar multiple of parity_reference(cd, m)(eps_m).
+    Proof: at eps_m, m >= 1, the signed product holding Phi_m vanishes
+    (omega-tilde_n^- for odd m, ^+ for even m); the other is a product of
+    Phi_j(eps_m) != 0 (j != m).  At m = 0 both are powers of
+    Phi_j(0) = p, and X divides col_plus.
+    """
     tower = omega_tower(ctx, n)
     return cd.col_minus.scaled(tower.omega_tilde_plus) + cd.col_plus.scaled(
         tower.omega_tilde_minus
@@ -152,12 +160,8 @@ def assemble_fn(ctx: PrimeContext, cd: ColemanData, n: int) -> LambdaMatrix:
 
 def parity_congruence_check(ctx: PrimeContext, cd: ColemanData, n: int) -> bool:
     """Whether F_n(eps_m) is a nonzero scalar multiple of the parity
-    reference matrix at every m <= n: a theorem for every valid pair, so
-    after checking its inputs this returns True.  Proof: at eps_m, m >= 1,
-    the signed product holding Phi_m vanishes (omega-tilde_n^- for odd m,
-    ^+ for even m); the other is a product of Phi_j(eps_m) != 0 (j != m).
-    At m = 0 both are powers of Phi_j(0) = p, and X divides col_plus.
-    """
+    reference matrix at every m <= n: the parity congruence proved in
+    assemble_fn, so after checking its inputs this returns True."""
     cd.validate()
     check_level(ctx.p, n)
     return True
@@ -196,8 +200,8 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
         deg det B <= 2 p^top - 2 < (p - 1) p^top <= deg Phi_m as p >= 3;
         a nonzero polynomial of lower degree is not divisible by Phi_m.
 
-    Specialness is read once, on F_{n_max} B.  By the proof in
-    parity_congruence_check, F_n(eps_m) is a nonzero multiple of
+    Specialness is read once, on F_{n_max} B.  By the parity congruence
+    proved in assemble_fn, F_n(eps_m) is a nonzero multiple of
     parity_reference(cd, m)(eps_m) for every n >= m, so whether Phi_m
     divides det F_n B, and which columns of F_n B vanish at eps_m, do not
     depend on n: is_special(F_n B, n) is the prefix m <= n of the levels of
@@ -207,8 +211,6 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     even where det F_{n_max} is not 0.
     """
     cd.validate()
-    if n_max < 0:
-        raise InvalidContext(f"n_max must be >= 0, got {n_max}")
     check_level(ctx.p, n_max)
     blocks = {m: k for m in range(n_max + 1) if (k := _kernel_killer(ctx, cd, m)) is not None}
     b = _glue(ctx, blocks) if blocks else LambdaMatrix.identity()

@@ -369,7 +369,7 @@ def suite_parity(rng, scale, precision):
         for _ in range(_scaled(base, scale)):
             total += 1
             cd = rand_coleman_data(ctx, rng, kind)
-            # the library's parity_congruence_check is a theorem; this tests the arithmetic
+            # the parity congruence is a theorem (proved in assemble_fn); this tests the arithmetic
             f = assemble_fn(ctx, cd, n_max)
             if not all(matrices_proportional_at_eps(ctx, m, f, parity_reference(cd, m)) for m in range(n_max + 1)):
                 failed.append(("parity-congruence", None))

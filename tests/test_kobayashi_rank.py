@@ -647,13 +647,13 @@ _PHI1_PAIR = ColemanData(LambdaMatrix.diagonal(X, X), LambdaMatrix.diagonal(ONE,
 @pytest.mark.parametrize("fn, arg, n, alone, second, first, message", [
     # each input has two faults; ``alone`` is the input with only the
     # second one, which raises ``second``
-    (nabla_cyclic, ZERO, 0, (ZERO, 1), ZeroElement, InvalidContext, "tower steps start at n = 1, got 0"),
+    (nabla_cyclic, ZERO, 0, (ZERO, 1), ZeroElement, InvalidContext, "level must be >= 1, got 0"),
     (nabla_cyclic, ZERO, 10, (X, 10), InvalidContext, ZeroElement, "cyclic tower needs f != 0"),
     (nabla_cyclic, _P5, 10, (_P5, 1), PrecisionUnstable, InvalidContext, _CAP),
     (nabla_cyclic, _PHI1 * _P5, 1, (_P5, 1), PrecisionUnstable, PhiDivides,
      "Phi_1 divides f; step kernel is infinite"),
     (nabla_torsion_tower, _NOT_TORSION, 0, (_NOT_TORSION, 1), NotTorsion, InvalidContext,
-     "tower steps start at n = 1, got 0"),
+     "level must be >= 1, got 0"),
     (nabla_torsion_tower, _NOT_TORSION, 10, (TorsionTower(((X,),)), 10), InvalidContext, NotTorsion,
      "relations do not have full rank over Frac(Lambda)"),
     (nabla_torsion_tower, TorsionTower(((ZERO,),)), 10, (TorsionTower(((X,),)), 10), InvalidContext, NotTorsion,
@@ -667,13 +667,13 @@ _PHI1_PAIR = ColemanData(LambdaMatrix.diagonal(X, X), LambdaMatrix.diagonal(ONE,
      (TorsionTower(((_P5,), (_P5 * X,))), 1), PrecisionUnstable, PhiDivides,
      "relations drop rank at eps_1; step kernel is infinite"),
     (nabla_matrix_tower, _SINGULAR, 0, (_SINGULAR, 1), SingularMatrix, InvalidContext,
-     "tower steps start at n = 1, got 0"),
+     "level must be >= 1, got 0"),
     (nabla_matrix_tower, _SINGULAR, 10, (LambdaMatrix.diagonal(X, X), 10), InvalidContext, SingularMatrix,
      "det A = 0: the tower is not torsion"),
     (nabla_matrix_tower, LambdaMatrix.diagonal(_PHI1 * _P5, _P5), 1, (LambdaMatrix.diagonal(_P5, _P5), 1),
      PrecisionUnstable, PhiDivides, "Phi_1 divides det A; step kernel is infinite"),
     (nabla_coleman_tower, _DEGENERATE, 0, (_DEGENERATE, 1), DegenerateColeman, InvalidContext,
-     "tower steps start at n = 1, got 0"),
+     "level must be >= 1, got 0"),
     (nabla_coleman_tower, _DEGENERATE, 10, (_PHI1_PAIR, 10), InvalidContext, DegenerateColeman,
      "col_plus entries must be divisible by X"),
     (nabla_coleman_tower, ColemanData(_PHI1_PAIR.col_plus.scaled(_P5), _PHI1_PAIR.col_minus.scaled(_P5)), 1,

@@ -5,20 +5,28 @@ import pytest
 
 from iwarank.errors import InvalidContext, PhiDivides, ZeroElement
 from iwarank.growth_model import InvariantSet, degree_identities, nabla_x_formula, s_sequence, sha_growth
-from iwarank.kobayashi_rank import CyclicTower, TorsionTower, additivity_check
-from iwarank.lambda_ring import ONE, X, LambdaElement, PrimeContext, cyclotomic_phi, signed_degree, vp
+from iwarank.kobayashi_rank import CyclicTower, TorsionTower, additivity_check, nabla_cyclic
+from iwarank.lambda_ring import ONE, X, LambdaElement, LambdaMatrix, PrimeContext, cyclotomic_phi, signed_degree, vp
+from iwarank.special_matrices import ColemanData, good_basis_transform
 from iwarank.zp_modules import SpanPresentation, lambda_column_span
 
 CTX = PrimeContext(3)
+PAIR = ColemanData(LambdaMatrix.diagonal(X, X), LambdaMatrix.identity())
 
 REFUSALS = [
     # growth_model
-    ("s-negative", lambda: s_sequence(3, -1), InvalidContext, "s_n needs n >= 0, got -1"),
+    ("s-negative", lambda: s_sequence(3, -1), InvalidContext, "level must be >= 0, got -1"),
     ("growth-negative-baseline",
      lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), range(1, 3), (0, -1)),
-     InvalidContext, "baseline level and value must be >= 0"),
-    ("degree-identities-n0", lambda: degree_identities(CTX, 0), InvalidContext,
-     "degree identities start at n = 1, got 0"),
+     InvalidContext, "baseline_value must be >= 0, got -1"),
+    ("growth-negative-baseline-level",
+     lambda: sha_growth(InvariantSet(3, 0, 0, 0, 0, 0), range(0, 3), (-1, 0)),
+     InvalidContext, "baseline_level must be >= 0, got -1"),
+    ("degree-identities-n0", lambda: degree_identities(CTX, 0), InvalidContext, "level must be >= 1, got 0"),
+    ("nabla-x-n0", lambda: nabla_x_formula(InvariantSet(3, 0, 0, 0, 0, 0), 0), InvalidContext,
+     "level must be >= 1, got 0"),
+    ("invariants-negative", lambda: InvariantSet(3, -1, 0, 0, 0, 0), InvalidContext,
+     "lambda_plus must be >= 0, got -1"),
     # a float level is refused by its type, before any comparison or power
     ("s-float", lambda: s_sequence(3, 2.0), InvalidContext, "level must be an integer, got 2.0"),
     ("nabla-x-float", lambda: nabla_x_formula(InvariantSet(3, 0, 0, 0, 0, 0), 2.0), InvalidContext,
@@ -38,6 +46,8 @@ REFUSALS = [
        InvalidContext, f"{name} must be an integer, got 3.0")
       for i, name in enumerate(("p", "lambda_plus", "lambda_minus", "mu_plus", "mu_minus", "r_inf"))),
     # kobayashi_rank
+    ("nabla-cyclic-n0", lambda: nabla_cyclic(CTX, X, 0), InvalidContext, "level must be >= 1, got 0"),
+    ("nabla-cyclic-float", lambda: nabla_cyclic(CTX, X, 1.5), InvalidContext, "level must be an integer, got 1.5"),
     # a summand is read as a torsion tower, which names no subject; the
     # refusal comes from the level's ords, before any span is read
     ("additivity-summand-phi-divides",
@@ -59,6 +69,9 @@ REFUSALS = [
     ("inexact-division", lambda: (X * X + ONE).exact_div(X), ValueError, "division not exact"),
     ("unknown-sign", lambda: signed_degree(3, 2, "x"), ValueError, "sign must be '+' or '-'"),
     ("signed-degree-float", lambda: signed_degree(3, 2.0, "+"), InvalidContext, "level must be an integer, got 2.0"),
+    # special_matrices
+    ("good-basis-negative", lambda: good_basis_transform(CTX, PAIR, -1),
+     InvalidContext, "level must be >= 0, got -1"),
     # zp_modules
     ("column-length", lambda: SpanPresentation(ambient_rank=2, columns=((1, 0), (1,))), InvalidContext,
      "column length 1 != ambient rank 2"),

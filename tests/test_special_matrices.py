@@ -550,11 +550,10 @@ def test_level_refusal_messages(name, n):
         _LEVEL_CALLS[name](int(n))
     with pytest.raises(InvalidContext) as exc:
         _LEVEL_CALLS[name](n)
-    negative = "n_max" if name == "good_basis_transform" else "level"
     if isinstance(n, float):
         want = f"level must be an integer, got {n}"
     else:
-        want = f"{negative} must be >= 0, got {n}" if n < 0 else f"p^n = 3^{n} {_BOUND}"
+        want = f"level must be >= 0, got {n}" if n < 0 else f"p^n = 3^{n} {_BOUND}"
     assert type(exc.value) is InvalidContext and str(exc.value) == want
 
 
