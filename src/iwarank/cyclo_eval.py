@@ -66,7 +66,10 @@ def ord_eps(ctx: PrimeContext, m: int, f: LambdaElement):
 def _vanishing_columns(ctx: PrimeContext, m: int, a: LambdaMatrix):
     """Lazily, for each column of A, whether Phi_m divides both entries:
     a column stops at its first entry that does not vanish, and any()
-    stops at the first column that does."""
+    stops at the first column that does.  Every caller reads it only
+    where Phi_m divides det A: det is linear in each column, so a column
+    divisible by Phi_m makes det A divisible by Phi_m, and elsewhere no
+    column vanishes."""
     return (all(_residue(ctx, m, e).is_zero for e in col) for col in a.columns)
 
 

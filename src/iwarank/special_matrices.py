@@ -100,18 +100,26 @@ def parity_reference(cd: ColemanData, m: int) -> LambdaMatrix:
 def _column_levels(ctx: PrimeContext, a: LambdaMatrix, n: int) -> list:
     """Per level m <= n: whether Phi_m divides det A, and for each column
     whether it vanishes at eps_m.  SingularMatrix, then a negative level
-    or one past the explicit cap, are refused first."""
+    or one past the explicit cap, are refused first.
+
+    Columns are read only where Phi_m divides det A; elsewhere neither
+    vanishes.  Proof: det is linear in each column, so a column divisible
+    by Phi_m makes det A divisible by Phi_m.
+    """
     if a.det.is_zero:
         raise SingularMatrix("det A = 0: every level divides the determinant")
     check_level(ctx.p, n)
     return [
-        (_residue(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a)))
+        (True, tuple(_vanishing_columns(ctx, m, a)))
+        if _residue(ctx, m, a.det).is_zero
+        else (False, (False, False))
         for m in range(n + 1)
     ]
 
 
 def is_special(ctx: PrimeContext, a: LambdaMatrix, n: int) -> SpecialReport:
-    """Column-divisibility report for every level m <= n."""
+    """Column-divisibility report for every level m <= n, with columns
+    read only where Phi_m divides det A (_column_levels)."""
     levels = tuple(
         SpecialLevel(m=m, i_m=sum(cols), det_divisible=det_div, ok=not det_div or any(cols))
         for m, (det_div, cols) in enumerate(_column_levels(ctx, a, n))
@@ -128,7 +136,8 @@ def _special(ctx: PrimeContext, a: LambdaMatrix, ords: list) -> bool:
 
 def factor_bd(ctx: PrimeContext, a: LambdaMatrix, n: int) -> BDFactorization:
     """A = B D with D = diag of the squarefree Phi-products (m <= n-1)
-    dividing each column; exact division, no remainder."""
+    dividing each column, read as in is_special; exact division, no
+    remainder."""
     levels = _column_levels(ctx, a, n)
     bad = [m for m, (det_div, cols) in enumerate(levels) if det_div and not any(cols)]
     if bad:
@@ -205,10 +214,15 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
     parity_reference(cd, m)(eps_m) for every n >= m, so whether Phi_m
     divides det F_n B, and which columns of F_n B vanish at eps_m, do not
     depend on n: is_special(F_n B, n) is the prefix m <= n of the levels of
-    F_{n_max} B, whose det is det F_{n_max} det B.  Level m answers for
-    F_{max(m,1)}, in the order of the per-n checks; each lower F_n is still
-    assembled, because det F_n = 0 is refused (SingularMatrix) at its own n
-    even where det F_{n_max} is not 0.
+    F_{n_max} B.  Level m answers for F_{max(m,1)}, in the order of the
+    per-n checks; each lower F_n is still assembled, because det F_n = 0 is
+    refused (SingularMatrix) at its own n even where det F_{n_max} is not 0.
+
+    Columns are read only where Phi_m divides det F_{n_max} B, as in
+    _column_levels, and that is where Phi_m divides det F_{n_max}: a level
+    where Phi_m divides det B is refused (PostconditionFailed) before any
+    F_n is assembled, and Z[X]/Phi_m is a domain, so det F_{n_max} det B
+    vanishes mod Phi_m exactly where det F_{n_max} does.
     """
     cd.validate()
     check_level(ctx.p, n_max)
@@ -219,7 +233,7 @@ def good_basis_transform(ctx: PrimeContext, cd: ColemanData, n_max: int) -> Lamb
             raise PostconditionFailed(f"internal: det B vanishes at eps_{m}")
     fs = [assemble_fn(ctx, cd, n) for n in range(1, n_max + 1)]
     if fs:
-        fb, det = fs[-1] @ b, fs[-1].det * b.det
+        fb, det = fs[-1] @ b, fs[-1].det
     for n, f in enumerate(fs, 1):
         if f.det.is_zero:
             raise SingularMatrix("det A = 0: every level divides the determinant")

@@ -11,6 +11,8 @@ from rod_oracle import rod_check_by_intersection
 from iwarank import special_matrices
 from iwarank.cyclo_eval import (
     INFINITE,
+    _residue,
+    _vanishing_columns,
     matrices_proportional_at_eps,
     ord_eps,
     rank_at_eps,
@@ -49,7 +51,7 @@ from iwarank.special_matrices import (
     parity_reference,
     rod_check,
 )
-from iwarank.verify import COLEMAN_KINDS, rand_coleman_data
+from iwarank.verify import COLEMAN_KINDS, _rand_matrix, rand_coleman_data, rand_special_matrix
 
 
 def diag(a, b) -> LambdaMatrix:
@@ -563,6 +565,69 @@ def test_singular_refused_before_level(fn, n):
     with pytest.raises(SingularMatrix) as exc:
         fn(_CTX3, LambdaMatrix(((ONE, X), (ONE, X))), n)
     assert str(exc.value) == "det A = 0: every level divides the determinant"
+
+
+def _column_levels_every_level(ctx, a, n):
+    """_column_levels as first written: both columns read at every level
+    m <= n, whether or not Phi_m divides det A."""
+    return [(_residue(ctx, m, a.det).is_zero, tuple(_vanishing_columns(ctx, m, a))) for m in range(n + 1)]
+
+
+def _column_draws():
+    """(ctx, n, A) with det A != 0: special draws (columns divisible by
+    Phi_m, m < n), random matrices, F_n and F_n B for every Coleman kind,
+    and hand-built matrices with one or both columns = 0 mod Phi_m at a
+    chosen level m <= n, the top level included."""
+    rng = random.Random("column-levels")
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        for n in range(4):
+            for _ in range(3):
+                yield ctx, n, rand_special_matrix(ctx, rng, n)[0]
+                yield ctx, n, _rand_matrix(rng, 3)
+        for m in range(3):
+            phi = cyclotomic_phi(ctx, m)
+            for cols in ((0,), (1,), (0, 1)):
+                a = _rand_matrix(rng, 2, bound=3)
+                rows = tuple(tuple(e * phi if j in cols else e for j, e in enumerate(row)) for row in a.rows)
+                for n in range(m, 4):
+                    yield ctx, n, LambdaMatrix(rows)
+    ctx = PrimeContext(3)
+    for kind in COLEMAN_KINDS:
+        cd = rand_coleman_data(ctx, rng, kind)
+        b = good_basis_transform(ctx, cd, 4)
+        for n in range(5):
+            f = assemble_fn(ctx, cd, n)
+            yield ctx, n, f
+            yield ctx, n, f @ b
+
+
+def _report_and_factors(ctx, a, n):
+    try:
+        fact = factor_bd(ctx, a, n)
+    except NotSpecial as exc:
+        fact = str(exc)
+    return is_special(ctx, a, n), fact
+
+
+def test_column_levels_match_every_level_oracle(monkeypatch):
+    # columns are read only where Phi_m divides det A; is_special's report
+    # and factor_bd's (B, D) or refusal equal those of the reading of both
+    # columns at every level
+    draws = list(_column_draws())
+    got = [_report_and_factors(ctx, a, n) for ctx, n, a in draws]
+    monkeypatch.setattr(special_matrices, "_column_levels", _column_levels_every_level)
+    want = [_report_and_factors(ctx, a, n) for ctx, n, a in draws]
+    levels, refused = set(), set()
+    for (ctx, n, a), g, w in zip(draws, got, want):
+        assert g == w, (ctx.p, n, a)
+        levels.update((lv.m == n, lv.det_divisible, lv.i_m) for lv in w[0].per_level)
+        refused.add(isinstance(w[1], str))
+    # (top level or not, Phi_m | det A, i_m) all occur, and so do both
+    # factor_bd outcomes
+    kinds = {(False, 0), (True, 0), (True, 1), (True, 2)}
+    assert levels == {(top, *k) for top in (False, True) for k in kinds}
+    assert refused == {False, True}
 
 
 def _kernel_killer_by_division(ctx, cd, m):
